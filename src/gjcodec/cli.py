@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 
@@ -117,7 +118,22 @@ def _cmd_decompress(args) -> int:
      modeled) = struct.unpack(_CONTAINER_HEADER, blob[4:hsize])
     if version != 1:
         raise FormatError(f"unsupported container version {version}")
+    if height == 0 or width == 0 or height % 8 or width % 8:
+        raise FormatError(
+            f"image size {height}x{width} is not a positive multiple of 8")
+    if not (math.isfinite(step) and step > 0):
+        raise FormatError(f"quantizer step {step} is not a positive number")
+    if alphabet < 2:
+        raise FormatError(f"alphabet {alphabet} is below 2")
     stream = Bitstream.from_bytes(blob[hsize:])
+    # Checked before decoding, so the decoder's run time and memory are
+    # bounded by the container's image size, not by a hostile symbol count.
+    if stream.alphabet != alphabet:
+        raise FormatError(
+            f"stream alphabet {stream.alphabet} != container alphabet {alphabet}")
+    if stream.n_symbols != height * width:
+        raise FormatError(
+            f"stream holds {stream.n_symbols} symbols, expected {height * width}")
     if modeled:
         if not args.model:
             raise ConfigError(
@@ -204,14 +220,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scn = _apply_sets(_resolve_scenario(args.scenario), args.set or [])
-    records = sweep(scn, jobs=args.jobs)
-    csv_text = records_to_csv(records)
     if args.output == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-        print(f"{len(records)} records -> {args.output}", file=sys.stderr)
+        sys.stdout.write(records_to_csv(sweep(scn, jobs=args.jobs)))
+        return 0
+    # Opened before the sweep runs, so an unwritable path fails at once.
+    with open(args.output, "w", encoding="ascii") as fh:
+        records = sweep(scn, jobs=args.jobs)
+        fh.write(records_to_csv(records))
+    print(f"{len(records)} records -> {args.output}", file=sys.stderr)
     return 0
 
 

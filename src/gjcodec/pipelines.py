@@ -16,8 +16,15 @@ Three schemes over a shared channel budget:
 A scenario is a plain JSON dict; `sweep` expands schemes x conditions x
 trials into metric records and `records_to_csv` renders the fixed column
 set.  All randomness is drawn from per-record seeds derived by hashing
-(scenario seed, scheme label, condition index, trial index), so results
-are reproducible record by record regardless of execution order.
+(scenario seed, condition index, trial index), so results are reproducible
+record by record regardless of execution order.
+
+Work that does not depend on a record's channel draw is done once per
+`SweepContext`: each source encoding (whose weak-JSCC packets are decoded
+and verified once, when the code is built), the FEC parity of each
+(digital payload, r), and every record whose runner draws no randomness
+(digital and weak JSCC under snr_db), which is computed once per
+(scheme, condition) and repeated for each trial with its own `seed`.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from . import concealment as _conceal
 from . import fec as _fec
 from .context import CausalContextModel, NeighborhoodModel, train
 from .entropy import Bitstream, ac_decode, ac_encode
-from .errors import ConfigError, FecDecodeError, ParameterError
+from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
+                     ParameterError)
 from .metrics import compute_metrics
 from .sources import ImageGrid, ar1_field, load_pgm
 from .transform import (dct2, idct2, merge_blocks, split_blocks, sq_dequantize,
@@ -308,7 +316,14 @@ def _train_images(tr: dict) -> list[ImageGrid]:
 
 @dataclass
 class WeakCode:
-    """Cached token-domain encoding of the scenario source."""
+    """Cached token-domain encoding of the scenario source.
+
+    Every packet stream is entropy-decoded once when the code is built,
+    against a copy of the trained causal model (so the model-hash check
+    runs), and must give back exactly the packet's cells of `tokens`.  A
+    record therefore places the delivered packets' cells from `tokens`
+    instead of decoding them again.
+    """
 
     codebook: Codebook
     causal: CausalContextModel
@@ -335,6 +350,8 @@ class SweepContext:
     analog_code: object = None
     digital_cache: dict = field(default_factory=dict)
     weak_cache: dict = field(default_factory=dict)
+    parity_cache: dict = field(default_factory=dict)
+    record_cache: dict = field(default_factory=dict)
 
 
 def build_context(scn: dict) -> SweepContext:
@@ -460,6 +477,7 @@ def _encode_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     neighbor = NeighborhoodModel(ksize)
     train(causal, corpus_tokens)
     train(neighbor, corpus_tokens)
+    causal.state_hash()  # hashed once here; every copy below inherits it
 
     tokens = tokens_of(ctx.image)
     num_packets = scn["packets"]
@@ -470,7 +488,11 @@ def _encode_weak(ctx: SweepContext, sp: dict) -> WeakCode:
         rr, cc = np.nonzero(assignment == p)
         packet_cells.append((rr, cc))
         seq = tokens[rr, cc]
-        streams.append(ac_encode(seq, causal.copy(), adaptive=True))
+        stream = ac_encode(seq, causal.copy(), adaptive=True)
+        if not np.array_equal(ac_decode(stream, causal.copy(), adaptive=True),
+                              seq):
+            raise CorruptStreamError(f"packet {p} does not decode to its tokens")
+        streams.append(stream)
     code = WeakCode(codebook=codebook, causal=causal, neighbor=neighbor,
                     tokens=tokens, assignment=assignment,
                     packet_cells=packet_cells, streams=streams, patch=patch)
@@ -480,14 +502,12 @@ def _encode_weak(ctx: SweepContext, sp: dict) -> WeakCode:
 
 def _weak_reconstruct(ctx: SweepContext, sp: dict, code: WeakCode,
                       delivered: set) -> ImageGrid:
-    """Entropy-decode the delivered packets, conceal the rest, inverse-VQ."""
-    tokens = np.zeros(code.tokens.shape, dtype=np.int64)
+    """Place the delivered packets' (verified) tokens, conceal the rest,
+    inverse-VQ."""
     missing = np.ones(code.tokens.shape, dtype=bool)
     for p in delivered:
-        rr, cc = code.packet_cells[p]
-        seq = ac_decode(code.streams[p], code.causal.copy(), adaptive=True)
-        tokens[rr, cc] = seq
-        missing[rr, cc] = False
+        missing[code.packet_cells[p]] = False
+    tokens = np.where(missing, 0, code.tokens)
     grid = _conceal.TokenGrid(tokens, missing, code.codebook.size)
     if sp["conceal_mode"] == "marginal":
         filled = _conceal.marginal_fill(grid, code.neighbor)
@@ -516,17 +536,17 @@ def mcs_pick(table: list, snr_db: float):
 # Per-record runners
 
 
-def _row(label: str, condition, trial: int, metrics, mcs_index=None,
-         fec_r=None, realized_loss_rate=None) -> dict:
-    return {"scheme": label, "condition": condition, "seed": trial,
+def _row(label: str, condition, metrics, mcs_index=None, fec_r=None,
+         realized_loss_rate=None) -> dict:
+    """A record without its trial; `run_record` fills in `seed`."""
+    return {"scheme": label, "condition": condition, "seed": None,
             "bpp": metrics.bpp, "bandwidth_ratio": metrics.bandwidth_ratio,
             "mse": metrics.mse, "psnr": metrics.psnr,
             "decode_failed": metrics.decode_failed, "mcs_index": mcs_index,
             "fec_r": fec_r, "realized_loss_rate": realized_loss_rate}
 
 
-def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float,
-                     trial: int) -> dict:
+def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     table = ctx.scenario["mcs_table"]
     idx = mcs_pick(table, sp["est_snr_db"])
     if idx is None:
@@ -540,11 +560,10 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float,
     recon = decoded if ok else _fallback_image(ctx.image)
     m = compute_metrics(ctx.image, recon, bits, ctx.budget_symbols)
     m.decode_failed = not ok
-    return _row(sp["label"], snr_db, trial, m, mcs_index=idx)
+    return _row(sp["label"], snr_db, m, mcs_index=idx)
 
 
-def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float,
-                  trial: int) -> dict:
+def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     code = _encode_weak(ctx, sp)
     table = ctx.scenario["mcs_table"]
     idx = mcs_pick(table, snr_db)
@@ -559,11 +578,10 @@ def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float,
         delivered.add(p)
     recon = _weak_reconstruct(ctx, sp, code, delivered)
     m = compute_metrics(ctx.image, recon, used, ctx.budget_symbols)
-    return _row(sp["label"], snr_db, trial, m, mcs_index=idx)
+    return _row(sp["label"], snr_db, m, mcs_index=idx)
 
 
-def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, trial: int,
-                    rng) -> dict:
+def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
     code = ctx.analog_code
     if np.any(code.symbols):
         noisy = _channel.awgn(code.symbols.ravel(), snr_db, rng)
@@ -578,7 +596,7 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, trial: int,
     # Channel accounting charges the provisioned budget, not the m*blocks
     # symbols actually modulated, so the ratio matches the other schemes.
     m = compute_metrics(ctx.image, recon, 0, code.budget)
-    return _row(sp["label"], snr_db, trial, m)
+    return _row(sp["label"], snr_db, m)
 
 
 def _ge_params(loss: float, burst_mean: float):
@@ -587,8 +605,20 @@ def _ge_params(loss: float, burst_mean: float):
     return p_gb, p_bg
 
 
-def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float,
-                      trial: int, rng) -> dict:
+def _fec_block(ctx: SweepContext, payload: bytes, r: int):
+    """(packets, packet length) of `payload` split into k data packets plus
+    r parity packets; cached per (payload, r)."""
+    key = (payload, r)
+    if key not in ctx.parity_cache:
+        k = ctx.scenario["fec"]["k"]
+        plen = max(1, -(-len(payload) // k))
+        padded = payload.ljust(k * plen, b"\x00")
+        data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
+        ctx.parity_cache[key] = (_fec.fec_encode(data, r), plen)
+    return ctx.parity_cache[key]
+
+
+def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     scn = ctx.scenario
     k = scn["fec"]["k"]
     window = scn["conditions"]["window"]
@@ -605,10 +635,7 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float,
 
     stream, decoded = _encode_digital(ctx, sp)
     payload = stream.payload
-    plen = max(1, -(-len(payload) // k))
-    padded = payload.ljust(k * plen, b"\x00")
-    data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
-    packets = _fec.fec_encode(data, r)
+    packets, plen = _fec_block(ctx, payload, r)
 
     slots = trace.lost[window:window + k + r]
     received = [pkt for pkt, gone in zip(packets, slots) if not gone]
@@ -622,12 +649,10 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float,
     recon = decoded if ok else _fallback_image(ctx.image)
     m = compute_metrics(ctx.image, recon, bits, bits)
     m.decode_failed = not ok
-    return _row(sp["label"], loss, trial, m, fec_r=r,
-                realized_loss_rate=realized)
+    return _row(sp["label"], loss, m, fec_r=r, realized_loss_rate=realized)
 
 
-def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, trial: int,
-                   rng) -> dict:
+def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     scn = ctx.scenario
     code = _encode_weak(ctx, sp)
     num_packets = scn["packets"]
@@ -641,7 +666,18 @@ def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, trial: int,
     bits = code.total_payload_bits
     recon = _weak_reconstruct(ctx, sp, code, delivered)
     m = compute_metrics(ctx.image, recon, bits, bits)
-    return _row(sp["label"], loss, trial, m, realized_loss_rate=realized)
+    return _row(sp["label"], loss, m, realized_loss_rate=realized)
+
+
+# (condition kind, scheme) -> (runner, whether it draws channel randomness).
+# A runner that draws none gives the same record for every trial.
+_RUNNERS = {
+    ("snr_db", SCHEME_DIGITAL): (_run_digital_snr, False),
+    ("snr_db", SCHEME_WEAK): (_run_weak_snr, False),
+    ("snr_db", SCHEME_ANALOG): (_run_analog_snr, True),
+    ("loss", SCHEME_DIGITAL): (_run_digital_loss, True),
+    ("loss", SCHEME_WEAK): (_run_weak_loss, True),
+}
 
 
 def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
@@ -650,18 +686,19 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
     sp = scn["schemes"][scheme_idx]
     kind = scn["conditions"]["kind"]
     value = scn["conditions"]["values"][cond_idx]
-    rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
-    if kind == "snr_db":
-        if sp["scheme"] == SCHEME_DIGITAL:
-            return _run_digital_snr(ctx, sp, value, trial)
-        if sp["scheme"] == SCHEME_WEAK:
-            return _run_weak_snr(ctx, sp, value, trial)
-        return _run_analog_snr(ctx, sp, value, trial, rng)
-    if sp["scheme"] == SCHEME_DIGITAL:
-        return _run_digital_loss(ctx, sp, value, trial, rng)
-    if sp["scheme"] == SCHEME_WEAK:
-        return _run_weak_loss(ctx, sp, value, trial, rng)
-    raise ConfigError("analog_jscc runs under snr_db conditions only")
+    entry = _RUNNERS.get((kind, sp["scheme"]))
+    if entry is None:
+        raise ConfigError("analog_jscc runs under snr_db conditions only")
+    runner, draws = entry
+    if draws:
+        rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
+        row = runner(ctx, sp, value, rng)
+    else:
+        key = (scheme_idx, cond_idx)
+        if key not in ctx.record_cache:
+            ctx.record_cache[key] = runner(ctx, sp, value)
+        row = ctx.record_cache[key]
+    return dict(row, seed=trial)
 
 
 # ---------------------------------------------------------------------------

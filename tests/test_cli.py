@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -175,11 +176,61 @@ def test_sweep_rejects_unknown_override(tmp_path):
     assert "bogus_field" in err
 
 
-def test_sweep_io_failure(tmp_path):
+def test_sweep_io_failure(tmp_path, monkeypatch):
+    import gjcodec.pipelines as pipelines
+
+    def never(scn):
+        raise AssertionError("sweep ran before its output file was opened")
+
+    monkeypatch.setattr(pipelines, "build_context", never)
     code, _, err = run_cli("sweep", "--scenario", "fig5",
                            "--set", "num_seeds=1",
                            "--output", str(tmp_path / "no_dir" / "x.csv"))
     assert code == 3
+    assert "I/O failure" in err
+
+
+# container magic, version, height, width, step, alphabet, order, modeled,
+# then the stream's magic, version, alphabet, symbol count and model hash
+_HEADERS = struct.Struct("<4sBHHdHBB4sBHIQ")
+_FIELDS = ("magic", "version", "height", "width", "step", "alphabet", "order",
+           "modeled", "stream_magic", "stream_version", "stream_alphabet",
+           "n_symbols", "model_hash")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_symbols", 2**32 - 1, "symbols"),
+    ("n_symbols", 32 * 32 + 1, "symbols"),
+    ("height", 0, "multiple of 8"),
+    ("width", 36, "multiple of 8"),
+    ("step", float("nan"), "step"),
+    ("step", float("inf"), "step"),
+    ("step", 0.0, "step"),
+    ("step", -16.0, "step"),
+    ("alphabet", 1, "alphabet"),
+    ("stream_alphabet", 128, "alphabet"),
+])
+def test_hostile_container_rejected_before_decoding(tmp_path, sample_pgm,
+                                                    monkeypatch, field, value,
+                                                    message):
+    import gjcodec.cli as cli
+    comp = tmp_path / "img.gjc"
+    assert run_cli("compress", "--input", str(sample_pgm),
+                   "--output", str(comp))[0] == 0
+    blob = bytearray(comp.read_bytes())
+    head = dict(zip(_FIELDS, _HEADERS.unpack_from(blob)))
+    head[field] = value
+    _HEADERS.pack_into(blob, 0, *(head[f] for f in _FIELDS))
+    comp.write_bytes(bytes(blob))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a hostile container reached the decoder")
+
+    monkeypatch.setattr(cli, "ac_decode", never)
+    code, _, err = run_cli("decompress", "--input", str(comp),
+                           "--output", str(tmp_path / "out.pgm"))
+    assert code == 4
+    assert message in err
 
 
 def test_entry_point_runs_as_subprocess():

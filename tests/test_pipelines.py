@@ -167,3 +167,106 @@ def test_scenario_json_round_trip(tmp_path):
     scn = _base_scenario()
     blob = json.dumps(validate_scenario(scn))
     assert validate_scenario(json.loads(blob)) == validate_scenario(scn)
+
+
+# Golden CSV digests of the bundled scenarios at reduced size.  Any change
+# to the bytes a sweep writes must update these with a CHANGES.md entry.
+@pytest.mark.parametrize("name,digest", [
+    ("fig5", "94230419e5452de5e39650da1afc8ea56f821717cfa016b2753fcfbf1b26eec2"),
+    ("fig6", "cdc6986a5f5e8cc61ab01ac317fe92db2b807dbf2b643c45928f1a71e3818e72"),
+])
+def test_bundled_sweep_golden_digest(name, digest):
+    import hashlib
+    from importlib import resources
+    ref = resources.files("gjcodec") / "scenarios" / f"{name}.json"
+    scn = json.loads(ref.read_text(encoding="utf-8"))
+    scn["num_seeds"] = 2  # trial 1 repeats the RNG-free records of trial 0
+    scn["train"]["images"] = 1
+    csv_text = records_to_csv(sweep(scn))
+    assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == digest
+
+
+def _mixed_scenario(kind):
+    """weak_jscc beside digital schemes, small enough to sweep in a second."""
+    scn = _base_scenario(
+        num_seeds=3, packets=4,
+        train={"images": 1, "height": 32, "width": 32, "rho": 0.9,
+               "sigma": 25.0, "mean": 128.0, "seed": 8})
+    weak = {"scheme": "weak_jscc", "label": "weak", "codebook_size": 16,
+            "context_order": 1}
+    digital = scn["schemes"][0]
+    if kind == "loss":
+        scn["conditions"] = {"kind": "loss", "values": [0.1, 0.3],
+                             "burst_mean": 2.0, "window": 20}
+        scn["fec"] = {"k": 10}
+        del digital["est_snr_db"]
+        scn["schemes"] = [weak,
+                          dict(digital, label="fec_1x", fec_multiplier=1),
+                          dict(digital, label="fec_4x", fec_multiplier=4)]
+    else:
+        scn["schemes"].append(weak)
+    return scn
+
+
+def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
+    import gjcodec.fec as fec
+    import gjcodec.pipelines as pipelines
+    from gjcodec.context import _CountModel
+
+    decoded_alphabets, trained_hashes, fec_blocks = [], [], []
+    real_decode = pipelines.ac_decode
+    real_serialize = _CountModel._serialize
+    real_fec_encode = fec.fec_encode
+
+    def decode(stream, model, adaptive=False):
+        decoded_alphabets.append(stream.alphabet)
+        return real_decode(stream, model, adaptive)
+
+    def serialize(model):
+        if model.counts:  # a trained model; coders start from empty ones
+            trained_hashes.append(model.alphabet)
+        return real_serialize(model)
+
+    def fec_encode(data, r):
+        fec_blocks.append(r)
+        return real_fec_encode(data, r)
+
+    monkeypatch.setattr(pipelines, "ac_decode", decode)
+    monkeypatch.setattr(_CountModel, "_serialize", serialize)
+    monkeypatch.setattr(fec, "fec_encode", fec_encode)
+    recs = sweep(_mixed_scenario("loss"))
+
+    assert len(recs) == 3 * 2 * 3
+    # each weak packet once, plus the one check decode of the digital stream
+    assert sorted(decoded_alphabets) == [16] * 4 + [32]
+    assert trained_hashes == [16]
+    used_r = {r["fec_r"] for r in recs if r["fec_r"] is not None}
+    assert sorted(fec_blocks) == sorted(used_r)
+
+
+@pytest.mark.parametrize("kind", ["snr_db", "loss"])
+def test_memoised_records_match_a_fresh_context(kind, monkeypatch):
+    import gjcodec.pipelines as pipelines
+    scn = validate_scenario(_mixed_scenario(kind))
+    recs = sweep(scn)
+    conceal_calls = []
+    real_conceal = pipelines._conceal.conceal
+
+    def conceal(*args, **kwargs):
+        conceal_calls.append(1)
+        return real_conceal(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines._conceal, "conceal", conceal)
+    ctx = build_context(scn)
+    values = scn["conditions"]["values"]
+    for si, sp in enumerate(scn["schemes"]):
+        for ci, value in enumerate(values):
+            for trial in (1, 2):  # trial 1 fills the memo, not trial 0
+                row = run_record(ctx, si, ci, trial)
+                assert list(row) == list(CSV_COLUMNS)
+                assert row == next(r for r in recs
+                                   if r["scheme"] == sp["label"]
+                                   and r["condition"] == value
+                                   and r["seed"] == trial)
+    # weak records at snr_db draw nothing, so trial 2 conceals nothing new
+    assert len(conceal_calls) == len(values) * (1 if kind == "snr_db" else 2)
