@@ -30,26 +30,21 @@ for _i in range(255):
 _GF_EXP[255:510] = _GF_EXP[:255]
 del _x, _i
 
+# Full 256 x 256 product table (64 KiB): _GF_MUL[a, b] = a * b, zero rows
+# and columns included, so multiplying needs one lookup and no masking.
+_GF_MUL = _GF_EXP[_GF_LOG[:, None] + _GF_LOG[None, :]]
+_GF_MUL[0, :] = 0
+_GF_MUL[:, 0] = 0
+
 
 def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(_GF_EXP[int(_GF_LOG[a]) + int(_GF_LOG[b])])
+    return int(_GF_MUL[a, b])
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("gf_inv(0)")
     return int(_GF_EXP[255 - int(_GF_LOG[a])])
-
-
-def _gf_mul_bytes(coef: int, vec: np.ndarray) -> np.ndarray:
-    """coef * vec elementwise over GF(256); vec is uint8."""
-    if coef == 0:
-        return np.zeros_like(vec)
-    out = _GF_EXP[_GF_LOG[vec] + int(_GF_LOG[coef])]
-    out[vec == 0] = 0
-    return out
 
 
 def _gf_pow(base: int, exp: int) -> int:
@@ -60,15 +55,18 @@ def _gf_pow(base: int, exp: int) -> int:
     return int(_GF_EXP[(int(_GF_LOG[base]) * exp) % 255])
 
 
+# Column chunks of _gf_mul_mat keep its (rows, inner, chunk) product
+# temporary near this many bytes, whatever the packet length.
+_MUL_MAT_BYTES = 1 << 20
+
+
 def _gf_mul_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(256) via log/antilog tables."""
-    la = _GF_LOG[a]
-    lb = _GF_LOG[b]
-    prod = _GF_EXP[la[:, :, None] + lb[None, :, :]]
-    prod[(a[:, :, None] == 0) | (b[None, :, :] == 0)] = 0
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for t in range(a.shape[1]):
-        out ^= prod[:, t, :]
+    """Matrix product over GF(256) via the product table; a and b are uint8."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.uint8)
+    step = max(1, _MUL_MAT_BYTES // max(1, a.size))
+    for s in range(0, b.shape[1], step):
+        prod = _GF_MUL[a[:, :, None], b[None, :, s:s + step]]
+        out[:, s:s + step] = np.bitwise_xor.reduce(prod, axis=1)
     return out
 
 
@@ -83,14 +81,12 @@ def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
         pivot = col + int(nz[0])
         if pivot != col:
             a[[col, pivot]] = a[[pivot, col]]
-        a[col] = _gf_mul_bytes(gf_inv(int(a[col, col])), a[col])
+        a[col] = _GF_MUL[gf_inv(int(a[col, col]))][a[col]]
         factors = a[:, col].copy()
         factors[col] = 0
         rows = np.nonzero(factors)[0]
         if rows.size:
-            upd = _GF_EXP[_GF_LOG[factors[rows], None] + _GF_LOG[a[col]][None, :]]
-            upd[:, a[col] == 0] = 0
-            a[rows] ^= upd
+            a[rows] ^= _GF_MUL[factors[rows, None], a[col][None, :]]
     return a[:, k:]
 
 
@@ -139,14 +135,10 @@ def fec_encode(data: list[bytes], r: int) -> list[Packet]:
     packets = [Packet(i, bytes(p), False) for i, p in enumerate(data)]
     if r == 0:
         return packets
-    parity_rows = _generator_rows(k, k + r)
-    arrays = [np.frombuffer(p, dtype=np.uint8) for p in data]
-    for i in range(r):
-        acc = np.zeros(len(data[0]), dtype=np.uint8)
-        for j, coef in enumerate(parity_rows[i]):
-            if coef:
-                acc ^= _gf_mul_bytes(coef, arrays[j])
-        packets.append(Packet(k + i, acc.tobytes(), True))
+    block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
+    parity = _gf_mul_mat(_generator_rows(k, k + r), block)
+    packets.extend(Packet(k + i, row.tobytes(), True)
+                   for i, row in enumerate(parity))
     return packets
 
 
@@ -177,14 +169,6 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
     use = sorted(seen)[:k]
     parity_rows = _generator_rows(k, total)
     m = np.stack([_coding_row(i, k, total, parity_rows) for i in use])
-    m_inv = _gf_mat_inv(m)
-    plen = lengths.pop()
-    rec = [np.frombuffer(seen[i], dtype=np.uint8) for i in use]
-    out = []
-    for row in m_inv:
-        acc = np.zeros(plen, dtype=np.uint8)
-        for coef, vec in zip(row, rec):
-            if coef:
-                acc ^= _gf_mul_bytes(coef, vec)
-        out.append(acc.tobytes())
-    return out
+    rec = np.frombuffer(b"".join(seen[i] for i in use), dtype=np.uint8)
+    data = _gf_mul_mat(_gf_mat_inv(m), rec.reshape(k, -1))
+    return [row.tobytes() for row in data]

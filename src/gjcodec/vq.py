@@ -32,6 +32,8 @@ class Codebook:
             raise ConfigError(
                 f"codebook size {v.shape[0]} exceeds the supported maximum "
                 f"{MAX_CODEWORDS}")
+        if not np.isfinite(v).all():
+            raise ParameterError("codebook contains NaN or infinite entries")
         if len(np.unique(v, axis=0)) != v.shape[0]:
             raise ParameterError("codebook contains duplicate codewords")
         self.vectors = v
@@ -45,19 +47,96 @@ class Codebook:
         return self.vectors.shape[1]
 
 
-def _pairwise_sq_dist(x: np.ndarray, c: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Squared Euclidean distances, (N, K), computed by direct differences.
+# Row blocks of the screen hold at most this many (row, codeword) entries, so
+# the helper's temporaries stay O(block * K) however many rows come in.
+_BLOCK_ENTRIES = 1 << 16
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
-    The direct form is slower than the expanded inner-product form but is
-    bit-reproducible regardless of BLAS threading, which keeps trained
-    codebooks and sweep CSVs deterministic.
+
+def _direct_sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rowwise squared distances ||x_i - c_i||^2 by direct differences.
+
+    This is the deciding form: every distance the helper returns comes from
+    here, so it does not depend on how BLAS orders or threads its sums.
     """
-    n = x.shape[0]
-    out = np.empty((n, c.shape[0]), dtype=np.float64)
-    for s in range(0, n, chunk):
-        d = x[s:s + chunk, None, :] - c[None, :, :]
-        out[s:s + chunk] = np.einsum("nkd,nkd->nk", d, d)
-    return out
+    d = x - c
+    return np.einsum("nd,nd->n", d, d)
+
+
+def _nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest codeword of each row of `x`: (index, squared distance).
+
+    Exact: the result equals an argmin (ties to the lowest index) over the
+    full (N, K) matrix of direct-difference distances, bit for bit, under any
+    BLAS build or thread count.  BLAS only prunes; the direct form decides.
+
+    Screen.  Per row block, s_k = ||c_k||^2 - 2 x.c_k comes from one GEMM;
+    it is ||x - c_k||^2 - ||x||^2, so it ranks codewords like the distance.
+
+    Error bound.  Let u = eps/2, g_n = n u / (1 - n u), D the dimension and
+    R = ||x|| + max_k ||c_k||.  A dot product of D terms, summed in any
+    order, blocked, split across threads or with FMA, is off by at most
+    g_D sum|x_i c_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1); a GEMM computes each entry as such a dot product
+    (BLAS uses no Strassen-type scheme).  So the screen is off from its
+    real value by at most
+        g_D ||c||^2 + 2 g_D ||x|| ||c|| + u |s|  <=  g_{D+1} R^2,
+    and the direct form (D rounded differences, squares and sums) is off
+    from ||x - c_k||^2 by at most g_{D+2} R^2.  Both are below
+        S = 2 (D + 2) eps R^2 + (D + 2) * smallest_subnormal,
+    which is four times g_{D+2} R^2 to first order; the margin covers
+    rounding in R and in the threshold, and the last term covers gradual
+    underflow.  If k* minimises the direct form and m the screen, then
+    true(k*) <= true(m) + 2S, hence s_k* <= s_m + 4S.  So every
+    direct-form minimiser lies among the codewords within 4S of the row's
+    screen minimum, and only those are evaluated.  Inputs must be finite;
+    a row whose threshold overflows evaluates every codeword.
+    """
+    n, dim = x.shape
+    k = c.shape[0]
+    c_sq = np.einsum("kd,kd->k", c, c)
+    screen_w = -2.0 * c.T                # exact: scaling by 2 does not round
+    radius = np.sqrt(np.einsum("nd,nd->n", x, x)) + np.sqrt(c_sq.max())
+    slack = 4.0 * (2 * (dim + 2) * _EPS * radius * radius + (dim + 2) * _TINY)
+    index = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.float64)
+    rows_per_block = max(1, _BLOCK_ENTRIES // k)
+    pairs_per_chunk = max(1, _BLOCK_ENTRIES // dim)
+    for s in range(0, n, rows_per_block):
+        e = min(n, s + rows_per_block)
+        xb = x[s:e]
+        screen = xb @ screen_w
+        screen += c_sq
+        best = screen.argmin(axis=1)
+        rows = np.arange(e - s)
+        limit = screen[rows, best] + slack[s:e]
+        index[s:e] = best
+        dist[s:e] = _direct_sq_dist(xb, c[best])
+        # Rows whose runner-up also passes the screen need the direct form
+        # on every candidate; usually these are only exact ties.
+        screen[rows, best] = np.inf
+        multi = np.flatnonzero(~(screen.min(axis=1) > limit))
+        if not multi.size:
+            continue
+        cand = screen[multi] <= limit[multi, None]
+        cand[np.arange(multi.size), best[multi]] = True
+        cand[~np.isfinite(limit[multi])] = True
+        cand_rows, cand_cols = np.nonzero(cand)
+        exact = np.full(cand.shape, np.inf)
+        for p in range(0, cand_rows.size, pairs_per_chunk):
+            r = cand_rows[p:p + pairs_per_chunk]
+            j = cand_cols[p:p + pairs_per_chunk]
+            exact[r, j] = _direct_sq_dist(xb[multi[r]], c[j])
+        pick = exact.argmin(axis=1)
+        index[s + multi] = pick
+        dist[s + multi] = exact[np.arange(multi.size), pick]
+    return index, dist
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ParameterError("vectors contain NaN or infinite entries")
 
 
 def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
@@ -68,6 +147,11 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
     training vectors with the highest quantization distortion.  The recorded
     per-iteration mean distortion (measured at assignment time) is
     non-increasing.
+
+    Assignments and distortions come from `_nearest`, whose GEMM screen
+    only prunes candidates and whose direct-difference form decides, and
+    each mean sums a cluster's members in training order; the codebook is
+    therefore deterministic under any BLAS threading.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -78,6 +162,7 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
         raise ConfigError(f"k={k} exceeds the supported maximum {MAX_CODEWORDS}")
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
+    _check_finite(x)
 
     uniq = np.unique(x, axis=0)
     if uniq.shape[0] < k:
@@ -99,15 +184,20 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
 
     history = []
     for _ in range(iters):
-        d2 = _pairwise_sq_dist(x, c)
-        assign = np.argmin(d2, axis=1)
-        per_point = d2[np.arange(x.shape[0]), assign]
+        assign, per_point = _nearest(x, c)
         history.append(float(per_point.mean()))
-        # Mean update.
+        # Mean update.  Each cluster's members are a contiguous run of the
+        # stably sorted vectors, in training order, and each run gets the
+        # reduction `mean(axis=0)` runs, so means match a boolean-mask mean
+        # bit for bit (`np.add.reduceat` sums in another order).
         new_c = c.copy()
         counts = np.bincount(assign, minlength=k)
-        for j in np.nonzero(counts)[0]:
-            new_c[j] = x[assign == j].mean(axis=0)
+        members = x[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        filled = np.nonzero(counts)[0]
+        sums = [np.add.reduce(members[ends[j] - counts[j]:ends[j]], axis=0)
+                for j in filled]
+        new_c[filled] = np.array(sums) / counts[filled, None]
         # Empty clusters grab the worst-quantized vectors.
         empties = np.nonzero(counts == 0)[0]
         if len(empties):
@@ -128,13 +218,16 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
 
 
 def vq_encode(codebook: Codebook, vectors: np.ndarray) -> np.ndarray:
-    """Map each vector to its nearest codeword index (ties: lowest index)."""
+    """Map each vector to its nearest codeword index (ties: lowest index).
+
+    Exact and BLAS-independent; see `_nearest`.
+    """
     x = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if x.shape[1] != codebook.dim:
         raise ParameterError(
             f"vector dim {x.shape[1]} does not match codebook dim {codebook.dim}")
-    d2 = _pairwise_sq_dist(x, codebook.vectors.astype(np.float64))
-    return np.argmin(d2, axis=1).astype(np.int64)
+    _check_finite(x)
+    return _nearest(x, codebook.vectors.astype(np.float64))[0]
 
 
 def vq_decode(codebook: Codebook, tokens: np.ndarray) -> np.ndarray:
@@ -186,4 +279,7 @@ def load_codebook(path) -> Codebook:
         raise FormatError(
             f"codebook: payload holds {len(data) - off} bytes, expected {need}")
     vec = np.frombuffer(data, dtype="<f4", count=k * dim, offset=off)
-    return Codebook(vectors=vec.reshape(k, dim).copy(), train_seed=seed)
+    try:
+        return Codebook(vectors=vec.reshape(k, dim).copy(), train_seed=seed)
+    except (ConfigError, ParameterError) as exc:
+        raise FormatError(str(exc)) from exc

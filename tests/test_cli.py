@@ -136,6 +136,20 @@ def test_train_codebook(tmp_path, sample_pgm):
     assert cb.stat().st_size > 0
 
 
+def test_non_finite_codebook_is_format_error(tmp_path, sample_pgm):
+    cb = tmp_path / "cb.bin"
+    assert run_cli("train-codebook", str(sample_pgm), "--output", str(cb),
+                   "--size", "16", "--iters", "2")[0] == 0
+    data = bytearray(cb.read_bytes())
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    cb.write_bytes(bytes(data))
+    code, _, err = run_cli("train-model", str(sample_pgm), "--kind",
+                           "neighborhood", "--codebook", str(cb),
+                           "--output", str(tmp_path / "nbr.model"))
+    assert code == 4
+    assert "NaN" in err
+
+
 def test_simulate_emits_one_json_record(tmp_path):
     code, out, _ = run_cli("simulate", "--scenario", "fig5",
                            "--scheme", "analog_jscc", "--condition", "6.0",

@@ -28,6 +28,13 @@ def test_gf_mul_matches_reference(seed):
         assert gf_mul(a, b) == _slow_gf_mul(a, b)
 
 
+def test_product_table_matches_reference_exhaustively():
+    from gjcodec.fec import _GF_MUL
+    ref = np.array([[_slow_gf_mul(a, b) for b in range(256)]
+                    for a in range(256)], dtype=np.uint8)
+    np.testing.assert_array_equal(_GF_MUL, ref)
+
+
 def test_gf_inverse():
     for a in range(1, 256):
         assert gf_mul(a, gf_inv(a)) == 1

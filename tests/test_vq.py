@@ -1,9 +1,141 @@
 import numpy as np
 import pytest
 
-from gjcodec.errors import FormatError
-from gjcodec.vq import (assemble_patches, extract_patches, load_codebook,
-                        save_codebook, vq_decode, vq_encode, vq_train)
+from gjcodec.errors import FormatError, ParameterError
+from gjcodec.vq import (Codebook, _nearest, assemble_patches, extract_patches,
+                        load_codebook, save_codebook, vq_decode, vq_encode,
+                        vq_train)
+
+
+# -- references: the direct-difference k-means that _nearest must reproduce --
+
+def _reference_sq_dist(x, c, chunk=2048):
+    """Full (N, K) squared distances by direct differences."""
+    out = np.empty((x.shape[0], c.shape[0]), dtype=np.float64)
+    for s in range(0, x.shape[0], chunk):
+        d = x[s:s + chunk, None, :] - c[None, :, :]
+        out[s:s + chunk] = np.einsum("nkd,nkd->nk", d, d)
+    return out
+
+
+def _reference_nearest(x, c):
+    d2 = _reference_sq_dist(x, c)
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(x.shape[0]), idx]
+
+
+def _reference_vq_train(vectors, k, iters, seed):
+    """Full-matrix k-means with per-cluster boolean-mask means.
+
+    Returns (float32 codewords, distortion history, clusters re-seeded)."""
+    x = np.asarray(vectors, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centers, seen = [], set()
+    for idx in rng.permutation(x.shape[0]):
+        key = x[idx].tobytes()
+        if key not in seen:
+            seen.add(key)
+            centers.append(x[idx])
+            if len(centers) == k:
+                break
+    c = np.array(centers)
+    history, reseeded = [], 0
+    for _ in range(iters):
+        d2 = _reference_sq_dist(x, c)
+        assign = np.argmin(d2, axis=1)
+        per_point = d2[np.arange(x.shape[0]), assign]
+        history.append(float(per_point.mean()))
+        new_c = c.copy()
+        counts = np.bincount(assign, minlength=k)
+        for j in np.nonzero(counts)[0]:
+            new_c[j] = x[assign == j].mean(axis=0)
+        empties = np.nonzero(counts == 0)[0]
+        reseeded += len(empties)
+        if len(empties):
+            worst = np.argsort(-per_point, kind="stable")
+            taken, used = 0, set()
+            for j in empties:
+                while worst[taken] in used:
+                    taken += 1
+                new_c[j] = x[worst[taken]]
+                used.add(worst[taken])
+                taken += 1
+        c = new_c
+    return c.astype(np.float32), history, reseeded
+
+
+def _nearest_case(name):
+    rng = np.random.default_rng(11)
+    if name == "normal":
+        return rng.normal(0, 40, (3000, 16)), rng.normal(0, 40, (256, 16))
+    if name == "integer_ties":
+        c = np.unique(rng.integers(0, 5, (60, 3)), axis=0).astype(np.float64)
+        return rng.integers(0, 5, (2000, 3)).astype(np.float64), c
+    if name == "large_offset":
+        return (1e6 + rng.normal(0, 1e-3, (2000, 8)),
+                1e6 + rng.normal(0, 1e-3, (128, 8)))
+    # every codeword at squared distance 9 from every row
+    return np.zeros((300, 8)), 3.0 * np.eye(8)
+
+
+@pytest.mark.parametrize("name", ["normal", "integer_ties", "large_offset",
+                                  "equidistant"])
+def test_nearest_matches_direct_argmin_bit_for_bit(name):
+    x, c = _nearest_case(name)
+    ref_idx, ref_d = _reference_nearest(x, c)
+    idx, d = _nearest(x, c)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(d.view(np.uint64), ref_d.view(np.uint64))
+    d2 = _reference_sq_dist(x, c)
+    if name in ("integer_ties", "equidistant"):
+        # the case has rows with several exact minimisers
+        assert ((d2 == ref_d[:, None]).sum(axis=1) > 1).any()
+    if name == "large_offset":
+        # the GEMM form alone picks a different codeword on some rows
+        screen = (c * c).sum(axis=1) - 2.0 * x @ c.T
+        assert (screen.argmin(axis=1) != ref_idx).any()
+
+
+@pytest.mark.parametrize("shape,k,seed,reseeds", [
+    ((400, 16), 128, 3, True),
+    ((300, 4), 60, 6, True),
+    ((500, 1), 20, 2, False),
+])
+def test_vq_train_matches_reference_bit_for_bit(shape, k, seed, reseeds):
+    x = np.random.default_rng(seed).standard_t(1, shape)
+    ref_c, ref_hist, reseeded = _reference_vq_train(x, k, 10, seed)
+    assert (reseeded > 0) == reseeds
+    cb = vq_train(x, k, iters=10, seed=seed)
+    np.testing.assert_array_equal(cb.vectors.view(np.uint32),
+                                  ref_c.view(np.uint32))
+    assert cb.distortion_history == ref_hist
+
+
+def test_vq_train_peak_memory_is_bounded():
+    """Training allocates O(block * K), not an (N, K, dim) difference array
+    (one 2048-row chunk of which is 64 MB at this size)."""
+    import tracemalloc
+    x = np.random.default_rng(0).normal(0, 30, (3200, 16))
+    tracemalloc.start()
+    try:
+        vq_train(x, k=256, iters=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_non_finite_vectors_and_codewords_rejected():
+    bad = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
+    with pytest.raises(ParameterError):
+        Codebook(bad)
+    with pytest.raises(ParameterError):
+        Codebook(np.array([[0.0, np.inf], [1.0, 1.0]]))
+    with pytest.raises(ParameterError):
+        vq_train(bad, k=2, iters=1, seed=0)
+    cb = Codebook(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ParameterError):
+        vq_encode(cb, np.array([[0.0, -np.inf]]))
 
 
 def test_k_distinct_points_are_a_fixed_point():
@@ -68,5 +200,17 @@ def test_codebook_save_load(tmp_path, rng):
 def test_codebook_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(FormatError):
+        load_codebook(path)
+
+
+@pytest.mark.parametrize("last", [np.nan, np.inf, 0.0])
+def test_codebook_with_bad_entries_is_format_error(tmp_path, last):
+    """NaN, infinite or duplicate codewords in a file are malformed data."""
+    path = tmp_path / "bad.bin"
+    save_codebook(Codebook(np.array([[0.0, 0.0], [1.0, 1.0]])), path)
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([0.0, last], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_codebook(path)
