@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ from .errors import FormatError, ParameterError
 
 PMF_BITS = 16
 PMF_TOTAL = 1 << PMF_BITS
+_PMF_SQUARE = PMF_TOTAL * PMF_TOTAL
+# quantize_pmf forms products up to total_scaled * 2**16 in int64, where
+# total_scaled = total count * 2**16 + alphabet * alpha_fp.
+_MAX_SCALED_TOTAL = 1 << 47
 ABSENT = -1
 
 MODEL_MAGIC = b"GJCM"
@@ -94,6 +99,121 @@ def quantize_pmf(counts: np.ndarray, alpha_fp: int) -> np.ndarray:
         if excess:
             raise ParameterError("cannot renormalize PMF (alphabet too large)")
     return w
+
+
+def sparse_pmf(idx: list[int], cnt: list[int], alphabet: int,
+               alpha_fp: int) -> tuple[list[int], list[int], int, int]:
+    """quantize_pmf in O(len(idx)) work, for a mostly-zero count vector.
+
+    `idx` lists, ascending, the symbols with a non-zero count and `cnt` their
+    counts; every other symbol counts zero.  Returns (idx, w, w0, cut): the
+    symbol idx[k] weighs w[k], and every zero-count symbol j weighs w0 + 1
+    if j < cut, else w0.  These are the weights of quantize_pmf bit for bit
+    (its int64 arithmetic is exact for every total load_model accepts), with
+    no alphabet-wide array, as adaptive coding needs (cf. Moffat, Neal &
+    Witten 1998, "Arithmetic coding revisited").
+
+    Every zero-count symbol has the same numerator, hence the same floor w0
+    and remainder r0.  The largest-remainder deficit therefore goes first to
+    the non-zeros with remainder above r0, then to an index-ordered prefix
+    of {zero-count symbols and non-zeros with remainder r0}, then to the rest
+    of the non-zeros; a prefix of the zero-count symbols is one cut-off
+    index.  An excess only arises when w0 was floored up to 1, so it is
+    reclaimed from the non-zeros alone.
+    """
+    n = len(idx)
+    total_scaled = sum(cnt) * PMF_TOTAL + alphabet * alpha_fp
+    base = alpha_fp * PMF_TOTAL
+    q0, r0 = divmod(base, total_scaled)
+    w0 = q0 or 1
+    w, rem, above = [], [], []
+    for k, c in enumerate(cnt):
+        q, r = divmod(c * _PMF_SQUARE + base, total_scaled)
+        w.append(q or 1)
+        rem.append(r)
+        if r > r0:
+            above.append(k)
+    s = (alphabet - n) * w0 + sum(w)
+    cut = 0
+    if s < PMF_TOTAL:
+        deficit = _add_units(w, rem, above, PMF_TOTAL - s)
+        if deficit:
+            ties = [k for k, r in enumerate(rem) if r == r0]
+            tied = alphabet - n + len(ties)
+            if deficit >= tied:
+                cut = alphabet
+                deficit -= tied
+            else:
+                # The deficit-th tied symbol in symbol order is the
+                # deficit-th symbol that is not an untied non-zero.
+                cut = deficit
+                for i, r in zip(idx, rem):
+                    if i >= cut:
+                        break
+                    if r != r0:
+                        cut += 1
+                deficit = 0
+            for k in ties:
+                if idx[k] < cut:
+                    w[k] += 1
+        if deficit:
+            _add_units(w, rem, [k for k, r in enumerate(rem) if r < r0],
+                       deficit)
+    elif s > PMF_TOTAL:
+        excess = s - PMF_TOTAL
+        for k in sorted(range(n), key=w.__getitem__, reverse=True):
+            take = min(w[k] - 1, excess)
+            w[k] -= take
+            excess -= take
+            if not excess:
+                break
+    return idx, w, w0, cut
+
+
+def _add_units(w: list[int], rem: list[int], group: list[int],
+               units: int) -> int:
+    """One unit each to the `units` largest remainders of `group` (ties to
+    the lower symbol); returns the units left over."""
+    if units < len(group):
+        # sorted() stays stable under reverse=True: ties keep symbol order.
+        group = sorted(group, key=rem.__getitem__, reverse=True)[:units]
+    for k in group:
+        w[k] += 1
+    return units - len(group)
+
+
+def sparse_interval(table, symbol: int) -> tuple[int, int]:
+    """(cumulative weight below `symbol`, its weight) in a sparse_pmf table."""
+    idx, w, w0, cut = table
+    k = bisect_left(idx, symbol)
+    low = min(symbol, cut)
+    cum = (symbol - k) * w0 + low - bisect_left(idx, low, 0, k) + sum(w[:k])
+    if k < len(idx) and idx[k] == symbol:
+        return cum, w[k]
+    return cum, w0 + (symbol < cut)
+
+
+def sparse_locate(table, target: int) -> tuple[int, int, int]:
+    """(symbol, cumulative weight below it, its weight) for the symbol of a
+    sparse_pmf table whose interval holds 0 <= target < PMF_TOTAL."""
+    idx, w, w0, cut = table
+    cum = pos = 0
+    for i, wi in zip(idx, w):
+        run = (i - pos) * w0 + min(max(cut - pos, 0), i - pos)
+        if target < cum + run:
+            break
+        cum += run
+        if target < cum + wi:
+            return i, cum, wi
+        cum += wi
+        pos = i + 1
+    # In the zero-count run from `pos`: the symbols below `cut` weigh w0 + 1.
+    heavy = max(cut - pos, 0) * (w0 + 1)
+    if target - cum < heavy:
+        step = (target - cum) // (w0 + 1)
+        return pos + step, cum + step * (w0 + 1), w0 + 1
+    step = (target - cum - heavy) // w0
+    return pos + max(cut - pos, 0) + step, cum + heavy + step * w0, w0
 
 
 def _alpha_to_fp(alpha: float) -> int:
@@ -249,6 +369,73 @@ class CausalContextModel(_CountModel):
             hist = (hist + (int(s),))[-self.order:] if self.order else ()
 
 
+class AdaptiveCounts:
+    """The counts a causal model gathers during one adaptive coding pass.
+
+    Adaptive coding prices every symbol with its context's table and then
+    counts it, so no table is ever used twice.  Each context met in the pass
+    keeps its non-zero counts here as two short ascending lists, so a step
+    is O(non-zeros) Python-int work (sparse_pmf) with no alphabet-wide
+    array.  The model itself is untouched until commit().
+    """
+
+    def __init__(self, model: "CausalContextModel"):
+        self.model = model
+        # context as passed in -> (model key, symbols, their counts)
+        self._views: dict[tuple, tuple[tuple, list[int], list[int]]] = {}
+
+    def _view(self, context: tuple):
+        view = self._views.get(context)
+        if view is None:
+            key = self.model._context_key(context)
+            vec = self.model.counts.get(key)
+            if vec is None:
+                view = (key, [], [])
+            else:
+                nz = np.flatnonzero(vec)
+                view = (key, nz.tolist(), vec[nz].tolist())
+            self._views[context] = view
+        return view
+
+    def _count(self, idx: list[int], cnt: list[int], symbol: int) -> None:
+        k = bisect_left(idx, symbol)
+        if k < len(idx) and idx[k] == symbol:
+            cnt[k] += 1
+        else:
+            idx.insert(k, symbol)
+            cnt.insert(k, 1)
+
+    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
+        """(cumulative weight below `symbol`, its weight), then count it."""
+        _, idx, cnt = self._view(context)
+        model = self.model
+        interval = sparse_interval(
+            sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), symbol)
+        self._count(idx, cnt, symbol)
+        return interval
+
+    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
+        """(symbol, cumulative weight below it, its weight) for the symbol
+        whose interval holds `target`, then count it."""
+        _, idx, cnt = self._view(context)
+        model = self.model
+        found = sparse_locate(
+            sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), target)
+        self._count(idx, cnt, found[0])
+        return found
+
+    def commit(self) -> None:
+        """Add the pass's counts to the model, as one update per symbol would."""
+        if not self._views:
+            return
+        model = self.model
+        for key, idx, cnt in self._views.values():
+            model._counts_for(key)[idx] = cnt
+            model._tables.pop(key, None)
+        model._hash = None
+        self._views = {}
+
+
 class NeighborhoodModel(_CountModel):
     """Bidirectional model over the 4-neighborhood (up, left, right, down).
 
@@ -380,6 +567,10 @@ def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
 
 
 def load_model(path):
+    """Read a model file.  Raises FormatError for a malformed file: a bad
+    header, a context symbol outside [-1, alphabet), or a context whose
+    total count t has t * 2**16 + alphabet * alpha_fp >= 2**47, beyond which
+    quantize_pmf's int64 arithmetic could overflow."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MODEL_MAGIC:
@@ -392,27 +583,40 @@ def load_model(path):
         head_fmt, data, 4)
     if version != MODEL_VERSION:
         raise FormatError(f"model: unsupported version {version}")
-    if kind == KIND_CAUSAL:
-        model = CausalContextModel(alphabet, order=ctx_len,
-                                   alpha=alpha_fp / PMF_TOTAL)
-    elif kind == KIND_NEIGHBOR:
-        model = NeighborhoodModel(alphabet, alpha=alpha_fp / PMF_TOTAL)
-        if ctx_len != model.arity:
-            raise FormatError(f"model: bad neighborhood arity {ctx_len}")
-    else:
-        raise FormatError(f"model: unknown kind {kind}")
+    try:
+        if kind == KIND_CAUSAL:
+            model = CausalContextModel(alphabet, order=ctx_len,
+                                       alpha=alpha_fp / PMF_TOTAL)
+        elif kind == KIND_NEIGHBOR:
+            model = NeighborhoodModel(alphabet, alpha=alpha_fp / PMF_TOTAL)
+            if ctx_len != model.arity:
+                raise FormatError(f"model: bad neighborhood arity {ctx_len}")
+        else:
+            raise FormatError(f"model: unknown kind {kind}")
+    except ParameterError as exc:
+        raise FormatError(f"model: bad header: {exc}") from None
     fmt = "<" + "h" * ctx_len + "HQ"
     entry_size = struct.calcsize(fmt)
     if len(data) - head_size != n_entries * entry_size:
         raise FormatError(
             f"model: payload holds {len(data) - head_size} bytes, expected "
             f"{n_entries * entry_size}")
+    scaled_alpha = alphabet * model.alpha_fp
+    totals: dict[tuple, int] = {}
     off = head_size
     for _ in range(n_entries):
         *key, sym, count = struct.unpack_from(fmt, data, off)
         off += entry_size
         if sym >= alphabet:
             raise FormatError(f"model: entry symbol {sym} outside alphabet")
-        model._counts_for(tuple(key))[sym] = count
+        try:
+            key = model._context_key(key)
+        except ParameterError as exc:
+            raise FormatError(f"model: {exc}") from None
+        total = totals.get(key, 0) + count
+        if total * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
+            raise FormatError(f"model: counts of context {key} total too much")
+        totals[key] = total
+        model._counts_for(key)[sym] = count
     model._hash = None
     return model

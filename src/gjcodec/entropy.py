@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import CausalContextModel
+from .context import AdaptiveCounts, CausalContextModel
 from .errors import CorruptStreamError, FormatError, ModelMismatchError, ParameterError
 
 STREAM_MAGIC = b"GJS1"
@@ -96,20 +96,26 @@ def _check_model(model) -> None:
         raise ParameterError("entropy coding requires a CausalContextModel")
 
 
+def _checked_symbols(symbols, alphabet: int) -> list[int]:
+    syms = [int(s) for s in symbols]
+    if syms and (min(syms) < 0 or max(syms) >= alphabet):
+        bad = next(s for s in syms if not 0 <= s < alphabet)
+        raise ParameterError(f"symbol {bad} outside alphabet [0, {alphabet})")
+    return syms
+
+
 def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bitstream:
     """Encode a symbol sequence under a causal context model.
 
-    With `adaptive` set, the model is updated after every symbol (in place;
-    pass `model.copy()` to keep the original).  The stream records the hash
+    With `adaptive` set, each symbol is coded with the counts of every
+    symbol before it, and the model gains all of them in place at the end
+    (pass `model.copy()` to keep the original).  The stream records the hash
     of the model state *before* any update, which is the state the decoder
     must start from.
     """
     _check_model(model)
-    syms = [int(s) for s in symbols]
+    syms = _checked_symbols(symbols, model.alphabet)
     a = model.alphabet
-    for s in syms:
-        if not 0 <= s < a:
-            raise ParameterError(f"symbol {s} outside alphabet [0, {a})")
     start_hash = model.state_hash()
 
     out = bytearray()
@@ -117,11 +123,16 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
     range_ = _TWO64
     top = a - 1
     order = model.order
+    counts = AdaptiveCounts(model) if adaptive else None
     hist: tuple = ()
     for s in syms:
-        w, cum = model.coding_table(hist)
+        if counts is not None:
+            lo, width = counts.code(hist, s)
+        else:
+            w, cum = model.coding_table(hist)
+            lo, width = int(cum[s]), int(w[s])
         r = range_ >> 16
-        base = r * int(cum[s])
+        base = r * lo
         low += base
         if low >= _TWO64:
             low -= _TWO64
@@ -129,16 +140,16 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
         if s == top:
             range_ -= base
         else:
-            range_ = r * int(w[s])
+            range_ = r * width
         while range_ < _TWO32:
             out.append(low >> 56)
             out.append((low >> 48) & 0xFF)
             low = (low << 16) & _MASK64
             range_ <<= 16
-        if adaptive:
-            model.update(hist, s)
         if order:
             hist = (hist + (s,))[-order:]
+    if counts is not None:
+        counts.commit()
 
     if syms:
         shift = 48 if range_ >= _TWO48 else 32
@@ -209,30 +220,35 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
     a = model.alphabet
     top = a - 1
     order = model.order
+    counts = AdaptiveCounts(model) if adaptive else None
     hist: tuple = ()
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
-        w, cum = model.coding_table(hist)
         r = range_ >> 16
         v = c // r
         if v > 0xFFFF:
             v = 0xFFFF
-        s = int(np.searchsorted(cum, v, side="right")) - 1
-        base = r * int(cum[s])
+        if counts is not None:
+            s, lo, width = counts.decode(hist, v)
+        else:
+            w, cum = model.coding_table(hist)
+            s = int(np.searchsorted(cum, v, side="right")) - 1
+            lo, width = int(cum[s]), int(w[s])
+        base = r * lo
         c -= base
         if s == top:
             range_ -= base
         else:
-            range_ = r * int(w[s])
+            range_ = r * width
         while range_ < _TWO32:
             c = c << 16 | reader.next_word()
             range_ <<= 16
             renorms += 1
         out[i] = s
-        if adaptive:
-            model.update(hist, s)
         if order:
             hist = (hist + (s,))[-order:]
+    if counts is not None:
+        counts.commit()
 
     flush_words = 1 if range_ >= _TWO48 else 2
     expected = 2 * (renorms + flush_words)
@@ -247,22 +263,21 @@ def sequence_cost_bits(model: CausalContextModel, symbols,
                        adaptive: bool = False) -> float:
     """Ideal model cost sum(-log2 p) in bits, from quantized PMFs.
 
-    With adaptive=True the cost is evaluated against a private copy of the
-    model that updates after every symbol, mirroring ac_encode; the caller's
-    model is never mutated.
+    With adaptive=True each symbol is priced with the counts of every symbol
+    before it, mirroring ac_encode; the caller's model is never mutated.
     """
     _check_model(model)
-    if adaptive:
-        model = model.copy()
+    syms = _checked_symbols(symbols, model.alphabet)
+    counts = AdaptiveCounts(model) if adaptive else None
     total = 0.0
     order = model.order
     hist: tuple = ()
-    for s in symbols:
-        s = int(s)
-        w, _ = model.coding_table(hist)
-        total += 16.0 - float(np.log2(int(w[s])))
-        if adaptive:
-            model.update(hist, s)
+    for s in syms:
+        if counts is not None:
+            width = counts.code(hist, s)[1]
+        else:
+            width = int(model.coding_table(hist)[0][s])
+        total += 16.0 - float(np.log2(width))
         if order:
             hist = (hist + (s,))[-order:]
     return total

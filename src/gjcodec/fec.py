@@ -91,9 +91,13 @@ def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _generator_rows(k: int, total: int) -> np.ndarray:
-    """Rows k..total-1 of the systematic generator matrix, (total-k, k) uint8."""
-    vand = np.array([[_gf_pow(i, j) for j in range(k)] for i in range(total)],
+def _parity_matrix(k: int) -> np.ndarray:
+    """Rows k..254 of the systematic generator matrix, (255-k, k) uint8.
+
+    Row i of V @ inv(V[:k]) depends on k and i only, so every block size
+    k + r <= 255 with the same k uses a prefix of these rows.
+    """
+    vand = np.array([[_gf_pow(i, j) for j in range(k)] for i in range(255)],
                     dtype=np.uint8)
     top_inv = _gf_mat_inv(vand[:k])
     return _gf_mul_mat(vand[k:], top_inv)
@@ -136,7 +140,7 @@ def fec_encode(data: list[bytes], r: int) -> list[Packet]:
     if r == 0:
         return packets
     block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
-    parity = _gf_mul_mat(_generator_rows(k, k + r), block)
+    parity = _gf_mul_mat(_parity_matrix(k)[:r], block)
     packets.extend(Packet(k + i, row.tobytes(), True)
                    for i, row in enumerate(parity))
     return packets
@@ -167,7 +171,7 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
         return [seen[i] for i in range(k)]
 
     use = sorted(seen)[:k]
-    parity_rows = _generator_rows(k, total)
+    parity_rows = _parity_matrix(k)
     m = np.stack([_coding_row(i, k, total, parity_rows) for i in use])
     rec = np.frombuffer(b"".join(seen[i] for i in use), dtype=np.uint8)
     data = _gf_mul_mat(_gf_mat_inv(m), rec.reshape(k, -1))

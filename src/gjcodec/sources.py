@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import FormatError, ParameterError
 
@@ -44,9 +43,16 @@ def gen_ar1(n: int, rho: float, sigma: float, seed: int) -> SampleSequence:
         samples = np.array([x0])
     else:
         w = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n - 1)
-        # y[t] = w[t] + rho * y[t-1]; the initial condition folds x0 in.
-        rest, _ = lfilter([1.0], [1.0, -rho], w, zi=np.array([rho * x0]))
-        samples = np.concatenate(([x0], rest))
+        # x[t] = w[t-1] + rho * x[t-1] from x[0] = x0.  Python floats are
+        # IEEE doubles, so each step rounds as a first-order IIR filter's
+        # does, and a scalar loop over them is faster than one over numpy.
+        r = float(rho)
+        out = [float(x0)]
+        y = out[0]
+        for wt in w.tolist():
+            y = wt + r * y
+            out.append(y)
+        samples = np.array(out)
     params = {"n": n, "rho": rho, "sigma": sigma, "seed": seed}
     return SampleSequence(samples=samples, model_params=params)
 
@@ -66,9 +72,23 @@ def ar1_field(rows: int, cols: int, rho: float, seed: int) -> np.ndarray:
     pad = 64
     w = rng.normal(0.0, 1.0, size=(rows + pad, cols + pad))
     gain = np.sqrt(1.0 - rho * rho)  # unit marginal variance per axis
-    f = lfilter([gain], [1.0, -rho], w, axis=0)
-    f = lfilter([gain], [1.0, -rho], f, axis=1)
+    f = _ar1_filter(w, gain, rho, axis=0)
+    f = _ar1_filter(f, gain, rho, axis=1)
     return f[pad:, pad:]
+
+
+def _ar1_filter(x: np.ndarray, gain: float, rho: float, axis: int) -> np.ndarray:
+    """y[i] = gain*x[i] + rho*y[i-1] along `axis`, from rest (y[-1] = 0).
+
+    One vectorized step per index of `axis`; the result keeps the layout of
+    `x`, and every element is rounded exactly as a direct-form IIR filter
+    rounds it.
+    """
+    y = gain * x
+    yv = np.moveaxis(y, axis, 0)  # a view: the steps write into y
+    for i in range(1, yv.shape[0]):
+        yv[i] += rho * yv[i - 1]
+    return y
 
 
 def ar1_image(rows: int, cols: int, rho: float, sigma: float, mean: float,

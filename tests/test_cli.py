@@ -252,3 +252,18 @@ def test_entry_point_runs_as_subprocess():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "compress" in r.stdout and "sweep" in r.stdout
+
+
+@pytest.mark.parametrize("context, count", [
+    ((900,), 3), ((-7,), 3), ((0,), 2 ** 63), ((0,), 2 ** 31)])
+def test_hostile_model_is_format_error(tmp_path, sample_pgm, context, count):
+    """Out-of-alphabet context symbols and counts whose total could overflow
+    the int64 table arithmetic exit 4, not 0 or a traceback."""
+    model = tmp_path / "hostile.model"
+    model.write_bytes(b"GJCM" + struct.pack("<BBHBIQ", 1, 0, 256, 1, 1 << 16, 1)
+                      + struct.pack("<hHQ", *context, 1, count))
+    code, _, err = run_cli("compress", "--input", str(sample_pgm), "--output",
+                           str(tmp_path / "o.gjc"), "--alphabet", "256",
+                           "--model", str(model))
+    assert code == 4
+    assert "model:" in err

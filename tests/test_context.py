@@ -144,3 +144,163 @@ def test_save_load_round_trip(tmp_path, rng, factory):
     loaded = load_model(path)
     assert type(loaded) is type(m)
     assert loaded.state_hash() == m.state_hash()
+
+
+def _sparse_dense(counts, alpha_fp):
+    """Weights and cumsum of the sparse evaluation, plus its symbol search at
+    every interval boundary, checked against itself."""
+    from gjcodec.context import sparse_interval, sparse_locate, sparse_pmf
+    counts = np.asarray(counts, dtype=np.int64)
+    a = len(counts)
+    nz = np.flatnonzero(counts)
+    table = sparse_pmf(nz.tolist(), counts[nz].tolist(), a, alpha_fp)
+    pairs = [sparse_interval(table, s) for s in range(a)]
+    cum = np.array([lo for lo, _ in pairs] + [PMF_TOTAL])
+    w = np.array([width for _, width in pairs])
+    for s, (lo, width) in enumerate(pairs):
+        for target in (lo, lo + width - 1):
+            assert sparse_locate(table, target) == (s, lo, width)
+    return w, cum
+
+
+def _assert_sparse_matches(counts, alpha_fp):
+    ref = quantize_pmf(counts, alpha_fp)
+    w, cum = _sparse_dense(counts, alpha_fp)
+    np.testing.assert_array_equal(w, ref)
+    np.testing.assert_array_equal(cum, np.concatenate(([0], np.cumsum(ref))))
+
+
+@pytest.mark.parametrize("alpha_fp", [1, 1 << 8, 3 << 14, 1 << 16, 1 << 17,
+                                      12345])
+def test_sparse_pmf_matches_quantize_pmf(alpha_fp):
+    rng = np.random.default_rng(alpha_fp)
+    for a in (2, 3, 5, 32, 256, 300):
+        for _ in range(12):
+            counts = np.zeros(a, dtype=np.int64)
+            nnz = int(rng.integers(0, min(a, 24) + 1))
+            idx = rng.choice(a, nnz, replace=False)
+            high = int(rng.choice([4, 1000, 10 ** 6, 10 ** 9]))
+            counts[idx] = rng.integers(1, high, nnz)
+            _assert_sparse_matches(counts, alpha_fp)
+
+
+def _deficit_groups(counts, alpha_fp):
+    """Units of deficit left after the non-zeros with remainder above r0,
+    the size of the group tied at r0, and how many non-zeros lie below."""
+    c = np.asarray(counts, dtype=np.int64)
+    num = c * PMF_TOTAL + alpha_fp
+    total = int(num.sum())
+    rem = num * PMF_TOTAL % total
+    r0 = alpha_fp * PMF_TOTAL % total
+    deficit = PMF_TOTAL - int(np.maximum(num * PMF_TOTAL // total, 1).sum())
+    nz = c > 0
+    tied = int((~nz).sum() + (nz & (rem == r0)).sum())
+    return (deficit - int((nz & (rem > r0)).sum()), tied,
+            int((nz & (rem < r0)).sum()), int((nz & (rem == r0)).sum()))
+
+
+@pytest.mark.parametrize("counts, alpha_fp", [
+    ([10, 11, 0, 19, 7, 0, 6, 9, 5, 9, 9], 1 << 16),
+    ([15, 5, 0, 12, 1, 12], 1 << 15),
+    ([15, 0, 1, 6], 1 << 15),
+    ([4, 12, 4, 10, 11, 0, 0, 3], 1 << 15),
+])
+def test_sparse_pmf_tie_branch(counts, alpha_fp):
+    """A non-zero count whose remainder equals that of the zero counts joins
+    their index-ordered group."""
+    left, tied, _, nonzero_ties = _deficit_groups(counts, alpha_fp)
+    assert nonzero_ties and 0 < left < tied
+    _assert_sparse_matches(counts, alpha_fp)
+
+
+@pytest.mark.parametrize("counts, alpha_fp", [
+    ([2, 32, 0, 13, 21, 5, 27], 1 << 12),
+    ([0, 45, 21, 31, 0, 39, 36, 18, 38, 0, 2], 1 << 16),
+    ([40, 39, 0, 28, 0, 43, 10, 18, 0, 0], 1 << 12),
+])
+def test_sparse_pmf_deficit_past_the_zero_counts(counts, alpha_fp):
+    """The deficit outlasts every zero count and reaches, by remainder,
+    some of the non-zeros whose remainders are below r0."""
+    left, tied, below, _ = _deficit_groups(counts, alpha_fp)
+    assert 0 < left - tied < below
+    _assert_sparse_matches(counts, alpha_fp)
+
+
+@pytest.mark.parametrize("counts, alpha_fp", [
+    ([10 ** 9, 0, 0, 0], 1),
+    ([0, 7 * 10 ** 8, 3, 0, 5 * 10 ** 8, 0], 1),
+    ([10 ** 6] * 5 + [0] * 295, 1),
+])
+def test_sparse_pmf_excess_branch(counts, alpha_fp):
+    """Flooring zero-count weights up to 1 overshoots 2**16; the excess is
+    taken back from the non-zeros."""
+    c = np.asarray(counts, dtype=np.int64)
+    num = c * PMF_TOTAL + alpha_fp
+    floors = np.maximum(num * PMF_TOTAL // int(num.sum()), 1)
+    assert int(floors.sum()) > PMF_TOTAL
+    _assert_sparse_matches(counts, alpha_fp)
+
+
+def test_adaptive_counts_price_like_update_then_coding_table(rng):
+    """code() and decode() give the coding_table interval of the counts so
+    far, and commit() leaves the state that one update() per symbol does."""
+    from gjcodec.context import AdaptiveCounts
+    m = train(CausalContextModel(40, order=2), [rng.integers(0, 40, (30, 30))])
+    ref, coded, decoded = m.copy(), m.copy(), m.copy()
+    enc, dec = AdaptiveCounts(coded), AdaptiveCounts(decoded)
+    hist, seen = (), []
+    for s in rng.integers(0, 40, 600).tolist() + [39, 39, 39]:
+        seen.append(hist)
+        coded.coding_table(hist)  # a cached table commit() must drop
+        w, cum = ref.coding_table(hist)
+        expect = (int(cum[s]), int(w[s]))
+        assert enc.code(hist, s) == expect
+        assert dec.decode(hist, expect[0] + expect[1] - 1) == (s, *expect)
+        ref.update(hist, s)
+        hist = (hist + (s,))[-2:]
+    assert coded.state_hash() == m.state_hash()  # untouched until commit
+    enc.commit()
+    dec.commit()
+    assert coded.state_hash() == decoded.state_hash() == ref.state_hash()
+    assert list(coded.counts) == list(ref.counts)
+    for hist in seen:
+        np.testing.assert_array_equal(coded.coding_table(hist)[1],
+                                      ref.coding_table(hist)[1])
+
+
+def _model_file(path, alphabet, entries, order=1, alpha_fp=1 << 16):
+    import struct
+    head = b"GJCM" + struct.pack("<BBHBIQ", 1, 0, alphabet, order, alpha_fp,
+                                 len(entries))
+    fmt = "<" + "h" * order + "HQ"
+    path.write_bytes(head + b"".join(struct.pack(fmt, *key, sym, count)
+                                     for key, sym, count in entries))
+    return path
+
+
+@pytest.mark.parametrize("entries, alpha_fp", [
+    ([((900,), 1, 3)], 1 << 16),                # context symbol >= alphabet
+    ([((-7,), 1, 3)], 1 << 16),                 # below ABSENT
+    ([((0,), 1, 2 ** 63)], 1 << 16),            # does not fit int64
+    ([((0,), 1, 2 ** 30), ((0,), 2, 2 ** 30)], 1 << 16),  # total 2**31
+    ([((-1,), 0, 2 ** 31 - 1)], 1 << 16),       # 2**47 - 2**16 + 4 * 2**16
+    ([], 0),                                    # alpha below 2**-16
+])
+def test_load_model_rejects_hostile_entries(tmp_path, entries, alpha_fp):
+    from gjcodec.errors import FormatError
+    path = _model_file(tmp_path / "m.model", 4, entries, alpha_fp=alpha_fp)
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_load_model_accepts_the_largest_total(tmp_path):
+    """t * 2**16 + A * alpha_fp = 2**47 - 2**16 is the largest total kept,
+    and the sparse and dense tables agree on it."""
+    total = (2 ** 47 - 2 ** 16 - 4 * (1 << 16)) // (1 << 16)
+    path = _model_file(tmp_path / "m.model", 4,
+                       [((-1,), 0, total - 5), ((-1,), 3, 5)])
+    m = load_model(path)
+    from gjcodec.context import AdaptiveCounts
+    w, cum = m.coding_table((-1,))
+    for s in range(4):
+        assert AdaptiveCounts(m).code((-1,), s) == (cum[s], w[s])

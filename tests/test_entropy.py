@@ -99,3 +99,70 @@ def test_model_mismatch_detected(rng):
 def test_symbol_outside_alphabet_rejected():
     with pytest.raises(ParameterError):
         ac_encode([4], CausalContextModel(4))
+
+
+@pytest.mark.parametrize("symbol", [4, -1])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_cost_of_symbol_outside_alphabet_rejected(symbol, adaptive):
+    with pytest.raises(ParameterError):
+        sequence_cost_bits(CausalContextModel(4), [0, symbol], adaptive=adaptive)
+
+
+# SHA-256 of the adaptive stream and float.hex of the adaptive cost of one
+# 64x64 image's DCT symbols, from a fresh model and from one trained on the
+# first 1024 symbols; measured with the dense quantize_pmf table per step.
+ADAPTIVE_GOLDEN = {
+    (256, 2, "fresh"): ("d2bbcbc939e07c86a35b35e054b638c9995fd7a3b266aab3cbf0e2a7077f4be4",
+                        "0x1.4a2c511d699c6p+14"),
+    (256, 2, "trained"): ("834402835e60fbf6fd5f1919ec8c98692cb70f5fd29a688a52c862d6ea6e11ea",
+                          "0x1.2e4570de32808p+14"),
+    (32, 1, "fresh"): ("e82e10ab30334912a528a037e64446c95721267e168035b503bcc77664d7b259",
+                       "0x1.ac97bfe3bee74p+12"),
+    (32, 1, "trained"): ("0e179beb268973ce86398ea80ab325a1a66001183f62e955207457934704ae1c",
+                         "0x1.93b7661a760a1p+12"),
+    (5, 2, "fresh"): ("f1289574caf16d2be2813988d040fd967950bcc7a2d3c2675095443fbbeefb37",
+                      "0x1.de58c78b87753p+11"),
+    (5, 2, "trained"): ("c936408d65eec40c681f75746f831440baea5b9132ce76aeaa026b0fdb83a869",
+                        "0x1.d2e53ac759e9bp+11"),
+}
+_GOLDEN_STEP = {256: 8.0, 32: 24.0, 5: 40.0}
+
+
+@pytest.mark.parametrize("alphabet, order, start", sorted(ADAPTIVE_GOLDEN))
+def test_adaptive_stream_golden_digest(alphabet, order, start):
+    import hashlib
+
+    from gjcodec.pipelines import digital_symbols
+    from gjcodec.sources import ar1_image
+    img = ar1_image(64, 64, 0.9, 40.0, 128.0, seed=5)
+    syms = digital_symbols(img, _GOLDEN_STEP[alphabet], alphabet)
+    model = CausalContextModel(alphabet, order=order)
+    if start == "trained":
+        train(model, [syms[:1024].reshape(16, 64)])
+    stream = ac_encode(syms, model.copy(), adaptive=True)
+    cost = sequence_cost_bits(model, syms, adaptive=True)
+    digest, cost_hex = ADAPTIVE_GOLDEN[alphabet, order, start]
+    assert hashlib.sha256(stream.to_bytes()).hexdigest() == digest
+    assert cost.hex() == cost_hex
+    np.testing.assert_array_equal(
+        ac_decode(stream, model.copy(), adaptive=True), syms)
+
+
+def test_adaptive_coding_builds_no_dense_table(rng, monkeypatch):
+    import gjcodec.context as context
+    calls = []
+    real = context.quantize_pmf
+
+    def counting(counts, alpha_fp):
+        calls.append(1)
+        return real(counts, alpha_fp)
+
+    monkeypatch.setattr(context, "quantize_pmf", counting)
+    model = _random_model(rng, 64, 2)
+    syms = rng.integers(0, 64, 500)
+    stream = ac_encode(syms, model.copy(), adaptive=True)
+    ac_decode(stream, model.copy(), adaptive=True)
+    sequence_cost_bits(model, syms, adaptive=True)
+    assert calls == []
+    ac_encode(syms, model.copy())  # static coding still uses dense tables
+    assert calls

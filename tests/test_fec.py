@@ -109,3 +109,46 @@ def test_duplicate_packet_indices_rejected(rng):
     bad = [packets[0], packets[0], packets[1]]
     with pytest.raises((FecDecodeError, ParameterError)):
         fec_decode(bad, 3, 4)
+
+
+def _reference_generator_rows(k, total):
+    """Rows k..total-1 of V @ inv(V[:k]) for the (k, total) block alone,
+    with the shift-and-add multiply and a plain Gauss-Jordan inverse."""
+    def power(x, e):
+        out = 1
+        for _ in range(e):
+            out = _slow_gf_mul(out, x)
+        return out
+
+    vand = [[power(i, j) for j in range(k)] for i in range(total)]
+    a = [row[:] + [int(i == r) for i in range(k)] for r, row in enumerate(vand[:k])]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = gf_inv(a[col][col])
+        a[col] = [_slow_gf_mul(inv, x) for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x ^ _slow_gf_mul(f, y) for x, y in zip(a[r], a[col])]
+    top_inv = [row[k:] for row in a]
+    rows = []
+    for row in vand[k:]:
+        out = [0] * k
+        for j in range(k):
+            for t in range(k):
+                out[j] ^= _slow_gf_mul(row[t], top_inv[t][j])
+        rows.append(out)
+    return np.array(rows, dtype=np.uint8).reshape(total - k, k)
+
+
+@pytest.mark.parametrize("k, totals", [(1, (2, 9, 255)), (4, (5, 6, 40)),
+                                       (12, (13, 20, 60)), (50, (55, 100))])
+def test_parity_rows_are_a_prefix_of_one_matrix_per_k(k, totals):
+    from gjcodec.fec import _parity_matrix
+    _parity_matrix.cache_clear()
+    for total in totals:
+        np.testing.assert_array_equal(_parity_matrix(k)[:total - k],
+                                      _reference_generator_rows(k, total))
+    info = _parity_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, len(totals) - 1)

@@ -77,3 +77,56 @@ def test_pgm_round_trip(tmp_path, rng):
     path = tmp_path / "rt.pgm"
     save_pgm(g, path)
     np.testing.assert_array_equal(load_pgm(path).samples, g.samples)
+
+
+def _lfilter_ar1_field(rows, cols, rho, seed):
+    """Reference: the direct-form IIR filter that ar1_field's recursion
+    replaces."""
+    from scipy.signal import lfilter
+    rng = np.random.default_rng(seed)
+    pad = 64
+    w = rng.normal(0.0, 1.0, size=(rows + pad, cols + pad))
+    gain = np.sqrt(1.0 - rho * rho)
+    f = lfilter([gain], [1.0, -rho], w, axis=0)
+    f = lfilter([gain], [1.0, -rho], f, axis=1)
+    return f[pad:, pad:]
+
+
+def _lfilter_gen_ar1(n, rho, sigma, seed):
+    from scipy.signal import lfilter
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(0.0, sigma)
+    if n == 1:
+        return np.array([x0])
+    w = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n - 1)
+    rest, _ = lfilter([1.0], [1.0, -rho], w, zi=np.array([rho * x0]))
+    return np.concatenate(([x0], rest))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999])
+def test_ar1_field_matches_lfilter_bit_for_bit(rho):
+    for seed in range(6):
+        for rows, cols in ((1, 1), (8, 8), (16, 40), (33, 7)):
+            got = ar1_field(rows, cols, rho, seed)
+            ref = _lfilter_ar1_field(rows, cols, rho, seed)
+            assert got.tobytes() == ref.tobytes()
+            assert got.strides == ref.strides
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999])
+def test_gen_ar1_matches_lfilter_bit_for_bit(rho):
+    for seed in range(6):
+        for n in (1, 2, 7, 5000):
+            got = gen_ar1(n, rho, 1.7, seed).samples
+            assert got.tobytes() == _lfilter_gen_ar1(n, rho, 1.7, seed).tobytes()
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    import subprocess
+    import sys
+    code = ("import sys, gjcodec.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy.signal' or m.startswith('scipy.signal.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
