@@ -20,7 +20,6 @@ from .sources import ImageGrid
 from .transform import dct2, idct2, merge_blocks, split_blocks, zigzag_scan, zigzag_unscan
 
 BLOCK = 8
-_POWER_TOL = 1e-6
 
 
 def jscc_fit(images: list[ImageGrid]) -> np.ndarray:
@@ -122,10 +121,3 @@ def jscc_decode(code: AnalogCode, snr_db: float,
     blocks = idct2(zigzag_unscan(ranked)) + code.mean_offset
     return ImageGrid.from_float(merge_blocks(blocks, code.height, code.width))
 
-
-def check_unit_power(code: AnalogCode) -> bool:
-    """True when mean symbol power is 1 within tolerance (or all-zero)."""
-    if code.symbols.size == 0:
-        return False
-    power = float(np.mean(code.symbols * code.symbols))
-    return power == 0.0 or abs(power - 1.0) <= _POWER_TOL

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -112,30 +112,3 @@ def interval_loss_rate(lost: np.ndarray, window: int) -> list[float]:
     return [float(flags[s:s + window].mean())
             for s in range(0, len(flags), window)]
 
-
-def save_trace(trace: ChannelTrace, path) -> None:
-    """Write 'index,state,lost' lines (state G/B, lost 0/1)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i, (st, lo) in enumerate(zip(trace.states, trace.lost)):
-            fh.write(f"{i},{'B' if st else 'G'},{1 if lo else 0}\n")
-
-
-def load_trace(path) -> ChannelTrace:
-    states, lost = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"trace line {ln}: expected index,state,lost")
-            idx, st, lo = parts
-            if int(idx) != len(states):
-                raise FormatError(f"trace line {ln}: bad index {idx}")
-            if st not in ("G", "B") or lo not in ("0", "1"):
-                raise FormatError(f"trace line {ln}: bad state/lost {st!r}/{lo!r}")
-            states.append(st == "B")
-            lost.append(lo == "1")
-    return ChannelTrace(states=np.array(states, dtype=np.uint8),
-                        lost=np.array(lost, dtype=bool))

@@ -9,8 +9,10 @@ and predictor agree bit-for-bit on probabilities.
 
 Model file layout (little-endian): magic "GJCM", u8 version=1, u8 kind
 (0=causal, 1=neighborhood), u16 alphabet, u8 order/arity, u32 alpha as 16.16
-fixed point, u64 number of (context, symbol) entries, then sorted entries:
+fixed point, u64 number of (context, symbol) entries, then the entries:
 order-many i16 context symbols (-1 = ABSENT/pad), u16 symbol, u64 count.
+Entries are strictly ascending in (context, symbol) and every count is
+non-zero, so each (context, symbol) pair appears at most once.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ class Pmf:
     def argmax(self) -> int:
         # np.argmax takes the first maximum, i.e. the lowest symbol on ties.
         return int(np.argmax(self.weights))
-
-    def max_weight(self) -> int:
-        return int(self.weights.max())
 
 
 def quantize_pmf(counts: np.ndarray, alpha_fp: int) -> np.ndarray:
@@ -223,11 +222,27 @@ def _alpha_to_fp(alpha: float) -> int:
     return int(fp)
 
 
+def _add_count(idx: list[int], cnt: list[int], symbol: int, n: int) -> None:
+    """Add n to the count of `symbol` in ascending (symbols, counts) lists."""
+    k = bisect_left(idx, symbol)
+    if k < len(idx) and idx[k] == symbol:
+        cnt[k] += n
+    else:
+        idx.insert(k, symbol)
+        cnt.insert(k, n)
+
+
 class _CountModel:
-    """Shared storage: context tuple -> int64 count vector of length A."""
+    """Shared storage: context tuple -> (symbols, counts), two tuples of ints.
+
+    The symbols ascend and every count is non-zero; a context with no counts
+    has no entry.  Entries are replaced, never changed in place, so copies
+    of a model share them.
+    """
 
     kind: int
     context_len: int
+    offsets: tuple  # (row, column) offset of each context position
 
     def __init__(self, alphabet: int, alpha: float = 1.0):
         if alphabet < 2 or alphabet > PMF_TOTAL:
@@ -235,39 +250,48 @@ class _CountModel:
                 f"alphabet size must be in [2, {PMF_TOTAL}], got {alphabet}")
         self.alphabet = alphabet
         self.alpha_fp = _alpha_to_fp(alpha)
-        self.counts: dict[tuple, np.ndarray] = {}
+        self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._hash: int | None = None
 
     # -- counting ---------------------------------------------------------
 
-    def _check_symbol(self, symbol: int) -> None:
-        if not 0 <= symbol < self.alphabet:
-            raise ParameterError(
-                f"symbol {symbol} outside alphabet [0, {self.alphabet})")
-
-    def _counts_for(self, key: tuple) -> np.ndarray:
-        vec = self.counts.get(key)
-        if vec is None:
-            vec = np.zeros(self.alphabet, dtype=np.int64)
-            self.counts[key] = vec
-        return vec
-
     def update(self, context, symbol: int) -> None:
         """Add one observation of `symbol` in `context` (touches nothing else)."""
         key = self._context_key(context)
-        self._check_symbol(symbol)
-        self._counts_for(key)[symbol] += 1
-        self._tables.pop(key, None)
+        if not 0 <= symbol < self.alphabet:
+            raise ParameterError(
+                f"symbol {symbol} outside alphabet [0, {self.alphabet})")
+        self._merge({key: ((int(symbol),), (1,))})
+
+    def _merge(self, fresh: dict) -> None:
+        """Add `fresh` (context -> entry, as in `counts`) to the counts."""
+        for key in fresh.keys() & self.counts.keys():
+            idx, cnt = map(list, self.counts[key])
+            for s, n in zip(*fresh[key]):
+                _add_count(idx, cnt, s, n)
+            fresh[key] = tuple(idx), tuple(cnt)
+        self.counts.update(fresh)
+        for key in fresh:
+            self._tables.pop(key, None)
         self._hash = None
 
-    def context_counts(self, context) -> np.ndarray:
-        """Raw (unsmoothed) counts for a context; zeros if never observed."""
-        key = self._context_key(context)
-        vec = self.counts.get(key)
-        if vec is None:
-            return np.zeros(self.alphabet, dtype=np.int64)
-        return vec.copy()
+    def grid_contexts(self, grid) -> np.ndarray:
+        """(cells, context_len) int64 keys: row i is the context of the i-th
+        cell of a 2-D token grid in raster order, ABSENT off the grid."""
+        grid = np.asarray(grid, dtype=np.int64)
+        rows, cols = grid.shape
+        pad = max((abs(d) for off in self.offsets for d in off), default=0)
+        padded = np.pad(grid, pad, constant_values=ABSENT)
+        keys = np.empty((rows * cols, self.context_len), dtype=np.int64)
+        for j, (dr, dc) in enumerate(self.offsets):
+            keys[:, j] = padded[pad + dr:pad + dr + rows,
+                                pad + dc:pad + dc + cols].ravel()
+        return keys
+
+    def _training_rows(self, grid: np.ndarray):
+        """(keys, symbols) that train() counts for one grid."""
+        return self.grid_contexts(grid), grid.ravel()
 
     # -- probabilities ----------------------------------------------------
 
@@ -281,9 +305,9 @@ class _CountModel:
         cached = self._tables.get(key)
         if cached is not None:
             return cached
-        vec = self.counts.get(key)
-        if vec is None:
-            vec = np.zeros(self.alphabet, dtype=np.int64)
+        symbols, counts = self.counts.get(key, ((), ()))
+        vec = np.zeros(self.alphabet, dtype=np.int64)
+        vec[list(symbols)] = counts
         w = quantize_pmf(vec, self.alpha_fp)
         cum = np.concatenate(([0], np.cumsum(w)))
         table = (w, cum)
@@ -296,12 +320,8 @@ class _CountModel:
     # -- hashing / serialization -----------------------------------------
 
     def _entries(self) -> list[tuple[tuple, int, int]]:
-        out = []
-        for key in sorted(self.counts):
-            vec = self.counts[key]
-            for sym in np.nonzero(vec)[0]:
-                out.append((key, int(sym), int(vec[sym])))
-        return out
+        return [(key, sym, count) for key in sorted(self.counts)
+                for sym, count in zip(*self.counts[key])]
 
     def _serialize(self) -> bytes:
         entries = self._entries()
@@ -329,7 +349,7 @@ class _CountModel:
     def copy(self):
         dup = self.__class__.__new__(self.__class__)
         dup.__dict__.update(self.__dict__)
-        dup.counts = {k: v.copy() for k, v in self.counts.items()}
+        dup.counts = dict(self.counts)
         dup._tables = dict(self._tables)
         return dup
 
@@ -349,6 +369,7 @@ class CausalContextModel(_CountModel):
         super().__init__(alphabet, alpha)
         self.order = order
         self.context_len = order
+        self.offsets = tuple((0, j - order) for j in range(order))
 
     def _context_key(self, context) -> tuple:
         hist = tuple(int(s) for s in context)
@@ -360,13 +381,6 @@ class CausalContextModel(_CountModel):
                 raise ParameterError(
                     f"context symbol {s} outside alphabet [0, {self.alphabet})")
         return (ABSENT,) * (self.order - len(hist)) + hist
-
-    def iter_row(self, row):
-        """Yield (context, symbol) pairs for one row / sequence."""
-        hist: tuple = ()
-        for s in row:
-            yield hist, int(s)
-            hist = (hist + (int(s),))[-self.order:] if self.order else ()
 
 
 class AdaptiveCounts:
@@ -388,22 +402,10 @@ class AdaptiveCounts:
         view = self._views.get(context)
         if view is None:
             key = self.model._context_key(context)
-            vec = self.model.counts.get(key)
-            if vec is None:
-                view = (key, [], [])
-            else:
-                nz = np.flatnonzero(vec)
-                view = (key, nz.tolist(), vec[nz].tolist())
+            symbols, counts = self.model.counts.get(key, ((), ()))
+            view = (key, list(symbols), list(counts))
             self._views[context] = view
         return view
-
-    def _count(self, idx: list[int], cnt: list[int], symbol: int) -> None:
-        k = bisect_left(idx, symbol)
-        if k < len(idx) and idx[k] == symbol:
-            cnt[k] += 1
-        else:
-            idx.insert(k, symbol)
-            cnt.insert(k, 1)
 
     def code(self, context: tuple, symbol: int) -> tuple[int, int]:
         """(cumulative weight below `symbol`, its weight), then count it."""
@@ -411,7 +413,7 @@ class AdaptiveCounts:
         model = self.model
         interval = sparse_interval(
             sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), symbol)
-        self._count(idx, cnt, symbol)
+        _add_count(idx, cnt, symbol, 1)
         return interval
 
     def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
@@ -421,7 +423,7 @@ class AdaptiveCounts:
         model = self.model
         found = sparse_locate(
             sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), target)
-        self._count(idx, cnt, found[0])
+        _add_count(idx, cnt, found[0], 1)
         return found
 
     def commit(self) -> None:
@@ -430,7 +432,7 @@ class AdaptiveCounts:
             return
         model = self.model
         for key, idx, cnt in self._views.values():
-            model._counts_for(key)[idx] = cnt
+            model.counts[key] = (tuple(idx), tuple(cnt))
             model._tables.pop(key, None)
         model._hash = None
         self._views = {}
@@ -447,6 +449,7 @@ class NeighborhoodModel(_CountModel):
     """
 
     kind = KIND_NEIGHBOR
+    offsets = NEIGHBOR_OFFSETS
 
     def __init__(self, alphabet: int, alpha: float = 1.0):
         super().__init__(alphabet, alpha)
@@ -465,34 +468,28 @@ class NeighborhoodModel(_CountModel):
         return key
 
     def _resolve_key(self, key: tuple) -> tuple:
-        while True:
-            vec = self.counts.get(key)
-            if vec is not None and vec.any():
-                return key
+        while key not in self.counts:
             present = [i for i, s in enumerate(key) if s != ABSENT]
             if not present:
                 return key  # untrained marginal: uniform after smoothing
-            lst = list(key)
-            lst[present[-1]] = ABSENT
-            key = tuple(lst)
+            last = present[-1]
+            key = key[:last] + (ABSENT,) + key[last + 1:]
+        return key
 
-    def observe_cell(self, context, symbol: int) -> None:
-        """Count one cell under every distinct present-neighbor subset."""
-        key = self._context_key(context)
-        self._check_symbol(symbol)
-        present = [i for i, s in enumerate(key) if s != ABSENT]
-        seen = set()
-        for mask in range(1 << len(present)):
-            sub = list(key)
-            for bit, pos in enumerate(present):
-                if not mask >> bit & 1:
-                    sub[pos] = ABSENT
-            subkey = tuple(sub)
-            if subkey not in seen:
-                seen.add(subkey)
-                self._counts_for(subkey)[symbol] += 1
-                self._tables.pop(subkey, None)
-        self._hash = None
+    def _training_rows(self, grid: np.ndarray):
+        """One row per cell and distinct subset of its present neighbors.
+        Keep-mask m takes a cell only where every position it keeps is
+        present, so each subset of a cell's present neighbors is one mask."""
+        keys = self.grid_contexts(grid)
+        symbols = grid.ravel()
+        present = keys != ABSENT
+        rows, row_symbols = [], []
+        for m in range(1 << self.arity):
+            keep = np.array([m >> i & 1 for i in range(self.arity)], dtype=bool)
+            take = present[:, keep].all(axis=1)
+            rows.append(np.where(keep, keys[take], ABSENT))
+            row_symbols.append(symbols[take])
+        return np.concatenate(rows), np.concatenate(row_symbols)
 
     def marginal(self) -> Pmf:
         return self.pmf((ABSENT,) * self.arity)
@@ -516,6 +513,7 @@ def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
     """Accumulate counts over a corpus of 2-D token grids (in place)."""
     if not corpus:
         raise ParameterError("training corpus is empty")
+    rows = []
     for grid in corpus:
         g = np.asarray(grid)
         if g.ndim != 2 or g.size == 0:
@@ -523,16 +521,20 @@ def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
         if g.min() < 0 or g.max() >= model.alphabet:
             raise ParameterError(
                 f"corpus tokens outside alphabet [0, {model.alphabet})")
-        if isinstance(model, CausalContextModel):
-            for row in g:
-                for ctx, sym in model.iter_row(row):
-                    model.update(ctx, sym)
-        else:
-            avail = np.ones_like(g, dtype=bool)
-            for r in range(g.shape[0]):
-                for c in range(g.shape[1]):
-                    ctx = neighbor_context(g, avail, r, c)
-                    model.observe_cell(ctx, int(g[r, c]))
+        rows.append(model._training_rows(g.astype(np.int64, copy=False)))
+    keys, symbols = (np.concatenate(part) for part in zip(*rows))
+    # Sort the rows by context, then symbol: each context is one run of
+    # rows, and each of its symbols one run within it.
+    order = np.lexsort((symbols, *keys.T[::-1]))
+    keys, symbols = keys[order], symbols[order]
+    new_context = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    starts = np.flatnonzero(new_context | np.r_[True, symbols[1:] != symbols[:-1]])
+    counts = np.diff(starts, append=len(symbols)).tolist()
+    symbols = symbols[starts].tolist()
+    firsts = np.flatnonzero(new_context[starts]).tolist()
+    model._merge({tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
+                  for key, lo, hi in zip(keys[starts[firsts]].tolist(), firsts,
+                                         firsts[1:] + [len(starts)])})
     return model
 
 
@@ -551,26 +553,18 @@ def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
     if g.min() < 0 or g.max() >= model.alphabet:
         raise ParameterError(f"tokens outside alphabet [0, {model.alphabet})")
     total = 0.0
-    if isinstance(model, CausalContextModel):
-        for row in g:
-            for ctx, sym in model.iter_row(row):
-                w, _ = model.coding_table(ctx)
-                total += PMF_BITS - np.log2(int(w[sym]))
-    else:
-        avail = np.ones_like(g, dtype=bool)
-        for r in range(g.shape[0]):
-            for c in range(g.shape[1]):
-                ctx = neighbor_context(g, avail, r, c)
-                w, _ = model.coding_table(ctx)
-                total += PMF_BITS - np.log2(int(w[g[r, c]]))
+    for key, sym in zip(model.grid_contexts(g).tolist(), g.ravel().tolist()):
+        w, _ = model.coding_table(key)
+        total += PMF_BITS - np.log2(int(w[sym]))
     return float(total / g.size)
 
 
 def load_model(path):
     """Read a model file.  Raises FormatError for a malformed file: a bad
-    header, a context symbol outside [-1, alphabet), or a context whose
-    total count t has t * 2**16 + alphabet * alpha_fp >= 2**47, beyond which
-    quantize_pmf's int64 arithmetic could overflow."""
+    header, a context symbol outside [-1, alphabet), entries that are not
+    strictly ascending in (context, symbol), a zero count, or a context
+    whose total count t has t * 2**16 + alphabet * alpha_fp >= 2**47, beyond
+    which quantize_pmf's int64 arithmetic could overflow."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MODEL_MAGIC:
@@ -601,22 +595,27 @@ def load_model(path):
         raise FormatError(
             f"model: payload holds {len(data) - head_size} bytes, expected "
             f"{n_entries * entry_size}")
-    scaled_alpha = alphabet * model.alpha_fp
-    totals: dict[tuple, int] = {}
+    entries: dict[tuple, list[tuple[int, int]]] = {}
     off = head_size
     for _ in range(n_entries):
         *key, sym, count = struct.unpack_from(fmt, data, off)
         off += entry_size
         if sym >= alphabet:
             raise FormatError(f"model: entry symbol {sym} outside alphabet")
+        if count == 0:
+            raise FormatError(f"model: zero count for symbol {sym}")
         try:
             key = model._context_key(key)
         except ParameterError as exc:
             raise FormatError(f"model: {exc}") from None
-        total = totals.get(key, 0) + count
-        if total * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
+        if entries and (key, sym) <= last:
+            raise FormatError(f"model: entry {key}, {sym} is out of order")
+        last = key, sym
+        entries.setdefault(key, []).append((sym, count))
+    scaled_alpha = alphabet * model.alpha_fp
+    for key, pairs in entries.items():
+        symbols, counts = zip(*pairs)
+        if sum(counts) * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
             raise FormatError(f"model: counts of context {key} total too much")
-        totals[key] = total
-        model._counts_for(key)[sym] = count
-    model._hash = None
+        model.counts[key] = (symbols, counts)
     return model

@@ -6,25 +6,14 @@ generator used by the bundled scenarios, and binary PGM (P5) image I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
 
 
-@dataclass
-class SampleSequence:
-    """A 1-D source realization together with the parameters that made it."""
-
-    samples: np.ndarray
-    model_params: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def gen_ar1(n: int, rho: float, sigma: float, seed: int) -> SampleSequence:
+def gen_ar1(n: int, rho: float, sigma: float, seed: int) -> np.ndarray:
     """Generate n samples of a stationary AR(1) process.
 
     x[t] = rho * x[t-1] + w[t], with innovation variance sigma^2 * (1 - rho^2)
@@ -40,21 +29,18 @@ def gen_ar1(n: int, rho: float, sigma: float, seed: int) -> SampleSequence:
     rng = np.random.default_rng(seed)
     x0 = rng.normal(0.0, sigma)
     if n == 1:
-        samples = np.array([x0])
-    else:
-        w = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n - 1)
-        # x[t] = w[t-1] + rho * x[t-1] from x[0] = x0.  Python floats are
-        # IEEE doubles, so each step rounds as a first-order IIR filter's
-        # does, and a scalar loop over them is faster than one over numpy.
-        r = float(rho)
-        out = [float(x0)]
-        y = out[0]
-        for wt in w.tolist():
-            y = wt + r * y
-            out.append(y)
-        samples = np.array(out)
-    params = {"n": n, "rho": rho, "sigma": sigma, "seed": seed}
-    return SampleSequence(samples=samples, model_params=params)
+        return np.array([x0])
+    w = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n - 1)
+    # x[t] = w[t-1] + rho * x[t-1] from x[0] = x0.  Python floats are IEEE
+    # doubles, so each step rounds as a first-order IIR filter's does, and
+    # a scalar loop over them is faster than one over numpy.
+    r = float(rho)
+    out = [float(x0)]
+    y = out[0]
+    for wt in w.tolist():
+        y = wt + r * y
+        out.append(y)
+    return np.array(out)
 
 
 def ar1_field(rows: int, cols: int, rho: float, seed: int) -> np.ndarray:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gjcodec.channel import (awgn, gilbert_elliott, interval_loss_rate,
-                             load_trace, save_trace)
+from gjcodec.channel import awgn, gilbert_elliott, interval_loss_rate
 from gjcodec.errors import ParameterError
 
 
@@ -79,10 +78,3 @@ def test_interval_loss_rate_whole_trace():
     lost = np.array([True, False, True, False])
     assert interval_loss_rate(lost, 4) == [0.5]
 
-
-def test_trace_save_load(tmp_path):
-    tr = gilbert_elliott(1000, 0.1, 0.4, 0.0, 1.0, np.random.default_rng(4))
-    path = tmp_path / "trace.bin"
-    save_trace(tr, path)
-    back = load_trace(path)
-    np.testing.assert_array_equal(back.lost, tr.lost)

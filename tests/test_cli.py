@@ -267,3 +267,32 @@ def test_hostile_model_is_format_error(tmp_path, sample_pgm, context, count):
                            "--model", str(model))
     assert code == 4
     assert "model:" in err
+
+
+_GOOD_ENTRIES = [((-1,), 0, 5), ((-1,), 3, 2), ((0,), 0, 7), ((0,), 9, 1)]
+
+
+@pytest.mark.parametrize("entries", [
+    _GOOD_ENTRIES[:2] + _GOOD_ENTRIES[1:],                       # repeated
+    _GOOD_ENTRIES[:2] + [((-1,), 4, 0)] + _GOOD_ENTRIES[2:],     # zero count
+    _GOOD_ENTRIES[:2] + _GOOD_ENTRIES[3:1:-1],                   # out of order
+])
+def test_decompress_with_noncanonical_model_is_format_error(
+        tmp_path, sample_pgm, entries):
+    """A model file holding the trained state but not in the form save()
+    writes (each (context, symbol) once, ascending, non-zero) exits 4."""
+    def model_file(name, entries):
+        path = tmp_path / name
+        path.write_bytes(
+            b"GJCM" + struct.pack("<BBHBIQ", 1, 0, 256, 1, 1 << 16, len(entries))
+            + b"".join(struct.pack("<hHQ", *key, sym, count)
+                       for key, sym, count in entries))
+        return str(path)
+    comp = str(tmp_path / "img.gjc")
+    assert run_cli("compress", "--input", str(sample_pgm), "--output", comp,
+                   "--model", model_file("good.model", _GOOD_ENTRIES))[0] == 0
+    code, _, err = run_cli("decompress", "--input", comp, "--output",
+                           str(tmp_path / "out.pgm"), "--model",
+                           model_file("bad.model", entries))
+    assert code == 4
+    assert "model:" in err

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gjcodec.context import (ABSENT, PMF_TOTAL, CausalContextModel,
-                             NeighborhoodModel, cross_entropy, load_model,
-                             neighbor_context, quantize_pmf, train)
+from gjcodec.context import (ABSENT, PMF_BITS, PMF_TOTAL, AdaptiveCounts,
+                             CausalContextModel, NeighborhoodModel,
+                             cross_entropy, load_model, neighbor_context,
+                             quantize_pmf, train)
 from gjcodec.errors import ParameterError
 
 
@@ -19,10 +22,10 @@ def test_laplace_estimate_before_quantization():
     m = CausalContextModel(4, order=0, alpha=1.0)
     for _ in range(3):
         m.update((), 2)
-    counts = m.context_counts(())
-    probs = (counts + 1.0) / (counts.sum() + 4.0)
-    assert probs[2] == pytest.approx(4 / 7)
-    assert probs[0] == pytest.approx(1 / 7)
+    assert m.counts[()] == ((2,), (3,))
+    probs = m.pmf(()).probabilities()
+    assert probs[2] == pytest.approx(4 / 7, abs=2 / PMF_TOTAL)
+    assert probs[0] == pytest.approx(1 / 7, abs=2 / PMF_TOTAL)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -48,7 +51,7 @@ def test_update_counts_accumulate():
     m = CausalContextModel(8, order=1)
     for _ in range(37):
         m.update((2,), 6)
-    assert m.context_counts((2,))[6] == 37
+    assert m.counts[(2,)] == ((6,), (37,))
 
 
 def test_updates_are_context_local():
@@ -76,8 +79,9 @@ def test_train_single_cell_grid_only_marginal():
 def test_order0_training_equals_histogram(rng):
     grid = rng.integers(0, 16, (40, 40))
     m = train(CausalContextModel(16, order=0), [grid])
-    np.testing.assert_array_equal(
-        m.context_counts(()), np.bincount(grid.ravel(), minlength=16))
+    hist = np.bincount(grid.ravel(), minlength=16)
+    assert m.counts[()] == (tuple(np.flatnonzero(hist).tolist()),
+                            tuple(hist[hist > 0].tolist()))
 
 
 def test_cross_entropy_uniform():
@@ -129,6 +133,31 @@ def test_copy_is_independent():
     c = m.copy()
     c.update((0,), 1)
     assert m.state_hash() != c.state_hash()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: CausalContextModel(40, order=2),
+    lambda: NeighborhoodModel(40),
+], ids=["causal", "neighborhood"])
+def test_trained_copy_shares_no_mutable_state(rng, factory):
+    """Copies share the trained entries; an update or an adaptive pass on a
+    copy leaves the original's counts and hash as they were."""
+    m = train(factory(), [rng.integers(0, 40, (20, 20))])
+    saved, digest = m._serialize(), m.state_hash()
+    key, (symbols, _) = next(iter(m.counts.items()))
+    dup = m.copy()
+    dup.update(key, symbols[0])
+    dup.update(key, 39 - symbols[0])
+    assert dup.state_hash() != digest
+    if isinstance(m, CausalContextModel):
+        dup = m.copy()
+        counts = AdaptiveCounts(dup)
+        for s in (symbols[0], 39 - symbols[0], symbols[0]):
+            counts.code(key, s)
+        counts.commit()
+        assert dup.state_hash() != digest
+    assert m._serialize() == saved
+    assert m.state_hash() == digest
 
 
 @pytest.mark.parametrize("factory", [
@@ -244,7 +273,6 @@ def test_sparse_pmf_excess_branch(counts, alpha_fp):
 def test_adaptive_counts_price_like_update_then_coding_table(rng):
     """code() and decode() give the coding_table interval of the counts so
     far, and commit() leaves the state that one update() per symbol does."""
-    from gjcodec.context import AdaptiveCounts
     m = train(CausalContextModel(40, order=2), [rng.integers(0, 40, (30, 30))])
     ref, coded, decoded = m.copy(), m.copy(), m.copy()
     enc, dec = AdaptiveCounts(coded), AdaptiveCounts(decoded)
@@ -285,6 +313,10 @@ def _model_file(path, alphabet, entries, order=1, alpha_fp=1 << 16):
     ([((0,), 1, 2 ** 30), ((0,), 2, 2 ** 30)], 1 << 16),  # total 2**31
     ([((-1,), 0, 2 ** 31 - 1)], 1 << 16),       # 2**47 - 2**16 + 4 * 2**16
     ([], 0),                                    # alpha below 2**-16
+    ([((0,), 1, 3), ((0,), 1, 3)], 1 << 16),    # repeated (context, symbol)
+    ([((0,), 1, 0)], 1 << 16),                  # zero count
+    ([((0,), 2, 3), ((0,), 1, 3)], 1 << 16),    # symbols out of order
+    ([((1,), 0, 3), ((0,), 2, 3)], 1 << 16),    # contexts out of order
 ])
 def test_load_model_rejects_hostile_entries(tmp_path, entries, alpha_fp):
     from gjcodec.errors import FormatError
@@ -300,7 +332,119 @@ def test_load_model_accepts_the_largest_total(tmp_path):
     path = _model_file(tmp_path / "m.model", 4,
                        [((-1,), 0, total - 5), ((-1,), 3, 5)])
     m = load_model(path)
-    from gjcodec.context import AdaptiveCounts
     w, cum = m.coding_table((-1,))
     for s in range(4):
         assert AdaptiveCounts(m).code((-1,), s) == (cum[s], w[s])
+
+
+def _reference_train(model, corpus):
+    """Per-cell training as the models did it before vectorized counting:
+    a causal model counts each cell under its in-row history; a neighborhood
+    model counts it under every distinct subset of its present neighbors."""
+    for grid in corpus:
+        g = np.asarray(grid)
+        if isinstance(model, CausalContextModel):
+            for row in g:
+                hist = ()
+                for s in row.tolist():
+                    model.update(hist, s)
+                    hist = (hist + (s,))[-model.order:] if model.order else ()
+            continue
+        avail = np.ones_like(g, dtype=bool)
+        for r in range(g.shape[0]):
+            for c in range(g.shape[1]):
+                key = neighbor_context(g, avail, r, c)
+                present = [i for i, s in enumerate(key) if s != ABSENT]
+                seen = set()
+                for mask in range(1 << len(present)):
+                    sub = list(key)
+                    for bit, pos in enumerate(present):
+                        if not mask >> bit & 1:
+                            sub[pos] = ABSENT
+                    if tuple(sub) not in seen:
+                        seen.add(tuple(sub))
+                        model.update(sub, int(g[r, c]))
+    return model
+
+
+def _reference_cross_entropy(model, grid):
+    """cross_entropy as a per-cell loop in raster order."""
+    g = np.asarray(grid)
+    g = g[None, :] if g.ndim == 1 else g
+    avail = np.ones_like(g, dtype=bool)
+    total = 0.0
+    for r in range(g.shape[0]):
+        hist = ()
+        for c in range(g.shape[1]):
+            s = int(g[r, c])
+            if isinstance(model, CausalContextModel):
+                w, _ = model.coding_table(hist)
+                hist = (hist + (s,))[-model.order:] if model.order else ()
+            else:
+                w, _ = model.coding_table(neighbor_context(g, avail, r, c))
+            total += PMF_BITS - np.log2(int(w[s]))
+    return float(total / g.size)
+
+
+def _fresh(kind, alphabet):
+    if kind == "neighborhood":
+        return NeighborhoodModel(alphabet, alpha=0.5)
+    return CausalContextModel(alphabet, order=kind, alpha=0.5)
+
+
+@pytest.mark.parametrize("alphabet", [2, 256])
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, "neighborhood"])
+def test_train_matches_per_cell_reference(tmp_path, kind, alphabet):
+    """Vectorized training leaves the counts, hash and saved bytes of the
+    per-cell walk, alone and on top of earlier training, and cross_entropy
+    sums the same floats in the same order."""
+    rng = np.random.default_rng(alphabet)
+    grids = [rng.integers(0, alphabet, shape)
+             for shape in ((1, 1), (1, 9), (9, 1), (7, 11))]
+    more = [(rng.geometric(0.4, (6, 8)) - 1) % alphabet,
+            rng.integers(0, alphabet, (5, 3))]
+    for corpus in [[g] for g in grids] + [grids]:
+        got, ref = _fresh(kind, alphabet), _fresh(kind, alphabet)
+        for batch in (corpus, more):
+            train(got, batch)
+            _reference_train(ref, batch)
+            assert got.counts == ref.counts
+            assert got.state_hash() == ref.state_hash()
+            got.save(tmp_path / "got")
+            ref.save(tmp_path / "ref")
+            assert ((tmp_path / "got").read_bytes()
+                    == (tmp_path / "ref").read_bytes())
+        for g in corpus + more + [grids[1][0]]:
+            assert cross_entropy(got, g) == _reference_cross_entropy(ref, g)
+
+
+@pytest.mark.parametrize("factory, digest", [
+    (lambda: CausalContextModel(16, order=2, alpha=0.5),
+     "6dbea3cf1554dcba019133cdc678d09d6fb5dad559f8926d5eb0e6c964854df9"),
+    (lambda: NeighborhoodModel(16, alpha=2.0),
+     "ca4ad77ae1dbe2625c034078a257ccb8370adbeaecd2058cf1c23ef8bc8ec117"),
+], ids=["causal", "neighborhood"])
+def test_trained_model_golden_digest(tmp_path, factory, digest):
+    """SHA-256 of the saved bytes of a model trained on a fixed corpus, as
+    the per-cell training that vectorized counting replaced wrote them."""
+    rng = np.random.default_rng(2024)
+    walk = np.cumsum(rng.integers(-1, 2, (3, 9, 14)), axis=2) % 16
+    corpus = [walk[0], walk[1], rng.integers(0, 16, (5, 7)), walk[2][:1]]
+    path = tmp_path / "model.bin"
+    train(factory(), corpus).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_neighborhood_training_peak_memory_is_bounded():
+    """Training stores each context's non-zero counts, not an int64 vector
+    over the whole alphabet (2 KiB at A = 256) for each of ~6.6k contexts."""
+    import tracemalloc
+    corpus = [np.random.default_rng(0).integers(0, 256, (24, 24))]
+    tracemalloc.start()
+    try:
+        m = train(NeighborhoodModel(256), corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m.counts) > 6000
+    assert peak < 6 * 2**20

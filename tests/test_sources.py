@@ -7,29 +7,28 @@ from gjcodec.sources import (ImageGrid, ar1_field, gen_ar1, load_pgm,
 
 
 def test_ar1_rho_zero_is_standard_normal():
-    seq = gen_ar1(1_000_000, rho=0.0, sigma=1.0, seed=7)
-    x = seq.samples
+    x = gen_ar1(1_000_000, rho=0.0, sigma=1.0, seed=7)
     assert abs(x.mean()) < 0.01
     assert abs(x.var() - 1.0) < 0.02
 
 
 def test_ar1_lag1_autocorrelation():
     """Empirical lag-1 correlation must match the generating rho."""
-    x = gen_ar1(1_000_000, rho=0.9, sigma=1.0, seed=11).samples
+    x = gen_ar1(1_000_000, rho=0.9, sigma=1.0, seed=11)
     r = np.corrcoef(x[:-1], x[1:])[0, 1]
     assert abs(r - 0.9) < 0.01
 
 
 def test_ar1_deterministic():
-    a = gen_ar1(5000, rho=0.5, sigma=2.0, seed=42).samples
-    b = gen_ar1(5000, rho=0.5, sigma=2.0, seed=42).samples
+    a = gen_ar1(5000, rho=0.5, sigma=2.0, seed=42)
+    b = gen_ar1(5000, rho=0.5, sigma=2.0, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def test_ar1_unit_variance_marginal():
     # stationary marginal variance is sigma^2 regardless of rho
     for rho in (0.0, 0.5, 0.95):
-        x = gen_ar1(500_000, rho=rho, sigma=3.0, seed=1).samples
+        x = gen_ar1(500_000, rho=rho, sigma=3.0, seed=1)
         assert abs(x.var() / 9.0 - 1.0) < 0.05
 
 
@@ -117,7 +116,7 @@ def test_ar1_field_matches_lfilter_bit_for_bit(rho):
 def test_gen_ar1_matches_lfilter_bit_for_bit(rho):
     for seed in range(6):
         for n in (1, 2, 7, 5000):
-            got = gen_ar1(n, rho, 1.7, seed).samples
+            got = gen_ar1(n, rho, 1.7, seed)
             assert got.tobytes() == _lfilter_gen_ar1(n, rho, 1.7, seed).tobytes()
 
 
