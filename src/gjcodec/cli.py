@@ -19,7 +19,7 @@ import numpy as np
 
 from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
-from .entropy import Bitstream, ac_decode, ac_encode, sequence_cost_bits
+from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import ConfigError, FormatError, GjcError, ParameterError
 from .pipelines import (CSV_COLUMNS, build_context, digital_image,
                         digital_symbols, load_scenario_file, records_to_csv,
@@ -90,7 +90,6 @@ def _cmd_compress(args) -> int:
         model = CausalContextModel(args.alphabet, order=args.order)
         adaptive, order = True, args.order
     syms = digital_symbols(image, args.step, args.alphabet)
-    cost = sequence_cost_bits(model, syms, adaptive=adaptive)
     stream = ac_encode(syms, model, adaptive=adaptive)
     header = _CONTAINER_MAGIC + struct.pack(
         _CONTAINER_HEADER, 1, image.height, image.width, args.step,
@@ -100,7 +99,7 @@ def _cmd_compress(args) -> int:
         fh.write(blob)
     # machine-readable stats line on stdout; chatter stays on stderr
     print(f"bpp={8 * len(blob) / image.pixels:.6f} "
-          f"cross_entropy={cost / max(1, len(syms)):.6f}")
+          f"cross_entropy={stream.cost_bits / max(1, len(syms)):.6f}")
     print(f"{args.input}: {image.pixels} px -> "
           f"{stream.payload_bits} payload bits", file=sys.stderr)
     return 0

@@ -18,8 +18,9 @@ non-zero, so each (context, symbol) pair appears at most once.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,16 @@ _PMF_SQUARE = PMF_TOTAL * PMF_TOTAL
 # quantize_pmf forms products up to total_scaled * 2**16 in int64, where
 # total_scaled = total count * 2**16 + alphabet * alpha_fp.
 _MAX_SCALED_TOTAL = 1 << 47
+# The alphabet is a u16 field and the order a u8 field of the model file,
+# the stream header and the container.
+_MAX_ALPHABET = 0xFFFF
+_MAX_ORDER = 0xFF
 ABSENT = -1
 
 MODEL_MAGIC = b"GJCM"
 MODEL_VERSION = 1
+_MODEL_HEAD_FMT = "<BBHBIQ"
+_MODEL_HEAD_SIZE = 4 + struct.calcsize(_MODEL_HEAD_FMT)
 KIND_CAUSAL = 0
 KIND_NEIGHBOR = 1
 
@@ -192,20 +199,48 @@ def sparse_interval(table, symbol: int) -> tuple[int, int]:
     return cum, w0 + (symbol < cut)
 
 
-def sparse_locate(table, target: int) -> tuple[int, int, int]:
-    """(symbol, cumulative weight below it, its weight) for the symbol of a
-    sparse_pmf table whose interval holds 0 <= target < PMF_TOTAL."""
+def sparse_starts(table) -> list[int]:
+    """The cumulative weight below each non-zero symbol of a sparse_pmf
+    table, for sparse_locate on a table that is searched many times."""
     idx, w, w0, cut = table
+    starts = []
     cum = pos = 0
     for i, wi in zip(idx, w):
-        run = (i - pos) * w0 + min(max(cut - pos, 0), i - pos)
-        if target < cum + run:
-            break
-        cum += run
-        if target < cum + wi:
-            return i, cum, wi
+        cum += (i - pos) * w0 + min(max(cut - pos, 0), i - pos)
+        starts.append(cum)
         cum += wi
         pos = i + 1
+    return starts
+
+
+def sparse_locate(table, target: int,
+                  starts: list[int] | None = None) -> tuple[int, int, int]:
+    """(symbol, cumulative weight below it, its weight) for the symbol of a
+    sparse_pmf table whose interval holds 0 <= target < PMF_TOTAL.
+
+    Without `starts` it walks the non-zero symbols in order; given
+    sparse_starts(table) it finds the last one starting at or below
+    `target` by bisection."""
+    idx, w, w0, cut = table
+    cum = pos = 0
+    if starts is None:
+        for i, wi in zip(idx, w):
+            run = (i - pos) * w0 + min(max(cut - pos, 0), i - pos)
+            if target < cum + run:
+                break
+            cum += run
+            if target < cum + wi:
+                return i, cum, wi
+            cum += wi
+            pos = i + 1
+    else:
+        k = bisect_right(starts, target) - 1
+        if k >= 0:
+            cum = starts[k]
+            if target < cum + w[k]:
+                return idx[k], cum, w[k]
+            cum += w[k]
+            pos = idx[k] + 1
     # In the zero-count run from `pos`: the symbols below `cut` weigh w0 + 1.
     heavy = max(cut - pos, 0) * (w0 + 1)
     if target - cum < heavy:
@@ -215,10 +250,17 @@ def sparse_locate(table, target: int) -> tuple[int, int, int]:
     return pos + max(cut - pos, 0) + step, cum + heavy + step * w0, w0
 
 
-def _alpha_to_fp(alpha: float) -> int:
+def _alpha_to_fp(alpha: float, alphabet: int) -> int:
+    """alpha as 16.16 fixed point, in the range the model file can hold and
+    load_model's total-count bound leaves room for."""
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     fp = round(alpha * PMF_TOTAL)
     if fp <= 0:
         raise ParameterError(f"alpha must be >= 2**-16, got {alpha}")
+    if fp >= 1 << 32 or alphabet * fp >= _MAX_SCALED_TOTAL:
+        raise ParameterError(
+            f"alpha {alpha} is too large for alphabet {alphabet}")
     return int(fp)
 
 
@@ -230,6 +272,11 @@ def _add_count(idx: list[int], cnt: list[int], symbol: int, n: int) -> None:
     else:
         idx.insert(k, symbol)
         cnt.insert(k, n)
+
+
+def _digest(serialized: bytes) -> int:
+    return int.from_bytes(
+        hashlib.blake2b(serialized, digest_size=8).digest(), "little")
 
 
 class _CountModel:
@@ -245,11 +292,11 @@ class _CountModel:
     offsets: tuple  # (row, column) offset of each context position
 
     def __init__(self, alphabet: int, alpha: float = 1.0):
-        if alphabet < 2 or alphabet > PMF_TOTAL:
+        if alphabet < 2 or alphabet > _MAX_ALPHABET:
             raise ParameterError(
-                f"alphabet size must be in [2, {PMF_TOTAL}], got {alphabet}")
+                f"alphabet size must be in [2, {_MAX_ALPHABET}], got {alphabet}")
         self.alphabet = alphabet
-        self.alpha_fp = _alpha_to_fp(alpha)
+        self.alpha_fp = _alpha_to_fp(alpha, alphabet)
         self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._hash: int | None = None
@@ -326,7 +373,7 @@ class _CountModel:
     def _serialize(self) -> bytes:
         entries = self._entries()
         head = MODEL_MAGIC + struct.pack(
-            "<BBHBIQ", MODEL_VERSION, self.kind, self.alphabet,
+            _MODEL_HEAD_FMT, MODEL_VERSION, self.kind, self.alphabet,
             self.context_len, self.alpha_fp, len(entries))
         parts = [head]
         fmt = "<" + "h" * self.context_len + "HQ"
@@ -338,8 +385,7 @@ class _CountModel:
         """64-bit digest of kind, parameters, and every count: two models
         produce the same hash iff they would price every symbol identically."""
         if self._hash is None:
-            digest = hashlib.blake2b(self._serialize(), digest_size=8).digest()
-            self._hash = int.from_bytes(digest, "little")
+            self._hash = _digest(self._serialize())
         return self._hash
 
     def save(self, path) -> None:
@@ -364,8 +410,9 @@ class CausalContextModel(_CountModel):
     kind = KIND_CAUSAL
 
     def __init__(self, alphabet: int, order: int = 2, alpha: float = 1.0):
-        if order < 0:
-            raise ParameterError(f"order must be >= 0, got {order}")
+        if not 0 <= order <= _MAX_ORDER:
+            raise ParameterError(
+                f"order must be in [0, {_MAX_ORDER}], got {order}")
         super().__init__(alphabet, alpha)
         self.order = order
         self.context_len = order
@@ -436,6 +483,43 @@ class AdaptiveCounts:
             model._tables.pop(key, None)
         model._hash = None
         self._views = {}
+
+
+class StaticCounts(dict):
+    """The sparse_pmf tables a frozen causal model prices with during one
+    static coding pass, keyed by context as passed in.
+
+    Each distinct context is validated and its table (with the table's
+    sparse_starts, for decoding) built on first use, so a coding step is one
+    dict lookup plus sparse_interval or sparse_locate, with O(non-zeros)
+    memory per context and no alphabet-wide array.  It shares code(),
+    decode() and commit() with AdaptiveCounts, so one coding walk serves
+    both.
+    """
+
+    def __init__(self, model: "CausalContextModel"):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, context: tuple):
+        model = self.model
+        symbols, counts = model.counts.get(model._context_key(context), ((), ()))
+        table = sparse_pmf(symbols, counts, model.alphabet, model.alpha_fp)
+        self[context] = entry = table, sparse_starts(table)
+        return entry
+
+    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
+        """(cumulative weight below `symbol`, its weight)."""
+        return sparse_interval(self[context][0], symbol)
+
+    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
+        """(symbol, cumulative weight below it, its weight) for the symbol
+        whose interval holds `target`."""
+        table, starts = self[context]
+        return sparse_locate(table, target, starts)
+
+    def commit(self) -> None:
+        """A frozen model gains no counts."""
 
 
 class NeighborhoodModel(_CountModel):
@@ -564,17 +648,18 @@ def load_model(path):
     header, a context symbol outside [-1, alphabet), entries that are not
     strictly ascending in (context, symbol), a zero count, or a context
     whose total count t has t * 2**16 + alphabet * alpha_fp >= 2**47, beyond
-    which quantize_pmf's int64 arithmetic could overflow."""
+    which quantize_pmf's int64 arithmetic could overflow.
+
+    A file that passes holds exactly the bytes save() writes for the model it
+    describes, so its digest is the model's state_hash."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MODEL_MAGIC:
         raise FormatError(f"model: bad magic {data[:4]!r}")
-    head_fmt = "<BBHBIQ"
-    head_size = 4 + struct.calcsize(head_fmt)
-    if len(data) < head_size:
+    if len(data) < _MODEL_HEAD_SIZE:
         raise FormatError("model: truncated header")
     version, kind, alphabet, ctx_len, alpha_fp, n_entries = struct.unpack_from(
-        head_fmt, data, 4)
+        _MODEL_HEAD_FMT, data, 4)
     if version != MODEL_VERSION:
         raise FormatError(f"model: unsupported version {version}")
     try:
@@ -589,33 +674,47 @@ def load_model(path):
             raise FormatError(f"model: unknown kind {kind}")
     except ParameterError as exc:
         raise FormatError(f"model: bad header: {exc}") from None
-    fmt = "<" + "h" * ctx_len + "HQ"
-    entry_size = struct.calcsize(fmt)
-    if len(data) - head_size != n_entries * entry_size:
+    dtype = np.dtype([("context", "<i2", (ctx_len,)), ("symbol", "<u2"),
+                      ("count", "<u8")])
+    if len(data) - _MODEL_HEAD_SIZE != n_entries * dtype.itemsize:
         raise FormatError(
-            f"model: payload holds {len(data) - head_size} bytes, expected "
-            f"{n_entries * entry_size}")
-    entries: dict[tuple, list[tuple[int, int]]] = {}
-    off = head_size
-    for _ in range(n_entries):
-        *key, sym, count = struct.unpack_from(fmt, data, off)
-        off += entry_size
-        if sym >= alphabet:
-            raise FormatError(f"model: entry symbol {sym} outside alphabet")
-        if count == 0:
-            raise FormatError(f"model: zero count for symbol {sym}")
-        try:
-            key = model._context_key(key)
-        except ParameterError as exc:
-            raise FormatError(f"model: {exc}") from None
-        if entries and (key, sym) <= last:
-            raise FormatError(f"model: entry {key}, {sym} is out of order")
-        last = key, sym
-        entries.setdefault(key, []).append((sym, count))
-    scaled_alpha = alphabet * model.alpha_fp
-    for key, pairs in entries.items():
-        symbols, counts = zip(*pairs)
-        if sum(counts) * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
-            raise FormatError(f"model: counts of context {key} total too much")
-        model.counts[key] = (symbols, counts)
+            f"model: payload holds {len(data) - _MODEL_HEAD_SIZE} bytes, "
+            f"expected {n_entries * dtype.itemsize}")
+    if n_entries:
+        entries = np.frombuffer(data, dtype, offset=_MODEL_HEAD_SIZE)
+        model.counts = _checked_counts(entries, alphabet,
+                                       alphabet * model.alpha_fp)
+    model._hash = _digest(data)
     return model
+
+
+def _checked_counts(entries: np.ndarray, alphabet: int, scaled_alpha: int):
+    """The counts dict of a model file's entries, checked as load_model
+    documents."""
+    keys = entries["context"].astype(np.int64)
+    symbols, counts = entries["symbol"], entries["count"]
+    if symbols.max() >= alphabet:
+        raise FormatError(f"model: entry symbol {symbols.max()} outside alphabet")
+    if not counts.all():
+        raise FormatError("model: zero count")
+    if keys.size and ((keys < ABSENT) | (keys >= alphabet)).any():
+        raise FormatError(
+            f"model: context symbol outside [{ABSENT}, {alphabet})")
+    # Strictly ascending rows: the first column in which a row differs from
+    # the one before it must grow.
+    step = np.diff(np.column_stack((keys, symbols)), axis=0)
+    first = (step != 0).argmax(axis=1)
+    if (step[np.arange(len(step)), first] <= 0).any():
+        raise FormatError("model: entries are not strictly ascending in "
+                          "(context, symbol)")
+    # The smallest context total t with t * 2**16 + scaled_alpha >= 2**47.
+    # Checking single counts first keeps the per-context sums (at most
+    # alphabet counts each) far from uint64 overflow.
+    limit = -(-(_MAX_SCALED_TOTAL - scaled_alpha) // PMF_TOTAL)
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    if counts.max() >= limit or np.add.reduceat(counts, starts).max() >= limit:
+        raise FormatError("model: the counts of a context total too much")
+    bounds = starts.tolist() + [len(entries)]
+    symbols, counts = symbols.tolist(), counts.tolist()
+    return {tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
+            for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])}

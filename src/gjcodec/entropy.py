@@ -15,6 +15,16 @@ propagated directly into the output buffer, so no code space is ever
 discarded.  The subdivision remainder goes to the top symbol of the
 alphabet; encoder and decoder share this rule exactly.
 
+One causal walk serves static and adaptive coding alike.  It prices each
+symbol in the history of the symbols before it through a pricer with
+code(history, symbol) and decode(history, target): StaticCounts for a
+frozen model, AdaptiveCounts for one that counts each symbol after coding
+it.  Both price from sparse_pmf tables, so no step builds an alphabet-wide
+array.  ac_decode runs the same walk in reverse.  The encoder keeps each
+symbol's width and returns the ideal cost sum(-log2 p) on the Bitstream
+(`cost_bits`, neither serialised nor compared), so a caller that needs the
+cost prices each symbol once; sequence_cost_bits is that cost alone.
+
 Stream layout (little-endian header): magic "GJS1", u8 version=1,
 u16 alphabet, u32 symbol count, u64 model state hash, then the payload as
 16-bit big-endian words.
@@ -23,11 +33,11 @@ u16 alphabet, u32 symbol count, u64 model state hash, then the payload as
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import AdaptiveCounts, CausalContextModel
+from .context import AdaptiveCounts, CausalContextModel, StaticCounts
 from .errors import CorruptStreamError, FormatError, ModelMismatchError, ParameterError
 
 STREAM_MAGIC = b"GJS1"
@@ -49,6 +59,8 @@ class Bitstream:
     n_symbols: int
     model_hash: int
     payload: bytes
+    # Ideal cost of the coded symbols in bits, set by ac_encode.
+    cost_bits: float | None = field(default=None, compare=False)
 
     @property
     def total_bits(self) -> int:
@@ -91,9 +103,10 @@ def _propagate_carry(buf: bytearray) -> None:
             return
 
 
-def _check_model(model) -> None:
+def _pricer(model, adaptive: bool):
     if not isinstance(model, CausalContextModel):
         raise ParameterError("entropy coding requires a CausalContextModel")
+    return AdaptiveCounts(model) if adaptive else StaticCounts(model)
 
 
 def _checked_symbols(symbols, alphabet: int) -> list[int]:
@@ -104,33 +117,20 @@ def _checked_symbols(symbols, alphabet: int) -> list[int]:
     return syms
 
 
-def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bitstream:
-    """Encode a symbol sequence under a causal context model.
-
-    With `adaptive` set, each symbol is coded with the counts of every
-    symbol before it, and the model gains all of them in place at the end
-    (pass `model.copy()` to keep the original).  The stream records the hash
-    of the model state *before* any update, which is the state the decoder
-    must start from.
-    """
-    _check_model(model)
-    syms = _checked_symbols(symbols, model.alphabet)
-    a = model.alphabet
-    start_hash = model.state_hash()
-
+def _encode(syms: list[int], pricer) -> tuple[bytes, list[int]]:
+    """The coding walk: the payload of `syms`, each priced by `pricer` in
+    the history of the model-order symbols before it, and each symbol's
+    width."""
     out = bytearray()
+    widths: list[int] = []
     low = 0
     range_ = _TWO64
-    top = a - 1
-    order = model.order
-    counts = AdaptiveCounts(model) if adaptive else None
+    top = pricer.model.alphabet - 1
+    order = pricer.model.order
     hist: tuple = ()
     for s in syms:
-        if counts is not None:
-            lo, width = counts.code(hist, s)
-        else:
-            w, cum = model.coding_table(hist)
-            lo, width = int(cum[s]), int(w[s])
+        lo, width = pricer.code(hist, s)
+        widths.append(width)
         r = range_ >> 16
         base = r * lo
         low += base
@@ -148,8 +148,6 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
             range_ <<= 16
         if order:
             hist = (hist + (s,))[-order:]
-    if counts is not None:
-        counts.commit()
 
     if syms:
         shift = 48 if range_ >= _TWO48 else 32
@@ -162,9 +160,34 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
         if shift == 32:
             out.append((point >> 40) & 0xFF)
             out.append((point >> 32) & 0xFF)
+    return bytes(out), widths
 
-    return Bitstream(alphabet=a, n_symbols=len(syms), model_hash=start_hash,
-                     payload=bytes(out))
+
+def _ideal_cost(widths: list[int]) -> float:
+    """sum(PMF_BITS - log2 width), added left to right as a float loop
+    would add it (np.sum's pairwise order could differ in the last bit)."""
+    if not widths:
+        return 0.0
+    return float(np.add.accumulate(16.0 - np.log2(widths))[-1])
+
+
+def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bitstream:
+    """Encode a symbol sequence under a causal context model.
+
+    With `adaptive` set, each symbol is coded with the counts of every
+    symbol before it, and the model gains all of them in place at the end
+    (pass `model.copy()` to keep the original).  The stream records the hash
+    of the model state *before* any update, which is the state the decoder
+    must start from, and carries the sequence's ideal cost in `cost_bits`.
+    """
+    pricer = _pricer(model, adaptive)
+    syms = _checked_symbols(symbols, model.alphabet)
+    start_hash = model.state_hash()
+    payload, widths = _encode(syms, pricer)
+    pricer.commit()
+    return Bitstream(alphabet=model.alphabet, n_symbols=len(syms),
+                     model_hash=start_hash, payload=payload,
+                     cost_bits=_ideal_cost(widths))
 
 
 class _WordReader:
@@ -193,7 +216,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
     recorded at encode time, and CorruptStreamError if the payload length is
     inconsistent with the decoded symbol count (e.g. truncation).
     """
-    _check_model(model)
+    pricer = _pricer(model, adaptive)
     if model.alphabet != stream.alphabet:
         raise ModelMismatchError(
             f"stream alphabet {stream.alphabet} != model alphabet {model.alphabet}")
@@ -217,10 +240,8 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
     range_ = _TWO64
     renorms = 0
 
-    a = model.alphabet
-    top = a - 1
+    top = model.alphabet - 1
     order = model.order
-    counts = AdaptiveCounts(model) if adaptive else None
     hist: tuple = ()
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -228,12 +249,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
         v = c // r
         if v > 0xFFFF:
             v = 0xFFFF
-        if counts is not None:
-            s, lo, width = counts.decode(hist, v)
-        else:
-            w, cum = model.coding_table(hist)
-            s = int(np.searchsorted(cum, v, side="right")) - 1
-            lo, width = int(cum[s]), int(w[s])
+        s, lo, width = pricer.decode(hist, v)
         base = r * lo
         c -= base
         if s == top:
@@ -247,8 +263,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
         out[i] = s
         if order:
             hist = (hist + (s,))[-order:]
-    if counts is not None:
-        counts.commit()
+    pricer.commit()
 
     flush_words = 1 if range_ >= _TWO48 else 2
     expected = 2 * (renorms + flush_words)
@@ -261,23 +276,12 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
 
 def sequence_cost_bits(model: CausalContextModel, symbols,
                        adaptive: bool = False) -> float:
-    """Ideal model cost sum(-log2 p) in bits, from quantized PMFs.
+    """Ideal model cost sum(-log2 p) in bits, from quantized PMFs: the
+    `cost_bits` ac_encode reports, without touching the caller's model.
 
     With adaptive=True each symbol is priced with the counts of every symbol
-    before it, mirroring ac_encode; the caller's model is never mutated.
+    before it, mirroring ac_encode.
     """
-    _check_model(model)
+    pricer = _pricer(model, adaptive)
     syms = _checked_symbols(symbols, model.alphabet)
-    counts = AdaptiveCounts(model) if adaptive else None
-    total = 0.0
-    order = model.order
-    hist: tuple = ()
-    for s in syms:
-        if counts is not None:
-            width = counts.code(hist, s)[1]
-        else:
-            width = int(model.coding_table(hist)[0][s])
-        total += 16.0 - float(np.log2(width))
-        if order:
-            hist = (hist + (s,))[-order:]
-    return total
+    return _ideal_cost(_encode(syms, pricer)[1])

@@ -706,6 +706,7 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
 
 
 _WORKER_CTX: SweepContext | None = None
+_CHUNK = 4  # tasks a worker takes at a time
 
 
 def _mp_init(scn_json: str) -> None:
@@ -726,14 +727,17 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
              for ti in range(scn["num_seeds"])]
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(tasks) < 2:
+    # Each worker imports and builds the whole context before its first
+    # task, so a worker that would get no chunk of tasks is never started.
+    jobs = min(jobs, -(-len(tasks) // _CHUNK))
+    if jobs <= 1:
         ctx = build_context(scn)
         records = [run_record(ctx, *t) for t in tasks]
     else:
         import multiprocessing as mp
         with mp.get_context("spawn").Pool(jobs, initializer=_mp_init,
                                           initargs=(json.dumps(scn),)) as pool:
-            results = dict(pool.map(_mp_run, tasks, chunksize=4))
+            results = dict(pool.map(_mp_run, tasks, chunksize=_CHUNK))
         records = [results[t] for t in tasks]
     # canonical merge order, independent of how trials were executed
     records.sort(key=lambda r: (r["scheme"], r["condition"], r["seed"]))

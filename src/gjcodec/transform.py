@@ -59,10 +59,14 @@ def zigzag_unscan(ranked: np.ndarray) -> np.ndarray:
     return flat.reshape(*ranked.shape[:-1], BLOCK, BLOCK)
 
 
+def _check_step(step: float) -> None:
+    if not (np.isfinite(step) and step > 0):
+        raise ParameterError(f"step must be a finite number > 0, got {step}")
+
+
 def sq_quantize(values: np.ndarray, step: float) -> np.ndarray:
     """Uniform scalar quantizer: round(v / step), halves away from zero."""
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    _check_step(step)
     scaled = np.asarray(values, dtype=np.float64) / step
     # np.rint rounds halves to even; the contract wants half-away-from-zero.
     return np.where(scaled >= 0, np.floor(scaled + 0.5),
@@ -70,8 +74,7 @@ def sq_quantize(values: np.ndarray, step: float) -> np.ndarray:
 
 
 def sq_dequantize(indices: np.ndarray, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    _check_step(step)
     return np.asarray(indices, dtype=np.float64) * step
 
 

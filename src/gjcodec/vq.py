@@ -240,6 +240,8 @@ def vq_decode(codebook: Codebook, tokens: np.ndarray) -> np.ndarray:
 
 def extract_patches(samples: np.ndarray, patch: int) -> np.ndarray:
     """(H, W) -> (H//p * W//p, p*p) non-overlapping patches, raster order."""
+    if patch < 1:
+        raise ParameterError(f"patch size must be >= 1, got {patch}")
     h, w = samples.shape
     if h % patch or w % patch:
         raise ParameterError(f"image dimensions {w}x{h} are not multiples of {patch}")

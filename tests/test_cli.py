@@ -296,3 +296,126 @@ def test_decompress_with_noncanonical_model_is_format_error(
                            model_file("bad.model", entries))
     assert code == 4
     assert "model:" in err
+
+
+@pytest.fixture
+def golden_inputs(tmp_path):
+    from gjcodec.pipelines import _ar1_textured
+    img = _ar1_textured(64, 64, {"rho": 0.9, "sigma": 30.0, "mean": 128.0}, 5)
+    image, model = tmp_path / "img.pgm", tmp_path / "m.model"
+    save_pgm(img, image)
+    assert run_cli("train-model", str(image), "--output", str(model),
+                   "--order", "1")[0] == 0
+    return image, model
+
+
+# stdout and container SHA-256 of `compress` on a 64x64 image, measured when
+# compress priced every symbol a second time for its cross_entropy.
+_COMPRESS_GOLDEN = {
+    "adaptive": (["--step", "16"], "bpp=3.296875 cross_entropy=3.218174\n",
+                 "415b906a2e4bb7b9a2e038b931e32a85d3ae869525040bb41b35a7a9eabc2dc1"),
+    "adaptive order 3": (
+        ["--step", "4", "--alphabet", "64", "--order", "3"],
+        "bpp=5.066406 cross_entropy=4.986566\n",
+        "0d3f4e8e48bab320ad2aa40583dfa5b345e2e7643b7bea6bd5850ed89ba6a9c3"),
+    "static": (["--step", "8", "--model", None],
+               "bpp=8.082031 cross_entropy=8.000492\n",
+               "f3dd75ac3a067d246c69141d6b48cbde6b8cade38e90844bdd4b4883a2eb7df7"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_COMPRESS_GOLDEN))
+def test_compress_stdout_golden(tmp_path, golden_inputs, mode):
+    import hashlib
+    image, model = golden_inputs
+    options, line, digest = _COMPRESS_GOLDEN[mode]
+    comp = tmp_path / "img.gjc"
+    code, out, err = run_cli("compress", "--input", str(image), "--output",
+                             str(comp), *(o or str(model) for o in options))
+    assert code == 0, err
+    assert out == line
+    assert hashlib.sha256(comp.read_bytes()).hexdigest() == digest
+
+
+def test_adaptive_compress_prices_each_symbol_once(tmp_path, sample_pgm,
+                                                   monkeypatch):
+    import gjcodec.context as context
+    calls = []
+    real = context.sparse_pmf
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(context, "sparse_pmf", counting)
+    code, out, err = run_cli("compress", "--input", str(sample_pgm),
+                             "--output", str(tmp_path / "img.gjc"))
+    assert code == 0, err
+    assert len(calls) == 32 * 32
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+def test_compress_rejects_step_that_is_not_finite_and_positive(
+        tmp_path, sample_pgm, step):
+    comp = tmp_path / "img.gjc"
+    code, _, err = run_cli("compress", "--input", str(sample_pgm),
+                           "--output", str(comp), "--step", step)
+    assert code == 2
+    assert "step" in err
+    assert not comp.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train-model", "IMG", "--alpha", "nan"], "alpha"),
+    (["train-model", "IMG", "--alpha", "inf"], "alpha"),
+    (["train-model", "IMG", "--alpha", "1e30"], "alpha"),
+    (["train-model", "IMG", "--order", "40000"], "order"),
+    (["compress", "--input", "IMG", "--order", "300"], "order"),
+    (["compress", "--input", "IMG", "--alphabet", "65536"], "alphabet"),
+    (["train-codebook", "IMG", "--patch", "0"], "patch"),
+])
+def test_parameter_the_files_cannot_hold_is_usage_error(tmp_path, sample_pgm,
+                                                        argv, message):
+    """Parameters beyond what the model file, stream or container can hold
+    exit 2 before any work, not 1 with a traceback."""
+    argv = [str(sample_pgm) if a == "IMG" else a for a in argv]
+    out = tmp_path / "out.bin"
+    code, _, err = run_cli(*argv, "--output", str(out))
+    assert code == 2, err
+    assert message in err
+    assert not out.exists()
+
+
+def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
+    """--jobs 100 on an 18-record sweep starts one worker per chunk of four
+    tasks (five), checked with a pool that records its size and runs the
+    tasks in this process."""
+    import multiprocessing
+
+    import gjcodec.pipelines as pipelines
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return [fn(t) for t in tasks]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
+    monkeypatch.setattr(pipelines, "_WORKER_CTX", None)
+    code, _, err = run_cli("sweep", "--scenario", "fig5", "--set", "num_seeds=1",
+                           "--jobs", "100", "--output", str(tmp_path / "a.csv"))
+    assert code == 0, err
+    assert "18 records" in err
+    assert started == [5]

@@ -108,6 +108,31 @@ def test_alpha_floor():
         CausalContextModel(4, alpha=2.0 ** -17)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CausalContextModel(4, alpha=float("nan")),
+    lambda: CausalContextModel(4, alpha=float("inf")),
+    lambda: CausalContextModel(4, alpha=2.0 ** 16),       # alpha_fp = 2**32
+    lambda: NeighborhoodModel(2 ** 15 + 1, alpha=2.0 ** 16 - 1),  # A*fp >= 2**47
+    lambda: CausalContextModel(4, order=256),
+    lambda: CausalContextModel(2 ** 16),
+])
+def test_model_the_file_cannot_hold_is_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_largest_model_parameters_save_and_load(tmp_path):
+    """The largest alpha for the alphabet, the largest alphabet and the
+    largest order the constructors accept survive save and load."""
+    path = tmp_path / "m.model"
+    for model in (CausalContextModel(4, order=255, alpha=(2 ** 32 - 1) / 2 ** 16),
+                  NeighborhoodModel(2 ** 15, alpha=(2 ** 32 - 1) / 2 ** 16),
+                  CausalContextModel(2 ** 16 - 1, order=0,
+                                     alpha=(2 ** 31 - 1) / 2 ** 16)):
+        model.save(path)
+        assert load_model(path).state_hash() == model.state_hash()
+
+
 def test_neighbor_context_borders():
     tokens = np.array([[1, 2], [3, 4]])
     avail = np.ones((2, 2), dtype=bool)
@@ -211,6 +236,38 @@ def test_sparse_pmf_matches_quantize_pmf(alpha_fp):
             high = int(rng.choice([4, 1000, 10 ** 6, 10 ** 9]))
             counts[idx] = rng.integers(1, high, nnz)
             _assert_sparse_matches(counts, alpha_fp)
+
+
+@pytest.mark.parametrize("counts, alpha_fp", [
+    ([0, 0, 0, 0], 1 << 16),                          # empty context
+    ([10, 11, 0, 19, 7, 0, 6, 9, 5, 9, 9], 1 << 16),  # tie branch
+    ([0, 45, 21, 31, 0, 39, 36, 18, 38, 0, 2], 1 << 16),
+    ([2, 32, 0, 13, 21, 5, 27], 1 << 12),             # deficit past the zeros
+    ([0, 7 * 10 ** 8, 3, 0, 5 * 10 ** 8, 0], 1),      # excess branch
+])
+def test_sparse_locate_by_starts_matches_the_walk(counts, alpha_fp):
+    """Bisecting sparse_starts finds every interval the walk over the
+    non-zeros finds: at its first and last target, on fixed tables of each
+    sparse_pmf branch and on random ones up to 300 symbols."""
+    from gjcodec.context import (sparse_interval, sparse_locate, sparse_pmf,
+                                 sparse_starts)
+    rng = np.random.default_rng(len(counts))
+    cases = [np.asarray(counts)]
+    for a in (2, 7, 256, 300):
+        c = np.zeros(a, dtype=np.int64)
+        nnz = int(rng.integers(1, min(a, 80) + 1))
+        c[rng.choice(a, nnz, replace=False)] = rng.integers(1, 10 ** 6, nnz)
+        cases.append(c)
+    for c in cases:
+        nz = np.flatnonzero(c)
+        table = sparse_pmf(nz.tolist(), c[nz].tolist(), len(c), alpha_fp)
+        starts = sparse_starts(table)
+        assert starts == [sparse_interval(table, i)[0] for i in nz.tolist()]
+        for symbol in range(len(c)):
+            lo, width = sparse_interval(table, symbol)
+            for target in (lo, lo + width - 1):
+                assert (sparse_locate(table, target, starts)
+                        == sparse_locate(table, target) == (symbol, lo, width))
 
 
 def _deficit_groups(counts, alpha_fp):
@@ -448,3 +505,191 @@ def test_neighborhood_training_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(m.counts) > 6000
     assert peak < 6 * 2**20
+
+
+def _per_entry_load_model(path):
+    """load_model as it read a file one entry at a time with struct and
+    _context_key, before the entries were read through one numpy dtype."""
+    import struct
+
+    from gjcodec.context import (_MAX_SCALED_TOTAL, KIND_CAUSAL, KIND_NEIGHBOR,
+                                 MODEL_MAGIC, MODEL_VERSION)
+    from gjcodec.errors import FormatError
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != MODEL_MAGIC:
+        raise FormatError(f"model: bad magic {data[:4]!r}")
+    head_fmt = "<BBHBIQ"
+    head_size = 4 + struct.calcsize(head_fmt)
+    if len(data) < head_size:
+        raise FormatError("model: truncated header")
+    version, kind, alphabet, ctx_len, alpha_fp, n_entries = struct.unpack_from(
+        head_fmt, data, 4)
+    if version != MODEL_VERSION:
+        raise FormatError(f"model: unsupported version {version}")
+    try:
+        if kind == KIND_CAUSAL:
+            model = CausalContextModel(alphabet, order=ctx_len,
+                                       alpha=alpha_fp / PMF_TOTAL)
+        elif kind == KIND_NEIGHBOR:
+            model = NeighborhoodModel(alphabet, alpha=alpha_fp / PMF_TOTAL)
+            if ctx_len != model.arity:
+                raise FormatError(f"model: bad neighborhood arity {ctx_len}")
+        else:
+            raise FormatError(f"model: unknown kind {kind}")
+    except ParameterError as exc:
+        raise FormatError(f"model: bad header: {exc}") from None
+    fmt = "<" + "h" * ctx_len + "HQ"
+    entry_size = struct.calcsize(fmt)
+    if len(data) - head_size != n_entries * entry_size:
+        raise FormatError("model: payload size")
+    entries = {}
+    off = head_size
+    for _ in range(n_entries):
+        *key, sym, count = struct.unpack_from(fmt, data, off)
+        off += entry_size
+        if sym >= alphabet:
+            raise FormatError(f"model: entry symbol {sym} outside alphabet")
+        if count == 0:
+            raise FormatError(f"model: zero count for symbol {sym}")
+        try:
+            key = model._context_key(key)
+        except ParameterError as exc:
+            raise FormatError(f"model: {exc}") from None
+        if entries and (key, sym) <= last:
+            raise FormatError(f"model: entry {key}, {sym} is out of order")
+        last = key, sym
+        entries.setdefault(key, []).append((sym, count))
+    scaled_alpha = alphabet * model.alpha_fp
+    for key, pairs in entries.items():
+        symbols, counts = zip(*pairs)
+        if sum(counts) * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
+            raise FormatError(f"model: counts of context {key} total too much")
+        model.counts[key] = (symbols, counts)
+    return model
+
+
+def _loader_fuzz_cases(rng, blob):
+    """Mutations of one model file, each a (name, bytes) pair: bit flips,
+    truncation and extension, a wrong entry count, swapped and duplicated
+    entries, and counts, symbols and context symbols at and past each bound
+    load_model enforces."""
+    import struct
+    head = struct.Struct("<4sBBHBIQ")
+    _, _, _, alphabet, ctx_len, alpha_fp, n = head.unpack_from(blob)
+    entry = struct.Struct("<" + "h" * ctx_len + "HQ")
+    rows = [list(entry.unpack_from(blob, head.size + k * entry.size))
+            for k in range(n)]
+
+    def file(rows, count=None):
+        return (blob[:head.size - 8] + struct.pack("<Q", len(rows) if count is None
+                                                   else count)
+                + b"".join(entry.pack(*row) for row in rows))
+
+    def changed(field, value, k=None):
+        k = int(rng.integers(n)) if k is None else k
+        out = [list(row) for row in rows]
+        out[k][field] = value
+        return file(out)
+
+    yield "original", blob
+    for _ in range(12):
+        flipped = bytearray(blob)
+        bit = int(rng.integers(8 * len(blob)))
+        flipped[bit // 8] ^= 1 << bit % 8
+        yield "bit flip", bytes(flipped)
+    yield "truncated", blob[:int(rng.integers(len(blob)))]
+    yield "extended", blob + rng.bytes(int(rng.integers(1, 2 * entry.size)))
+    yield "n_entries + 1", file(rows, n + 1)
+    if not n:
+        return
+    yield "n_entries - 1", file(rows, n - 1)
+    yield "last entry dropped", file(rows[:-1])
+    k = int(rng.integers(n))
+    yield "entry duplicated", file(rows[:k + 1] + rows[k:])
+    if n > 1:
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        yield "entries swapped", file(rows[:i] + [rows[j]] + rows[i + 1:j]
+                                      + [rows[i]] + rows[j + 1:])
+    for count in (0, 1, 2 ** 31, 2 ** 63, int(rng.integers(1, 2 ** 20))):
+        yield f"count {count}", changed(-1, count)
+    pairs = [k for k in range(n - 1) if rows[k][:ctx_len] == rows[k + 1][:ctx_len]]
+    if pairs:
+        k = pairs[int(rng.integers(len(pairs)))]
+        out = [list(row) for row in rows]
+        out[k][-1], out[k + 1][-1] = 2 ** 64 - 1, 2  # a sum that wraps to 1
+        yield "context total past 2**64", file(out)
+    # Counts that bring one context's total to the largest kept and to the
+    # smallest refused: t * 2**16 + alphabet * alpha_fp < 2**47.
+    limit = -(-(2 ** 47 - alphabet * alpha_fp) // PMF_TOTAL)
+    k = int(rng.integers(n))
+    others = sum(row[-1] for row in rows if row[:ctx_len] == rows[k][:ctx_len])
+    others -= rows[k][-1]
+    for total in (limit - 1, limit):
+        yield f"context total {total - limit:+d} from the limit", changed(
+            -1, max(1, total - others), k)
+    for symbol in (alphabet - 1, alphabet, int(rng.integers(alphabet, 1 << 16))):
+        yield f"symbol {symbol}", changed(ctx_len, symbol)
+    if ctx_len:
+        j = int(rng.integers(ctx_len))
+        for value in (ABSENT, ABSENT - 1, int(rng.integers(-(1 << 15), -1)),
+                      alphabet - 1, alphabet, int(rng.integers(alphabet, 1 << 15))):
+            yield f"context symbol {value}", changed(j, value)
+
+
+def _load_outcome(loader, path):
+    from gjcodec.errors import FormatError
+    try:
+        model = loader(path)
+    except FormatError:
+        return None
+    return type(model), model.counts, model.state_hash()
+
+
+def test_load_model_matches_per_entry_loader(tmp_path):
+    """Seeded mutations of causal (orders 0, 1, 2, 3) and neighborhood model
+    files: the numpy loader accepts exactly the files the per-entry loader
+    accepts, with the same counts and state_hash, rejects the rest with
+    FormatError, and saves an accepted model as the bytes it read."""
+    rng = np.random.default_rng(6)
+    models = [(CausalContextModel(5, order=0, alpha=0.5), (1, 40)),
+              (CausalContextModel(16, order=1), (6, 9)),
+              (CausalContextModel(7, order=3, alpha=2.0), (5, 6)),
+              (NeighborhoodModel(6, alpha=0.25), (4, 5)),
+              (CausalContextModel(300, order=2), (1, 1))]
+    path, saved = tmp_path / "m.model", tmp_path / "saved.model"
+    accepted = rejected = 0
+    for model, shape in models:
+        train(model, [rng.integers(0, model.alphabet, shape)])
+        model.save(path)
+        blob = path.read_bytes()
+        for _ in range(2):
+            for name, case in _loader_fuzz_cases(rng, blob):
+                path.write_bytes(case)
+                got = _load_outcome(load_model, path)
+                assert got == _load_outcome(_per_entry_load_model, path), name
+                if got is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                load_model(path).save(saved)
+                assert saved.read_bytes() == case, name
+    assert accepted > 30 and rejected > 150
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: CausalContextModel(9, order=0),
+    lambda: CausalContextModel(16, order=2, alpha=0.5),
+    lambda: NeighborhoodModel(16, alpha=2.0),
+])
+def test_save_of_loaded_model_rewrites_the_file(tmp_path, rng, factory):
+    """A loaded model saves as the bytes it was read from, and its state_hash
+    (taken from those bytes) is the hash of its counts."""
+    path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+    train(factory(), [rng.integers(0, 9, (10, 10))]).save(path)
+    loaded = load_model(path)
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    fresh = loaded.copy()
+    fresh._hash = None
+    assert loaded.state_hash() == fresh.state_hash()

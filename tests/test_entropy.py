@@ -164,5 +164,92 @@ def test_adaptive_coding_builds_no_dense_table(rng, monkeypatch):
     ac_decode(stream, model.copy(), adaptive=True)
     sequence_cost_bits(model, syms, adaptive=True)
     assert calls == []
-    ac_encode(syms, model.copy())  # static coding still uses dense tables
-    assert calls
+    ac_encode(syms, model.copy())  # static coding prices sparse tables too
+    assert calls == []
+
+
+def _reference_cost(model, syms, adaptive):
+    """sum(16 - log2 width) as a float loop, with widths from the dense
+    quantize_pmf table of each step (after counting the symbols before it,
+    when adaptive)."""
+    model = model.copy()
+    total, hist = 0.0, ()
+    for s in syms:
+        total += 16.0 - float(np.log2(int(model.coding_table(hist)[0][s])))
+        if adaptive:
+            model.update(hist, s)
+        if model.order:
+            hist = (hist + (int(s),))[-model.order:]
+    return total
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_encoder_cost_is_the_sequence_cost(seed, adaptive):
+    """ac_encode's cost_bits, sequence_cost_bits and a float loop over the
+    dense tables' widths are the same float, bit for bit."""
+    rng = np.random.default_rng(100 + seed)
+    alphabet = int(rng.integers(2, 300))
+    model = _random_model(rng, alphabet, int(rng.integers(0, 4)))
+    syms = rng.integers(0, alphabet, int(rng.integers(1, 600)))
+    cost = ac_encode(syms, model.copy(), adaptive=adaptive).cost_bits
+    assert cost == sequence_cost_bits(model, syms, adaptive=adaptive)
+    assert cost == _reference_cost(model, syms, adaptive)
+
+
+def test_empty_sequence_costs_nothing():
+    assert ac_encode([], CausalContextModel(4)).cost_bits == 0.0
+
+
+def test_cost_is_not_part_of_the_stream():
+    st = ac_encode([1, 2, 3], CausalContextModel(4, order=1))
+    again = Bitstream.from_bytes(st.to_bytes())
+    assert again.cost_bits is None
+    assert again == st
+
+
+def test_array_log2_equals_scalar_log2():
+    """The encoder takes log2 of all widths at once; a float loop takes it
+    one width at a time.  Every width a 16-bit PMF can hold agrees."""
+    widths = np.arange(1, (1 << 16) + 1)
+    whole = np.log2(widths)
+    assert all(float(np.log2(w)) == x for w, x in zip(widths.tolist(),
+                                                     whole.tolist()))
+
+
+def _histories(syms, order):
+    return {tuple(syms[max(0, i - order):i]) for i in range(len(syms))}
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_coding_validates_each_history_once(rng, monkeypatch, adaptive):
+    """Encode, decode and cost validate each distinct history once per pass,
+    build no dense table and never call coding_table."""
+    import gjcodec.context as context
+    model = _random_model(rng, 24, 2)
+    syms = rng.integers(0, 24, 800).tolist()
+    validated, dense = [], []
+    real_key = CausalContextModel._context_key
+
+    def counting_key(self, ctx):
+        validated.append(tuple(ctx))
+        return real_key(self, ctx)
+
+    def no_table(self, ctx):
+        raise AssertionError("coding_table called")
+
+    monkeypatch.setattr(CausalContextModel, "_context_key", counting_key)
+    monkeypatch.setattr(CausalContextModel, "coding_table", no_table)
+    monkeypatch.setattr(context, "quantize_pmf",
+                        lambda *args: dense.append(1))
+    distinct = _histories(syms, 2)
+    stream = ac_encode(syms, model.copy(), adaptive=adaptive)
+    assert sorted(validated) == sorted(distinct)
+    validated.clear()
+    np.testing.assert_array_equal(
+        ac_decode(stream, model.copy(), adaptive=adaptive), syms)
+    assert sorted(validated) == sorted(distinct)
+    validated.clear()
+    sequence_cost_bits(model, syms, adaptive=adaptive)
+    assert sorted(validated) == sorted(distinct)
+    assert dense == []
