@@ -37,6 +37,9 @@ _MAX_SCALED_TOTAL = 1 << 47
 # the stream header and the container.
 _MAX_ALPHABET = 0xFFFF
 _MAX_ORDER = 0xFF
+# Context symbols are i16 fields of the model file, so a model with context
+# positions has an alphabet of at most 2**15.
+_MAX_CONTEXT_ALPHABET = 0x8000
 ABSENT = -1
 
 MODEL_MAGIC = b"GJCM"
@@ -291,11 +294,14 @@ class _CountModel:
     context_len: int
     offsets: tuple  # (row, column) offset of each context position
 
-    def __init__(self, alphabet: int, alpha: float = 1.0):
-        if alphabet < 2 or alphabet > _MAX_ALPHABET:
+    def __init__(self, alphabet: int, alpha: float, context_len: int):
+        limit = _MAX_CONTEXT_ALPHABET if context_len else _MAX_ALPHABET
+        if alphabet < 2 or alphabet > limit:
             raise ParameterError(
-                f"alphabet size must be in [2, {_MAX_ALPHABET}], got {alphabet}")
+                f"alphabet size must be in [2, {limit}] for a model of "
+                f"context length {context_len}, got {alphabet}")
         self.alphabet = alphabet
+        self.context_len = context_len
         self.alpha_fp = _alpha_to_fp(alpha, alphabet)
         self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -413,9 +419,8 @@ class CausalContextModel(_CountModel):
         if not 0 <= order <= _MAX_ORDER:
             raise ParameterError(
                 f"order must be in [0, {_MAX_ORDER}], got {order}")
-        super().__init__(alphabet, alpha)
+        super().__init__(alphabet, alpha, order)
         self.order = order
-        self.context_len = order
         self.offsets = tuple((0, j - order) for j in range(order))
 
     def _context_key(self, context) -> tuple:
@@ -536,9 +541,8 @@ class NeighborhoodModel(_CountModel):
     offsets = NEIGHBOR_OFFSETS
 
     def __init__(self, alphabet: int, alpha: float = 1.0):
-        super().__init__(alphabet, alpha)
-        self.arity = len(NEIGHBOR_OFFSETS)
-        self.context_len = self.arity
+        super().__init__(alphabet, alpha, len(NEIGHBOR_OFFSETS))
+        self.arity = self.context_len
 
     def _context_key(self, context) -> tuple:
         key = tuple(int(s) for s in context)

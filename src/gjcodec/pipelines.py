@@ -19,20 +19,28 @@ set.  All randomness is drawn from per-record seeds derived by hashing
 (scenario seed, condition index, trial index), so results are reproducible
 record by record regardless of execution order.
 
+Each scheme's rules live in its entry of `_SCHEMES`: the field spec of its
+scenario entries, what it needs under each condition kind, the fields its
+artifact depends on, how the artifact is built, and its runners.
+`validate_scenario` applies one field checker to every section.
+
 Work that does not depend on a record's channel draw is done once per
-`SweepContext`: each source encoding (whose weak-JSCC packets are decoded
-and verified once, when the code is built), the FEC parity of each
-(digital payload, r), and every record whose runner draws no randomness
-(digital and weak JSCC under snr_db), which is computed once per
+`SweepContext`: each artifact (digital stream and decoded image; weak-JSCC
+codebook, models and packets, each packet decoded and verified once; analog
+code), built on first use and cached by (scheme, its artifact fields); the
+FEC parity of each (digital payload, r); and every record whose runner draws
+no randomness (digital and weak JSCC under snr_db), computed once per
 (scheme, condition) and repeated for each trial with its own `seed`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +49,7 @@ from . import channel as _channel
 from . import concealment as _conceal
 from . import fec as _fec
 from .context import CausalContextModel, NeighborhoodModel, train
-from .entropy import Bitstream, ac_decode, ac_encode
+from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError)
 from .metrics import compute_metrics
@@ -49,12 +57,8 @@ from .sources import ImageGrid, ar1_field, load_pgm
 from .transform import (dct2, idct2, merge_blocks, split_blocks, sq_dequantize,
                         sq_quantize, symbol_to_signed, signed_to_symbol,
                         zigzag_scan, zigzag_unscan)
-from .vq import (Codebook, assemble_patches, extract_patches, vq_decode,
-                 vq_encode, vq_train)
-
-SCHEME_DIGITAL = "digital_separate"
-SCHEME_WEAK = "weak_jscc"
-SCHEME_ANALOG = "analog_jscc"
+from .vq import (MAX_CODEWORDS, Codebook, assemble_patches, extract_patches,
+                 vq_decode, vq_encode, vq_train)
 
 CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "psnr", "decode_failed", "mcs_index", "fec_r",
@@ -73,196 +77,122 @@ def derive_seed(*parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scenario schema
+# Field specs
 
 
-_TOP_KEYS = {"name", "seed", "num_seeds", "source", "conditions", "schemes",
-             "bandwidth_ratio", "mcs_table", "packets", "fec", "train"}
-_SOURCE_KEYS = {"type", "width", "height", "rho", "sigma", "mean", "seed",
-                "upsample", "texture", "path"}
-_COND_KEYS = {"kind", "values", "burst_mean", "window"}
-_SCHEME_KEYS = {"scheme", "label", "sq_step", "sq_alphabet", "context_order",
-                "est_snr_db", "fec_multiplier", "patch", "codebook_size",
-                "conceal_schedule", "conceal_mode"}
-_TRAIN_KEYS = {"images", "width", "height", "rho", "sigma", "mean", "seed",
-               "upsample", "texture"}
-_TEXTURE_KEYS = {"rho", "sigma", "upsample", "bandpass"}
-_FEC_KEYS = {"k"}
+_REQUIRED = object()
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    extra = sorted(set(d) - allowed)
-    if extra:
-        raise ConfigError(f"unknown {where} keys: {', '.join(extra)}")
+class _Field(NamedTuple):
+    """One scenario field.  `type` is its JSON type: int, float (any finite
+    number), str, bool, list (non-empty, each element checked against the
+    _Field `item`) or dict (checked against the spec `item`, a dict of
+    fields; with `tag`, against `item[v[tag]]`, which leaves the tag out).
+    `default` is _REQUIRED, None (optional, not filled in) or the value
+    filled in when the field is absent.  Numbers lie in [lo, hi], or
+    (lo, hi) when `open`; strings among `choices`."""
+
+    type: type
+    default: object = _REQUIRED
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: bool = False
+    choices: tuple = ()
+    item: object = None
+    tag: str = ""
 
 
-def _check_field_layers(d: dict, where: str) -> None:
-    """Validate upsample factors (and the optional fine-texture layer) of a
-    synthetic AR field description against its dimensions."""
-    def check_upsample(block: dict, label: str) -> None:
-        up = block.setdefault("upsample", 1)
-        if (not isinstance(up, int) or up < 1
-                or d["width"] % up or d["height"] % up):
-            raise ConfigError(
-                f"{label}.upsample must be a positive integer dividing both dimensions")
-
-    check_upsample(d, where)
-    tex = d.get("texture")
-    if tex is not None:
-        if not isinstance(tex, dict):
-            raise ConfigError(f"{where}.texture must be an object")
-        _reject_unknown(tex, _TEXTURE_KEYS, f"{where}.texture")
-        _require(tex, ("rho", "sigma"), f"{where}.texture")
-        check_upsample(tex, f"{where}.texture")
-        if not isinstance(tex.setdefault("bandpass", False), bool):
-            raise ConfigError(f"{where}.texture.bandpass must be a boolean")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", list: "a non-empty list"}
 
 
-def _require(d: dict, keys, where: str) -> None:
-    missing = sorted(k for k in keys if k not in d)
-    if missing:
-        raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
+def _describe(f: _Field) -> str:
+    if f.choices:
+        return f"one of: {', '.join(f.choices)}"
+    left, right = "()" if f.open else "[]"
+    bounded = f.lo > -math.inf or f.hi < math.inf
+    return _TYPE_NAMES[f.type] + (
+        f" in {left}{f.lo:g}, {f.hi:g}{right}" if bounded else "")
 
 
-def validate_scenario(scn: dict) -> dict:
-    """Check structure, reject unknown keys, and fill defaults.
-
-    Returns a normalised copy; raises ConfigError on any problem.
-    """
-    if not isinstance(scn, dict):
-        raise ConfigError("scenario must be a JSON object")
-    _reject_unknown(scn, _TOP_KEYS, "scenario")
-    _require(scn, ("name", "seed", "num_seeds", "source", "conditions",
-                   "schemes", "bandwidth_ratio"), "scenario")
-    out = json.loads(json.dumps(scn))  # deep copy, JSON-clean
-
-    if not isinstance(out["num_seeds"], int) or out["num_seeds"] < 1:
-        raise ConfigError("num_seeds must be a positive integer")
-    if not isinstance(out["seed"], int):
-        raise ConfigError("seed must be an integer")
-    if not (isinstance(out["bandwidth_ratio"], (int, float))
-            and out["bandwidth_ratio"] > 0):
-        raise ConfigError("bandwidth_ratio must be a positive number")
-
-    src = out["source"]
-    _reject_unknown(src, _SOURCE_KEYS, "source")
-    if src.get("type") == "ar1":
-        _require(src, ("width", "height", "rho", "sigma", "mean", "seed"),
-                 "ar1 source")
-        _check_field_layers(src, "source")
-    elif src.get("type") == "pgm":
-        _require(src, ("path",), "pgm source")
+def _check(v, f: _Field, path: str, optional: frozenset):
+    """`v` checked against `f`; raises ConfigError naming `path`.  An object
+    has its unknown keys rejected, its fields required and its defaults
+    filled in, except for names in `optional`, which are neither required
+    nor filled in.  An int field stores an integral number as an int."""
+    where = path or "scenario"
+    if f.type is dict:
+        if not isinstance(v, dict):
+            raise ConfigError(f"{where} must be an object")
+        spec = f.item
+        if f.tag:
+            name = v.get(f.tag)
+            if not isinstance(name, str) or name not in spec:
+                raise ConfigError(f"{path}.{f.tag} must be one of: "
+                                  f"{', '.join(spec)}, got {json.dumps(name)}")
+            spec = spec[name]
+        extra = sorted(set(v) - set(spec) - {f.tag})
+        if extra:
+            raise ConfigError(f"unknown {where} keys: {', '.join(extra)}")
+        missing = sorted(name for name, g in spec.items() if name not in v
+                         and g.default is _REQUIRED and name not in optional)
+        if missing:
+            raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
+        for name, g in spec.items():
+            if name in v:
+                v[name] = _check(v[name], g, f"{path}.{name}" if path else name,
+                                 optional)
+            elif g.default is not _REQUIRED and g.default is not None \
+                    and name not in optional:
+                v[name] = g.default
+        return v
+    if f.type in (int, float):
+        # bool is an int subclass but never a JSON number; the bound also
+        # rejects NaN, infinities and integers no float can hold
+        ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max
+              and (f.type is float or v == int(v)))
+        if ok:
+            v = int(v) if f.type is int else v
+            ok = f.lo < v < f.hi if f.open else f.lo <= v <= f.hi
     else:
-        raise ConfigError(f"unknown source type {src.get('type')!r}")
-
-    cond = out["conditions"]
-    _reject_unknown(cond, _COND_KEYS, "conditions")
-    _require(cond, ("kind", "values"), "conditions")
-    kind = cond["kind"]
-    if kind not in ("snr_db", "loss"):
-        raise ConfigError(f"unknown condition kind {kind!r}")
-    values = cond["values"]
-    if (not isinstance(values, list) or not values
-            or not all(isinstance(v, (int, float)) for v in values)):
-        raise ConfigError("conditions.values must be a non-empty number list")
-    if kind == "loss":
-        if not all(0.0 < v < 1.0 for v in values):
-            raise ConfigError("loss values must lie strictly between 0 and 1")
-        cond.setdefault("burst_mean", 2.0)
-        if cond["burst_mean"] < 1.0:
-            raise ConfigError("burst_mean must be >= 1")
-
-    schemes = out["schemes"]
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes must be a non-empty list")
-    labels = set()
-    need_tokens = need_fec = need_mcs = False
-    for sp in schemes:
-        _reject_unknown(sp, _SCHEME_KEYS, "scheme")
-        _require(sp, ("scheme", "label"), "scheme")
-        if sp["scheme"] not in (SCHEME_DIGITAL, SCHEME_WEAK, SCHEME_ANALOG):
-            raise ConfigError(f"unknown scheme {sp['scheme']!r}")
-        if sp["label"] in labels:
-            raise ConfigError(f"duplicate scheme label {sp['label']!r}")
-        labels.add(sp["label"])
-        if sp["scheme"] == SCHEME_DIGITAL:
-            sp.setdefault("sq_step", 16.0)
-            sp.setdefault("sq_alphabet", 256)
-            sp.setdefault("context_order", 2)
-            if kind == "snr_db":
-                _require(sp, ("est_snr_db",), "digital scheme")
-                need_mcs = True
-            else:
-                _require(sp, ("fec_multiplier",), "digital scheme")
-                mult = sp["fec_multiplier"]
-                if not (isinstance(mult, (int, float)) and float(mult).is_integer()
-                        and mult >= 1):
-                    raise ConfigError("fec_multiplier must be a positive integer")
-                sp["fec_multiplier"] = int(mult)
-                need_fec = True
-        elif sp["scheme"] == SCHEME_WEAK:
-            sp.setdefault("patch", 4)
-            sp.setdefault("codebook_size", 256)
-            sp.setdefault("context_order", 2)
-            sp.setdefault("conceal_schedule", "confidence")
-            sp.setdefault("conceal_mode", "neighborhood")
-            if sp["conceal_schedule"] not in ("confidence", "raster"):
-                raise ConfigError("conceal_schedule must be confidence or raster")
-            if sp["conceal_mode"] not in ("neighborhood", "marginal"):
-                raise ConfigError("conceal_mode must be neighborhood or marginal")
-            need_tokens = True
-            if kind == "snr_db":
-                need_mcs = True
-        elif sp["scheme"] == SCHEME_ANALOG and kind == "loss":
-            raise ConfigError("analog_jscc runs under snr_db conditions only")
-
-    if need_mcs:
-        _require(out, ("mcs_table",), "scenario")
-        table = out["mcs_table"]
-        ok = (isinstance(table, list) and table
-              and all(isinstance(e, list) and len(e) == 2
-                      and all(isinstance(x, (int, float)) for x in e)
-                      for e in table))
-        if not ok:
-            raise ConfigError("mcs_table must be a list of [efficiency, min_snr_db]")
-        snrs = [e[1] for e in table]
-        if snrs != sorted(snrs) or any(e[0] <= 0 for e in table):
-            raise ConfigError(
-                "mcs_table entries need positive efficiency and ascending min_snr_db")
-    if need_tokens:
-        out.setdefault("packets", 16)
-        if not isinstance(out["packets"], int) or out["packets"] < 2:
-            raise ConfigError("packets must be an integer >= 2")
-        _require(out, ("train",), "scenario")
-        tr = out["train"]
-        _reject_unknown(tr, _TRAIN_KEYS, "train")
-        _require(tr, ("images", "width", "height", "rho", "sigma", "mean",
-                      "seed"), "train")
-        if not isinstance(tr["images"], int) or tr["images"] < 1:
-            raise ConfigError("train.images must be a positive integer")
-        _check_field_layers(tr, "train")
-    if need_fec:
-        _require(out, ("fec",), "scenario")
-        _reject_unknown(out["fec"], _FEC_KEYS, "fec")
-        _require(out["fec"], ("k",), "fec")
-        k = out["fec"]["k"]
-        if not isinstance(k, int) or not 1 <= k <= 254:
-            raise ConfigError("fec.k must be an integer in 1..254")
-        cond.setdefault("window", k)
-    if kind == "loss":
-        cond.setdefault("window", 50)
-        if not isinstance(cond["window"], int) or cond["window"] < 1:
-            raise ConfigError("conditions.window must be a positive integer")
-    return out
+        ok = (isinstance(v, f.type) and (f.type is not list or len(v) > 0)
+              and (not f.choices or v in f.choices))
+    if not ok:
+        raise ConfigError(f"{path} must be {_describe(f)}, got {json.dumps(v)}")
+    if f.type is list:
+        return [_check(x, f.item, f"{path}[{i}]", optional)
+                for i, x in enumerate(v)]
+    return v
 
 
-def load_scenario_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            scn = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    return validate_scenario(scn)
+_TEXTURE = {"rho": _Field(float), "sigma": _Field(float),
+            "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
+_AR1 = {"width": _Field(int, lo=1), "height": _Field(int, lo=1),
+        "rho": _Field(float), "sigma": _Field(float), "mean": _Field(float),
+        "upsample": _Field(int, 1, lo=1),
+        "texture": _Field(dict, None, item=_TEXTURE)}
+_SOURCES = {"ar1": {"seed": _Field(int, lo=0), **_AR1},
+            "pgm": {"path": _Field(str)}}
+_CONDITIONS = {
+    # beyond +-1000 dB no channel is physical, and near +-3000 dB the noise
+    # power 10 ** (-snr / 10) leaves the float range
+    "snr_db": {"values": _Field(list, item=_Field(float, lo=-1000, hi=1000)),
+               "burst_mean": _Field(float, None, lo=1),
+               "window": _Field(int, None, lo=1)},
+    "loss": {"values": _Field(list, item=_Field(float, lo=0, hi=1, open=True)),
+             "burst_mean": _Field(float, 2.0, lo=1),
+             "window": _Field(int, None, lo=1)},  # default: see validate_scenario
+}
+_ORDER = _Field(int, 2, lo=0, hi=255)
+
+
+def _check_layers(d: dict, path: str) -> None:
+    """Each upsample factor of a synthetic AR field divides its dimensions."""
+    for block, where in ((d, path), (d.get("texture"), f"{path}.texture")):
+        if block is not None and (d["width"] % block["upsample"]
+                                  or d["height"] % block["upsample"]):
+            raise ConfigError(f"{where}.upsample must divide both dimensions")
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +230,7 @@ def _ar1_textured(height: int, width: int, params: dict, seed: int) -> ImageGrid
     return ImageGrid.from_float(field_ + params["mean"])
 
 
-def _build_source(src: dict) -> ImageGrid:
-    if src["type"] == "pgm":
-        return load_pgm(src["path"])
-    return _ar1_textured(src["height"], src["width"], src, src["seed"])
-
-
-def _train_images(tr: dict) -> list[ImageGrid]:
-    out = []
-    for i in range(tr["images"]):
-        seed_i = derive_seed(tr["seed"], "train-image", i)
-        out.append(_ar1_textured(tr["height"], tr["width"], tr, seed_i))
-    return out
-
-
-@dataclass
+@dataclasses.dataclass
 class WeakCode:
     """Cached token-domain encoding of the scenario source.
 
@@ -326,48 +242,41 @@ class WeakCode:
     """
 
     codebook: Codebook
-    causal: CausalContextModel
     neighbor: NeighborhoodModel
     tokens: np.ndarray
-    assignment: np.ndarray
-    packet_cells: list
+    assignment: np.ndarray  # packet of each token cell
     streams: list
-    patch: int
-
-    @property
-    def total_payload_bits(self) -> int:
-        return sum(s.payload_bits for s in self.streams)
 
 
-@dataclass
+@dataclasses.dataclass
 class SweepContext:
-    """Everything shared across the records of one scenario."""
+    """Everything shared across the records of one scenario.  `artifacts`
+    maps (scheme, its artifact field values) to the built artifact."""
 
     scenario: dict
     image: ImageGrid
     budget_symbols: int
-    fitted_vars: np.ndarray | None = None
-    analog_code: object = None
-    digital_cache: dict = field(default_factory=dict)
-    weak_cache: dict = field(default_factory=dict)
-    parity_cache: dict = field(default_factory=dict)
-    record_cache: dict = field(default_factory=dict)
+    artifacts: dict = dataclasses.field(default_factory=dict)
+    parity_cache: dict = dataclasses.field(default_factory=dict)
+    record_cache: dict = dataclasses.field(default_factory=dict)
 
 
 def build_context(scn: dict) -> SweepContext:
     scn = validate_scenario(scn)
-    image = _build_source(scn["source"])
+    src = scn["source"]
+    image = (load_pgm(src["path"]) if src["type"] == "pgm"
+             else _ar1_textured(src["height"], src["width"], src, src["seed"]))
     budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
-    ctx = SweepContext(scenario=scn, image=image, budget_symbols=budget)
-    if any(sp["scheme"] == SCHEME_ANALOG for sp in scn["schemes"]):
-        # Variances are fitted on the coded image itself: with per-block
-        # position selection they amount to a handful of numbers riding the
-        # same out-of-band metadata as the power scale, and a matched prior
-        # keeps the MMSE receiver honest at every SNR.
-        ctx.fitted_vars = _analog.jscc_fit([image])
-        ctx.analog_code = _analog.jscc_encode(image, scn["bandwidth_ratio"],
-                                              ctx.fitted_vars)
-    return ctx
+    return SweepContext(scenario=scn, image=image, budget_symbols=budget)
+
+
+def _artifact(ctx: SweepContext, sp: dict):
+    """The scheme's artifact for `sp`, built on first use."""
+    scheme = _SCHEMES[sp["scheme"]]
+    key = (sp["scheme"], *(sp[name] for name in scheme.artifact))
+    if key not in ctx.artifacts:
+        ctx.artifacts[key] = scheme.build(ctx, sp)
+    return ctx.artifacts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +321,26 @@ def digital_image(symbols: np.ndarray, height: int, width: int, step: float,
     rows, cols = height // 8, width // 8
     res = q[:, 0].reshape(rows, cols)
     dc = np.zeros_like(res)
-    for r in range(rows):
-        for c in range(cols):
-            if r == 0:
-                pred = dc[0, c - 1] if c else 0
-            elif c == 0:
-                pred = dc[r - 1, 0]
-            else:
-                pred = (dc[r - 1, c] + dc[r, c - 1]) // 2
-            dc[r, c] = res[r, c] + pred
+    diagonal = np.add.outer(np.arange(rows), np.arange(cols))
+    for d in range(rows + cols - 1):
+        # a block's prediction reads only blocks of the previous anti-diagonal
+        on = diagonal == d
+        dc[on] = res[on] + _dc_predict(dc)[on]
     q[:, 0] = dc.ravel()
     blocks = idct2(zigzag_unscan(sq_dequantize(q, step))) + 128.0
     return ImageGrid.from_float(merge_blocks(blocks, height, width))
 
 
-def _encode_digital(ctx: SweepContext, sp: dict):
-    key = (sp["sq_step"], sp["sq_alphabet"], sp["context_order"])
-    if key not in ctx.digital_cache:
-        step, alphabet, order = key
-        syms = digital_symbols(ctx.image, step, alphabet)
-        model = CausalContextModel(alphabet, order=order)
-        stream = ac_encode(syms, model, adaptive=True)
-        decoded_syms = ac_decode(stream, CausalContextModel(alphabet, order=order),
-                                 adaptive=True)
-        decoded = digital_image(decoded_syms, ctx.image.height, ctx.image.width,
-                                step, alphabet)
-        ctx.digital_cache[key] = (stream, decoded)
-    return ctx.digital_cache[key]
+def _build_digital(ctx: SweepContext, sp: dict):
+    """(adaptive stream of the source, the image it decodes to)."""
+    step, alphabet, order = sp["sq_step"], sp["sq_alphabet"], sp["context_order"]
+    syms = digital_symbols(ctx.image, step, alphabet)
+    stream = ac_encode(syms, CausalContextModel(alphabet, order=order),
+                       adaptive=True)
+    decoded_syms = ac_decode(stream, CausalContextModel(alphabet, order=order),
+                             adaptive=True)
+    return stream, digital_image(decoded_syms, ctx.image.height,
+                                 ctx.image.width, step, alphabet)
 
 
 def _fallback_image(image: ImageGrid) -> ImageGrid:
@@ -451,62 +353,48 @@ def _fallback_image(image: ImageGrid) -> ImageGrid:
 # Weak joint coding (token domain)
 
 
-def _weak_key(sp: dict):
-    return (sp["patch"], sp["codebook_size"], sp["context_order"])
-
-
-def _encode_weak(ctx: SweepContext, sp: dict) -> WeakCode:
-    key = _weak_key(sp)
-    if key in ctx.weak_cache:
-        return ctx.weak_cache[key]
+def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     scn = ctx.scenario
-    patch, ksize, order = key
-    corpus_imgs = _train_images(scn["train"])
+    tr, patch, ksize = scn["train"], sp["patch"], sp["codebook_size"]
+    corpus_imgs = [_ar1_textured(tr["height"], tr["width"], tr,
+                                 derive_seed(tr["seed"], "train-image", i))
+                   for i in range(tr["images"])]
     corpus_patches = np.concatenate(
         [extract_patches(img.samples, patch) for img in corpus_imgs], axis=0)
-    cb_seed = derive_seed(scn["train"]["seed"], "codebook")
-    codebook = vq_train(corpus_patches, ksize, iters=25, seed=cb_seed)
+    codebook = vq_train(corpus_patches, ksize, iters=25,
+                        seed=derive_seed(tr["seed"], "codebook"))
 
     def tokens_of(img: ImageGrid) -> np.ndarray:
-        tr = img.height // patch
-        tc = img.width // patch
-        return vq_encode(codebook, extract_patches(img.samples, patch)).reshape(tr, tc)
+        shape = (img.height // patch, img.width // patch)
+        return vq_encode(codebook, extract_patches(img.samples, patch)).reshape(shape)
 
     corpus_tokens = [tokens_of(img) for img in corpus_imgs]
-    causal = CausalContextModel(ksize, order=order)
+    causal = CausalContextModel(ksize, order=sp["context_order"])
     neighbor = NeighborhoodModel(ksize)
     train(causal, corpus_tokens)
     train(neighbor, corpus_tokens)
     causal.state_hash()  # hashed once here; every copy below inherits it
 
     tokens = tokens_of(ctx.image)
-    num_packets = scn["packets"]
     assignment = _conceal.strided_assignment(tokens.shape[0], tokens.shape[1],
-                                             num_packets)
-    packet_cells, streams = [], []
-    for p in range(num_packets):
-        rr, cc = np.nonzero(assignment == p)
-        packet_cells.append((rr, cc))
-        seq = tokens[rr, cc]
+                                             scn["packets"])
+    streams = []
+    for p in range(scn["packets"]):
+        seq = tokens[assignment == p]
         stream = ac_encode(seq, causal.copy(), adaptive=True)
         if not np.array_equal(ac_decode(stream, causal.copy(), adaptive=True),
                               seq):
             raise CorruptStreamError(f"packet {p} does not decode to its tokens")
         streams.append(stream)
-    code = WeakCode(codebook=codebook, causal=causal, neighbor=neighbor,
-                    tokens=tokens, assignment=assignment,
-                    packet_cells=packet_cells, streams=streams, patch=patch)
-    ctx.weak_cache[key] = code
-    return code
+    return WeakCode(codebook=codebook, neighbor=neighbor, tokens=tokens,
+                    assignment=assignment, streams=streams)
 
 
 def _weak_reconstruct(ctx: SweepContext, sp: dict, code: WeakCode,
                       delivered: set) -> ImageGrid:
     """Place the delivered packets' (verified) tokens, conceal the rest,
     inverse-VQ."""
-    missing = np.ones(code.tokens.shape, dtype=bool)
-    for p in delivered:
-        missing[code.packet_cells[p]] = False
+    missing = ~np.isin(code.assignment, sorted(delivered))
     tokens = np.where(missing, 0, code.tokens)
     grid = _conceal.TokenGrid(tokens, missing, code.codebook.size)
     if sp["conceal_mode"] == "marginal":
@@ -515,8 +403,24 @@ def _weak_reconstruct(ctx: SweepContext, sp: dict, code: WeakCode,
         filled = _conceal.conceal(grid, code.neighbor,
                                   schedule=sp["conceal_schedule"])
     patches = vq_decode(code.codebook, filled.tokens.ravel())
-    pix = assemble_patches(patches, ctx.image.height, ctx.image.width, code.patch)
+    pix = assemble_patches(patches, ctx.image.height, ctx.image.width,
+                           sp["patch"])
     return ImageGrid.from_float(pix)
+
+
+# ---------------------------------------------------------------------------
+# Analog joint coding
+
+
+def _build_analog(ctx: SweepContext, sp: dict):
+    """(fitted variances, analog code of the source).  Variances are fitted
+    on the coded image itself: with per-block position selection they amount
+    to a handful of numbers riding the same out-of-band metadata as the
+    power scale, and a matched prior keeps the MMSE receiver honest at every
+    SNR."""
+    fitted_vars = _analog.jscc_fit([ctx.image])
+    return fitted_vars, _analog.jscc_encode(
+        ctx.image, ctx.scenario["bandwidth_ratio"], fitted_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +437,8 @@ def mcs_pick(table: list, snr_db: float):
 
 
 # ---------------------------------------------------------------------------
-# Per-record runners
+# Per-record runners: runner(ctx, scheme entry, condition value), plus the
+# record's generator for a runner that draws randomness.
 
 
 def _row(label: str, condition, metrics, mcs_index=None, fec_r=None,
@@ -553,7 +458,7 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
         raise ConfigError(
             f"est_snr_db {sp['est_snr_db']} is below every mcs_table threshold")
     eff, min_snr = table[idx]
-    stream, decoded = _encode_digital(ctx, sp)
+    stream, decoded = _artifact(ctx, sp)
     bits = stream.payload_bits
     capacity = int(math.floor(ctx.budget_symbols * eff))
     ok = snr_db >= min_snr and bits <= capacity
@@ -564,7 +469,7 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
 
 
 def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
-    code = _encode_weak(ctx, sp)
+    code = _artifact(ctx, sp)
     table = ctx.scenario["mcs_table"]
     idx = mcs_pick(table, snr_db)
     capacity = (int(math.floor(ctx.budget_symbols * table[idx][0]))
@@ -582,27 +487,29 @@ def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
 
 
 def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
-    code = ctx.analog_code
+    fitted_vars, code = _artifact(ctx, sp)
     if np.any(code.symbols):
         noisy = _channel.awgn(code.symbols.ravel(), snr_db, rng)
         noisy = noisy.reshape(code.symbols.shape)
     else:
         noisy = code.symbols
-    received = _analog.AnalogCode(height=code.height, width=code.width,
-                                  positions=code.positions, scale=code.scale,
-                                  mean_offset=code.mean_offset, symbols=noisy,
-                                  budget=code.budget)
-    recon = _analog.jscc_decode(received, snr_db, ctx.fitted_vars)
+    recon = _analog.jscc_decode(dataclasses.replace(code, symbols=noisy),
+                                snr_db, fitted_vars)
     # Channel accounting charges the provisioned budget, not the m*blocks
     # symbols actually modulated, so the ratio matches the other schemes.
     m = compute_metrics(ctx.image, recon, 0, code.budget)
     return _row(sp["label"], snr_db, m)
 
 
-def _ge_params(loss: float, burst_mean: float):
-    p_bg = 1.0 / burst_mean
+def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
+    """Lost flags of `window` monitoring slots, then 255 transmission slots,
+    from a Gilbert-Elliott channel with the scenario's mean burst length
+    and a stationary loss rate of `loss`."""
+    cond = ctx.scenario["conditions"]
+    p_bg = 1.0 / cond["burst_mean"]
     p_gb = p_bg * loss / (1.0 - loss)
-    return p_gb, p_bg
+    return _channel.gilbert_elliott(cond["window"] + 255, p_gb, p_bg, 0.0, 1.0,
+                                    rng).lost
 
 
 def _fec_block(ctx: SweepContext, payload: bytes, r: int):
@@ -619,25 +526,20 @@ def _fec_block(ctx: SweepContext, payload: bytes, r: int):
 
 
 def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
-    scn = ctx.scenario
-    k = scn["fec"]["k"]
-    window = scn["conditions"]["window"]
-    burst = scn["conditions"]["burst_mean"]
-    mult = sp["fec_multiplier"]
-
-    p_gb, p_bg = _ge_params(loss, burst)
-    trace = _channel.gilbert_elliott(window + 255, p_gb, p_bg, 0.0, 1.0, rng)
-    est = _channel.interval_loss_rate(trace.lost[:window], window)[0]
+    k = ctx.scenario["fec"]["k"]
+    window = ctx.scenario["conditions"]["window"]
+    lost = _loss_trace(ctx, loss, rng)
+    est = _channel.interval_loss_rate(lost[:window], window)[0]
     lost_in_window = int(round(est * window))
     # r = ceil(mult * est * k) computed exactly in integers.
-    r = -(-mult * lost_in_window * k // window)
+    r = -(-sp["fec_multiplier"] * lost_in_window * k // window)
     r = min(r, 255 - k)
 
-    stream, decoded = _encode_digital(ctx, sp)
+    stream, decoded = _artifact(ctx, sp)
     payload = stream.payload
     packets, plen = _fec_block(ctx, payload, r)
 
-    slots = trace.lost[window:window + k + r]
+    slots = lost[window:window + k + r]
     received = [pkt for pkt, gone in zip(packets, slots) if not gone]
     realized = float(np.mean(slots))
     bits = (k + r) * plen * 8
@@ -653,43 +555,134 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
 
 
 def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
-    scn = ctx.scenario
-    code = _encode_weak(ctx, sp)
-    num_packets = scn["packets"]
-    window = scn["conditions"]["window"]
-    burst = scn["conditions"]["burst_mean"]
-    p_gb, p_bg = _ge_params(loss, burst)
-    trace = _channel.gilbert_elliott(window + 255, p_gb, p_bg, 0.0, 1.0, rng)
-    slots = trace.lost[window:window + num_packets]
-    delivered = {p for p in range(num_packets) if not slots[p]}
+    code = _artifact(ctx, sp)
+    window = ctx.scenario["conditions"]["window"]
+    slots = _loss_trace(ctx, loss, rng)[window:window + len(code.streams)]
+    delivered = {p for p, gone in enumerate(slots) if not gone}
     realized = float(np.mean(slots))
-    bits = code.total_payload_bits
+    bits = sum(s.payload_bits for s in code.streams)
     recon = _weak_reconstruct(ctx, sp, code, delivered)
     m = compute_metrics(ctx.image, recon, bits, bits)
     return _row(sp["label"], loss, m, realized_loss_rate=realized)
 
 
-# (condition kind, scheme) -> (runner, whether it draws channel randomness).
-# A runner that draws none gives the same record for every trial.
-_RUNNERS = {
-    ("snr_db", SCHEME_DIGITAL): (_run_digital_snr, False),
-    ("snr_db", SCHEME_WEAK): (_run_weak_snr, False),
-    ("snr_db", SCHEME_ANALOG): (_run_analog_snr, True),
-    ("loss", SCHEME_DIGITAL): (_run_digital_loss, True),
-    ("loss", SCHEME_WEAK): (_run_weak_loss, True),
+# ---------------------------------------------------------------------------
+# The scheme table
+
+
+class _Scheme(NamedTuple):
+    """`runs` maps a condition kind to (the sections and fields the scheme
+    needs, its runner, whether the runner draws randomness).  A runner that
+    draws none gives the same record for every trial."""
+
+    fields: dict     # field spec of the scheme's `schemes` entries
+    artifact: tuple  # the fields its artifact depends on
+    build: object    # build(ctx, scheme entry) -> the artifact
+    runs: dict
+
+
+_SCHEMES = {
+    "digital_separate": _Scheme(
+        fields={"label": _Field(str),
+                "sq_step": _Field(float, 16.0, lo=0, open=True),
+                "sq_alphabet": _Field(int, 256, lo=2, hi=65535),
+                "context_order": _ORDER, "est_snr_db": _Field(float),
+                "fec_multiplier": _Field(int, lo=1)},
+        artifact=("sq_step", "sq_alphabet", "context_order"),
+        build=_build_digital,
+        runs={"snr_db": (("mcs_table", "est_snr_db"), _run_digital_snr, False),
+              "loss": (("fec", "fec_multiplier"), _run_digital_loss, True)}),
+    "weak_jscc": _Scheme(
+        fields={"label": _Field(str),
+                "patch": _Field(int, 4, lo=1),
+                "codebook_size": _Field(int, 256, lo=2, hi=MAX_CODEWORDS),
+                "context_order": _ORDER,
+                "conceal_schedule": _Field(str, "confidence",
+                                           choices=("confidence", "raster")),
+                "conceal_mode": _Field(str, "neighborhood",
+                                       choices=("neighborhood", "marginal"))},
+        artifact=("patch", "codebook_size", "context_order"),
+        build=_build_weak,
+        runs={"snr_db": (("mcs_table", "train", "packets"), _run_weak_snr,
+                         False),
+              "loss": (("train", "packets"), _run_weak_loss, True)}),
+    "analog_jscc": _Scheme(
+        fields={"label": _Field(str)}, artifact=(),
+        build=_build_analog, runs={"snr_db": ((), _run_analog_snr, True)}),
 }
+
+_SCENARIO = _Field(dict, item={
+    "name": _Field(str), "seed": _Field(int),
+    "num_seeds": _Field(int, lo=1),
+    "bandwidth_ratio": _Field(float, lo=0, open=True),
+    "source": _Field(dict, item=_SOURCES, tag="type"),
+    "conditions": _Field(dict, item=_CONDITIONS, tag="kind"),
+    "schemes": _Field(list, item=_Field(dict, tag="scheme", item={
+        name: scheme.fields for name, scheme in _SCHEMES.items()})),
+    "mcs_table": _Field(list, item=_Field(list, item=_Field(float))),
+    "train": _Field(dict, item={"images": _Field(int, lo=1),
+                                "seed": _Field(int), **_AR1}),
+    # A weak record reads as many slots of its 255-slot loss trace.
+    "packets": _Field(int, 16, lo=2, hi=255),
+    "fec": _Field(dict, item={"k": _Field(int, lo=1, hi=254)}),
+})
+# Required (or filled in) only when a scheme needs them under the kind.
+_CONDITIONAL = frozenset(name for scheme in _SCHEMES.values()
+                         for needs, _, _ in scheme.runs.values()
+                         for name in needs)
+
+
+def validate_scenario(scn: dict) -> dict:
+    """Check structure, types and ranges, reject unknown keys, and fill
+    defaults.
+
+    Returns a normalised copy; raises ConfigError on any problem.
+    """
+    # The first pass checks every field given; the second, once the schemes
+    # and the condition kind are known, requires or fills in what they need.
+    out = _check(json.loads(json.dumps(scn)), _SCENARIO, "", _CONDITIONAL)
+    kind = out["conditions"]["kind"]
+    needed, labels = set(), set()
+    for i, sp in enumerate(out["schemes"]):
+        runs = _SCHEMES[sp["scheme"]].runs
+        if kind not in runs:
+            raise ConfigError(f"schemes[{i}]: {sp['scheme']} runs under "
+                              f"{' or '.join(runs)} conditions only")
+        if sp["label"] in labels:
+            raise ConfigError(f"duplicate scheme label {sp['label']!r}")
+        labels.add(sp["label"])
+        needed.update(runs[kind][0])
+    _check(out, _SCENARIO, "", _CONDITIONAL - needed)
+    if kind == "loss":
+        out["conditions"].setdefault(
+            "window", out["fec"]["k"] if "fec" in needed else 50)
+    table = out.get("mcs_table", [])
+    if (any(len(e) != 2 or e[0] <= 0 for e in table)
+            or [e[1] for e in table] != sorted(e[1] for e in table)):
+        raise ConfigError("mcs_table must list [efficiency > 0, min_snr_db] "
+                          "pairs in ascending min_snr_db")
+    if out["source"]["type"] == "ar1":
+        _check_layers(out["source"], "source")
+    if "train" in out:
+        _check_layers(out["train"], "train")
+    return out
+
+
+def load_scenario_file(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            scn = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    return validate_scenario(scn)
 
 
 def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
                trial: int) -> dict:
     scn = ctx.scenario
     sp = scn["schemes"][scheme_idx]
-    kind = scn["conditions"]["kind"]
     value = scn["conditions"]["values"][cond_idx]
-    entry = _RUNNERS.get((kind, sp["scheme"]))
-    if entry is None:
-        raise ConfigError("analog_jscc runs under snr_db conditions only")
-    runner, draws = entry
+    _, runner, draws = _SCHEMES[sp["scheme"]].runs[scn["conditions"]["kind"]]
     if draws:
         rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
         row = runner(ctx, sp, value, rng)

@@ -373,6 +373,7 @@ def test_compress_rejects_step_that_is_not_finite_and_positive(
     (["compress", "--input", "IMG", "--order", "300"], "order"),
     (["compress", "--input", "IMG", "--alphabet", "65536"], "alphabet"),
     (["train-codebook", "IMG", "--patch", "0"], "patch"),
+    (["compress", "--input", "IMG", "--alphabet", "40000"], "alphabet"),
 ])
 def test_parameter_the_files_cannot_hold_is_usage_error(tmp_path, sample_pgm,
                                                         argv, message):
@@ -419,3 +420,72 @@ def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
     assert code == 0, err
     assert "18 records" in err
     assert started == [5]
+
+
+def _bundled_scenario(name):
+    from importlib import resources
+    ref = resources.files("gjcodec") / "scenarios" / f"{name}.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("fig6", "conditions.burst_mean", "x", "conditions.burst_mean"),
+    ("fig6", "conditions.burst_mean", None, "conditions.burst_mean"),
+    ("fig5", "conditions", [1], "conditions"),
+    ("fig5", "source", [1], "source"),
+    ("fig5", "schemes.0", 3, "schemes[0]"),
+    ("fig5", "schemes.0.sq_step", "a", "schemes[0].sq_step"),
+    ("fig5", "schemes.1.codebook_size", "a", "schemes[1].codebook_size"),
+    ("fig5", "schemes.0.est_snr_db", "a", "schemes[0].est_snr_db"),
+    ("fig5", "schemes.0.label", [1], "schemes[0].label"),
+    ("fig5", "source.width", "a", "source.width"),
+    ("fig5", "source.sigma", "a", "source.sigma"),
+    ("fig5", "source.seed", "a", "source.seed"),
+    ("fig5", "source.seed", -1, "source.seed"),
+    ("fig5", "source.texture.rho", "a", "source.texture.rho"),
+    ("fig5", "train.width", "a", "train.width"),
+    ("fig5", "train", [1], "train"),
+    ("fig6", "fec", [1], "fec"),
+    ("fig6", "fec.k", True, "fec.k"),
+    ("fig6", "packets", 100000, "packets"),
+    ("fig5", "conditions.values", [True], "conditions.values[0]"),
+    ("fig5", "conditions.values", [6.0, 1e9], "conditions.values[1]"),
+    ("fig5", "mcs_table", [[True, 1.0]], "mcs_table[0][0]"),
+    ("fig5", "seed", True, "seed"),
+    ("fig6", "schemes.1.fec_multiplier", True, "schemes[1].fec_multiplier"),
+    ("fig5", "source", {"type": "pgm", "path": 3}, "source.path"),
+    # beyond what a codebook, and an i16 context symbol, can hold
+    ("fig5", "schemes.1.codebook_size", 40000, "schemes[1].codebook_size"),
+])
+def test_malformed_scenario_is_usage_error(tmp_path, name, path, value, field):
+    """A malformed scenario file exits 2, naming the field, before any work
+    starts.  These cases used to end in a traceback, to run, or to fail
+    later without naming the field."""
+    scn = _bundled_scenario(name)
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    node = scn
+    for p in parents:
+        node = node[p]
+    node[last] = value
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(scn))
+    code, out, err = run_cli("sweep", "--scenario", str(scenario),
+                             "--output", str(tmp_path / "x.csv"))
+    assert code == 2, err
+    assert field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("packets, expected", [(255, 0), (256, 2)])
+def test_weak_loss_packets_fit_the_loss_trace(tmp_path, packets, expected):
+    """A weak record reads one slot per packet from the 255 slots its loss
+    trace has after the monitoring window."""
+    code, out, err = run_cli(
+        "sweep", "--scenario", "fig6", "--set", "num_seeds=1",
+        "--set", "train.images=1", "--set", "conditions.values=[0.3]",
+        "--set", f"packets={packets}")
+    assert code == expected, err
+    if expected:
+        assert "packets" in err
+    else:
+        assert len(out.splitlines()) == 1 + 3

@@ -115,6 +115,11 @@ def test_alpha_floor():
     lambda: NeighborhoodModel(2 ** 15 + 1, alpha=2.0 ** 16 - 1),  # A*fp >= 2**47
     lambda: CausalContextModel(4, order=256),
     lambda: CausalContextModel(2 ** 16),
+    lambda: CausalContextModel(2 ** 16 - 1, order=0, alpha=2.0 ** 16 - 1),
+    # context symbols are i16 in the model file
+    lambda: CausalContextModel(2 ** 15 + 1, order=1),
+    lambda: CausalContextModel(40000, order=2),
+    lambda: NeighborhoodModel(2 ** 15 + 1),
 ])
 def test_model_the_file_cannot_hold_is_rejected(make):
     with pytest.raises(ParameterError):
@@ -131,6 +136,31 @@ def test_largest_model_parameters_save_and_load(tmp_path):
                                      alpha=(2 ** 31 - 1) / 2 ** 16)):
         model.save(path)
         assert load_model(path).state_hash() == model.state_hash()
+
+
+def test_largest_context_symbol_saves_and_loads(tmp_path):
+    model = CausalContextModel(2 ** 15, order=1)
+    model.update((2 ** 15 - 1,), 2 ** 15 - 1)
+    model.save(tmp_path / "m.model")
+    loaded = load_model(tmp_path / "m.model")
+    assert loaded.state_hash() == model.state_hash()
+    assert loaded.counts == model.counts
+
+
+@pytest.mark.parametrize("kind, alphabet, ctx_len", [
+    (0, 2 ** 15 + 1, 1), (0, 40000, 3), (1, 2 ** 15 + 1, 4)])
+def test_model_file_too_wide_for_its_context_symbols(tmp_path, kind, alphabet,
+                                                     ctx_len):
+    """A header whose alphabet the i16 context symbols cannot hold is a
+    malformed file, even with no entries."""
+    import struct
+
+    from gjcodec.errors import FormatError
+    path = tmp_path / "m.model"
+    path.write_bytes(b"GJCM" + struct.pack("<BBHBIQ", 1, kind, alphabet,
+                                           ctx_len, 1 << 16, 0))
+    with pytest.raises(FormatError, match="alphabet"):
+        load_model(path)
 
 
 def test_neighbor_context_borders():

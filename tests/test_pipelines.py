@@ -270,3 +270,116 @@ def test_memoised_records_match_a_fresh_context(kind, monkeypatch):
                                    and r["seed"] == trial)
     # weak records at snr_db draw nothing, so trial 2 conceals nothing new
     assert len(conceal_calls) == len(values) * (1 if kind == "snr_db" else 2)
+
+
+def _bundled(name):
+    from importlib import resources
+    ref = resources.files("gjcodec") / "scenarios" / f"{name}.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+# SHA-256 of each normalised scenario, measured before the scheme table
+# replaced the hand-written validation: every default it fills stays.
+@pytest.mark.parametrize("make,digest", [
+    (lambda: _bundled("fig5"),
+     "b13421c7e8e737d47a3975f0627b5cf63bd669278ce6e8d17c2d9e660ba3d90e"),
+    (lambda: _bundled("fig6"),
+     "24dbcc423dc1774821673828bf54fb5787efd7e55be0b58d63500207c8f380df"),
+    (_base_scenario,
+     "1bcd041554e23e41566198ed660b30bee3a970206ee64c1605d999376642a38d"),
+    (lambda: _mixed_scenario("snr_db"),
+     "fb94c3caabda78a64d068d81632c55b16bc95e5e6df6e32b5713516394f501c3"),
+    (lambda: _mixed_scenario("loss"),
+     "1a4b675aac39e4870f9289557627632a7dc199452ed403e8dab74158308ce92e"),
+], ids=["fig5", "fig6", "base", "mixed_snr_db", "mixed_loss"])
+def test_normalised_scenario_golden_digest(make, digest):
+    import hashlib
+    blob = json.dumps(validate_scenario(make()), sort_keys=True)
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == digest
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}.get(type(value), "null")
+
+
+def _json_nodes(node, path=()):
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_nodes(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6"])
+def test_value_of_another_json_type_is_rejected(name):
+    """Every value of a bundled scenario, replaced by a value of each other
+    JSON type, makes the scenario invalid."""
+    import random
+    rng = random.Random(7)
+    pools = {"string": ["", "x", "ar1", "snr_db", "weak_jscc"],
+             "number": [0, 1, -1, 2.5, 50],
+             "boolean": [True, False],
+             "null": [None],
+             "list": [[], [1], [True], [[1.0, 0.0]]],
+             "object": [{}, {"type": "ar1"}, {"k": 50}]}
+    scn = _bundled(name)
+    cases = 0
+    for path, value in _json_nodes(scn):
+        for kind, pool in pools.items():
+            if kind == _json_type(value):
+                continue
+            mutated = copy.deepcopy(scn)
+            replacement = copy.deepcopy(rng.choice(pool))
+            if path:
+                node = mutated
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = replacement
+            else:
+                mutated = replacement
+            with pytest.raises(ConfigError):
+                validate_scenario(mutated)
+            cases += 1
+    assert cases > 200
+
+
+def _reference_dc_decode(res):
+    """The per-block loop that undid the DC prediction before."""
+    rows, cols = res.shape
+    dc = np.zeros_like(res)
+    for r in range(rows):
+        for c in range(cols):
+            if r == 0:
+                pred = dc[0, c - 1] if c else 0
+            elif c == 0:
+                pred = dc[r - 1, 0]
+            else:
+                pred = (dc[r - 1, c] + dc[r, c - 1]) // 2
+            dc[r, c] = res[r, c] + pred
+    return dc
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (7, 1), (5, 8), (11, 6)])
+def test_dc_plane_decodes_like_the_per_block_loop(rows, cols, monkeypatch):
+    import gjcodec.pipelines as pipelines
+    from gjcodec.transform import symbol_to_signed
+    rng = np.random.default_rng(rows * 100 + cols)
+    dequantized = []
+    real = pipelines.sq_dequantize
+
+    def capture(q, step):
+        dequantized.append(q.copy())
+        return real(q, step)
+
+    monkeypatch.setattr(pipelines, "sq_dequantize", capture)
+    for _ in range(60):
+        alphabet = int(rng.choice([4, 64, 4096]))
+        syms = rng.integers(0, alphabet, rows * cols * 64)
+        digital_image(syms, rows * 8, cols * 8, 16.0, alphabet)
+        res = symbol_to_signed(syms[:rows * cols]).reshape(rows, cols)
+        np.testing.assert_array_equal(
+            dequantized[-1][:, 0].reshape(rows, cols), _reference_dc_decode(res))
