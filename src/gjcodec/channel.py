@@ -79,6 +79,8 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
         # Alternating geometric sojourns, drawn as interleaved batches of
         # complete (state, other) pairs until the trace is covered; appending
         # further i.i.d. batches keeps the run sequence distribution-exact.
+        # A run is clipped to n: the trace ends inside it either way, and
+        # huge (or int64-max) lengths neither allocate nor overflow the sum.
         mean_cycle = 1.0 / p_a + 1.0 / p_b
         parts: list[np.ndarray] = []
         covered = 0
@@ -87,6 +89,7 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
             pair = np.empty(2 * m, dtype=np.int64)
             pair[0::2] = g.geometric(p_a, size=m)
             pair[1::2] = g.geometric(p_b, size=m)
+            np.minimum(pair, n, out=pair)
             parts.append(pair)
             covered += int(pair.sum())
         lens = np.concatenate(parts)

@@ -103,13 +103,22 @@ def _parity_matrix(k: int) -> np.ndarray:
     return _gf_mul_mat(vand[k:], top_inv)
 
 
-def _coding_row(index: int, k: int, total: int,
-                parity_rows: np.ndarray) -> np.ndarray:
+def _coding_row(index: int, k: int, parity_rows: np.ndarray) -> np.ndarray:
     if index < k:
         row = np.zeros(k, dtype=np.uint8)
         row[index] = 1
         return row
     return parity_rows[index - k]
+
+
+@lru_cache(maxsize=128)
+def _recovery_matrix(k: int, use: tuple) -> np.ndarray:
+    """Inverse of the coding rows of the k received packets `use` (sorted
+    block indices), read-only; erasure patterns repeat across a sweep."""
+    parity_rows = _parity_matrix(k)
+    inv = _gf_mat_inv(np.stack([_coding_row(i, k, parity_rows) for i in use]))
+    inv.setflags(write=False)
+    return inv
 
 
 @dataclass
@@ -170,9 +179,7 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
     if all(i in seen for i in range(k)):
         return [seen[i] for i in range(k)]
 
-    use = sorted(seen)[:k]
-    parity_rows = _parity_matrix(k)
-    m = np.stack([_coding_row(i, k, total, parity_rows) for i in use])
+    use = tuple(sorted(seen)[:k])
     rec = np.frombuffer(b"".join(seen[i] for i in use), dtype=np.uint8)
-    data = _gf_mul_mat(_gf_mat_inv(m), rec.reshape(k, -1))
+    data = _gf_mul_mat(_recovery_matrix(k, use), rec.reshape(k, -1))
     return [row.tobytes() for row in data]

@@ -31,6 +31,8 @@ code), built on first use and cached by (scheme, its artifact fields); the
 FEC parity of each (digital payload, r); and every record whose runner draws
 no randomness (digital and weak JSCC under snr_db), computed once per
 (scheme, condition) and repeated for each trial with its own `seed`.
+With `jobs` > 1, `sweep` builds all of that except the parity in the parent
+and forks its workers from there, so they inherit it and build nothing.
 """
 
 from __future__ import annotations
@@ -702,17 +704,26 @@ _WORKER_CTX: SweepContext | None = None
 _CHUNK = 4  # tasks a worker takes at a time
 
 
-def _mp_init(scn_json: str) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = build_context(json.loads(scn_json))
-
-
 def _mp_run(task):
     return task, run_record(_WORKER_CTX, *task)
 
 
+def _built_context(scn: dict) -> SweepContext:
+    """A context with every artifact and every record that draws no
+    randomness already built, so running any task builds nothing."""
+    ctx = build_context(scn)
+    kind = ctx.scenario["conditions"]["kind"]
+    for si, sp in enumerate(ctx.scenario["schemes"]):
+        _artifact(ctx, sp)
+        if not _SCHEMES[sp["scheme"]].runs[kind][2]:
+            for ci in range(len(ctx.scenario["conditions"]["values"])):
+                run_record(ctx, si, ci, 0)
+    return ctx
+
+
 def sweep(scn: dict, jobs: int = 1) -> list[dict]:
     """Run every (scheme, condition, trial) record of a scenario."""
+    global _WORKER_CTX
     scn = validate_scenario(scn)
     tasks = [(si, ci, ti)
              for si in range(len(scn["schemes"]))
@@ -720,17 +731,25 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
              for ti in range(scn["num_seeds"])]
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    # Each worker imports and builds the whole context before its first
-    # task, so a worker that would get no chunk of tasks is never started.
-    jobs = min(jobs, -(-len(tasks) // _CHUNK))
+    jobs = min(jobs, -(-len(tasks) // _CHUNK))  # each worker gets a chunk
+    if jobs > 1:
+        import multiprocessing as mp
+        if "fork" not in mp.get_all_start_methods():
+            jobs = 1  # spawned workers would build everything again
     if jobs <= 1:
         ctx = build_context(scn)
         records = [run_record(ctx, *t) for t in tasks]
     else:
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(jobs, initializer=_mp_init,
-                                          initargs=(json.dumps(scn),)) as pool:
-            results = dict(pool.map(_mp_run, tasks, chunksize=_CHUNK))
+        # Forked workers inherit the built context copy-on-write: they only
+        # draw channels, decode FEC and conceal, none of which calls BLAS.
+        # The parent starts no thread of its own, and OpenBLAS stops its
+        # thread pool in a fork handler.
+        _WORKER_CTX = _built_context(scn)
+        try:
+            with mp.get_context("fork").Pool(jobs) as pool:
+                results = dict(pool.map(_mp_run, tasks, chunksize=_CHUNK))
+        finally:
+            _WORKER_CTX = None
         records = [results[t] for t in tasks]
     # canonical merge order, independent of how trials were executed
     records.sort(key=lambda r: (r["scheme"], r["condition"], r["seed"]))

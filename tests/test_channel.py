@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gjcodec.channel import awgn, gilbert_elliott, interval_loss_rate
+from gjcodec.channel import (ChannelTrace, as_rng, awgn, gilbert_elliott,
+                             interval_loss_rate)
 from gjcodec.errors import ParameterError
 
 
@@ -62,6 +63,76 @@ def test_gilbert_elliott_mean_burst_length():
 def test_gilbert_elliott_probability_domain():
     with pytest.raises(ParameterError):
         gilbert_elliott(10, 1.5, 0.5, 0.0, 1.0, np.random.default_rng(0))
+
+
+def _gilbert_elliott_unclipped(n, p_gb, p_bg, loss_g, loss_b, rng):
+    """Frozen copy of gilbert_elliott before sojourns were clipped to n
+    (parameter checks left out)."""
+    g = as_rng(rng)
+    pi_b = p_gb / (p_gb + p_bg)
+    state = int(g.random() < pi_b)
+    out_p = (p_gb, p_bg)
+    p_a, p_b = out_p[state], out_p[1 - state]
+    if p_a == 0.0:
+        states = np.full(n, state, dtype=np.uint8)
+    elif p_b == 0.0:
+        first = min(int(g.geometric(p_a)), n)
+        states = np.full(n, 1 - state, dtype=np.uint8)
+        states[:first] = state
+    else:
+        mean_cycle = 1.0 / p_a + 1.0 / p_b
+        parts = []
+        covered = 0
+        while covered < n:
+            m = max(16, int((n - covered) / mean_cycle * 1.25) + 16)
+            pair = np.empty(2 * m, dtype=np.int64)
+            pair[0::2] = g.geometric(p_a, size=m)
+            pair[1::2] = g.geometric(p_b, size=m)
+            parts.append(pair)
+            covered += int(pair.sum())
+        lens = np.concatenate(parts)
+        run_states = np.empty(len(lens), dtype=np.uint8)
+        run_states[0::2] = state
+        run_states[1::2] = 1 - state
+        k = int(np.searchsorted(np.cumsum(lens), n, side="left")) + 1
+        states = np.repeat(run_states[:k], lens[:k])[:n]
+    u = g.random(n)
+    lost = u < np.where(states == 0, loss_g, loss_b)
+    return ChannelTrace(states=states, lost=lost)
+
+
+@pytest.mark.parametrize("p_gb,p_bg", [
+    (0.1, 0.5), (0.5, 0.5), (1.0, 1.0), (0.01, 0.02), (1e-4, 1e-3),
+    (0.0, 0.3), (0.3, 0.0), (1.0, 0.0), (0.05 / 0.95 * 0.5, 0.5)])
+def test_gilbert_elliott_matches_unclipped_reference(p_gb, p_bg):
+    """Clipping sojourns to n changes no trace and no later draw."""
+    for n in (1, 2, 7, 64, 305, 2000):
+        for seed in range(12):
+            new_rng, old_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = gilbert_elliott(n, p_gb, p_bg, 0.1, 0.9, new_rng)
+            want = _gilbert_elliott_unclipped(n, p_gb, p_bg, 0.1, 0.9, old_rng)
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.lost.tobytes() == want.lost.tobytes()
+            assert new_rng.random() == old_rng.random()
+
+
+def test_gilbert_elliott_extreme_bursts_are_bounded(run_bounded):
+    """Mean bursts of 1e9 and 1e300 packets (sojourns far beyond the trace,
+    up to the int64 maximum) give a 305-slot trace in bounded memory."""
+    code = (
+        "from gjcodec.channel import gilbert_elliott\n"
+        "for burst in (1e9, 1e300):\n"
+        "    for loss in (0.05, 0.3, 0.9):\n"
+        "        p_bg = 1.0 / burst\n"
+        "        for seed in range(8):\n"
+        "            tr = gilbert_elliott(305, p_bg * loss / (1 - loss), p_bg,\n"
+        "                                 0.0, 1.0, seed)\n"
+        "            assert len(tr) == 305\n"
+        "            assert tr.lost.all() or not tr.lost.any()\n"
+        "print('ok')\n")
+    r = run_bounded("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "ok"
 
 
 def test_interval_loss_rate_direct_count():

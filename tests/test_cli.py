@@ -397,9 +397,8 @@ def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             started.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -420,6 +419,20 @@ def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
     assert code == 0, err
     assert "18 records" in err
     assert started == [5]
+
+
+@pytest.mark.parametrize("burst", ["1e9", "1e300"])
+def test_sweep_extreme_burst_mean_is_bounded(run_bounded, burst):
+    """A bursty-loss sweep whose mean burst dwarfs the loss trace finishes
+    in bounded time and memory: every trace is all lost or all clear."""
+    r = run_bounded("-m", "gjcodec.cli", "sweep", "--scenario", "fig6",
+                    "--set", "num_seeds=1", "--set", "train.images=1",
+                    "--set", "conditions.values=[0.05, 0.3]",
+                    "--set", f"conditions.burst_mean={burst}")
+    assert r.returncode == 0, r.stderr
+    rows = r.stdout.splitlines()[1:]
+    assert len(rows) == 3 * 2
+    assert {row.rsplit(",", 1)[1] for row in rows} <= {"0.0", "1.0"}
 
 
 def _bundled_scenario(name):

@@ -152,3 +152,22 @@ def test_parity_rows_are_a_prefix_of_one_matrix_per_k(k, totals):
                                       _reference_generator_rows(k, total))
     info = _parity_matrix.cache_info()
     assert (info.misses, info.hits) == (1, len(totals) - 1)
+
+
+def test_repeated_erasure_pattern_reuses_the_recovery_inverse(rng):
+    """The inverse is cached per (k, received indices): a repeat decodes to
+    the same bytes without inverting again, and the cached inverse is
+    read-only."""
+    from gjcodec.fec import _recovery_matrix
+    _recovery_matrix.cache_clear()
+    data = _payloads(rng, 6)
+    packets = fec_encode(data, 3)
+    kept = [p for p in packets if p.index not in (1, 4)]
+    other = _payloads(rng, 6)
+    first = fec_decode(kept, 6, 9)
+    assert fec_decode(fec_encode(other, 3)[2:], 6, 9) == other
+    again = fec_decode(kept, 6, 9)
+    assert first == again == data
+    info = _recovery_matrix.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert not _recovery_matrix(6, (0, 2, 3, 5, 6, 7)).flags.writeable

@@ -146,6 +146,50 @@ def test_sweep_worker_pool_matches_serial():
     assert records_to_csv(sweep(scn, jobs=2)) == records_to_csv(sweep(scn))
 
 
+@pytest.mark.parametrize("kind,jobs", [("loss", 2), ("loss", 4),
+                                       ("snr_db", 2)])
+def test_sweep_pool_workers_build_nothing(monkeypatch, kind, jobs):
+    """The parent builds every artifact and RNG-free record before it forks,
+    so pool workers (here up to twice as many as cores) never train, encode
+    or decode a stream."""
+    import os
+
+    import gjcodec.pipelines as pipelines
+    parent = os.getpid()
+
+    def parent_only(fn):
+        def wrapper(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError(f"{fn.__name__} ran in a pool worker")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    scn = _mixed_scenario(kind)
+    serial = records_to_csv(sweep(scn))
+    for name in ("vq_train", "train", "ac_encode", "ac_decode"):
+        monkeypatch.setattr(pipelines, name,
+                            parent_only(getattr(pipelines, name)))
+    assert records_to_csv(sweep(scn, jobs=jobs)) == serial
+    assert pipelines._WORKER_CTX is None
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    """Where fork is unavailable, --jobs falls back to the serial path
+    instead of starting workers that would rebuild everything."""
+    import multiprocessing
+
+    scn = _base_scenario()
+    serial = records_to_csv(sweep(scn))
+
+    def no_pool(method):
+        raise AssertionError(f"started a {method} pool")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert records_to_csv(sweep(scn, jobs=2)) == serial
+
+
 def test_analog_scheme_reports_budget_bandwidth():
     recs = [r for r in sweep(_base_scenario()) if r["scheme"] == "analog"]
     assert all(r["bandwidth_ratio"] == pytest.approx(51 / 1024) for r in recs)
