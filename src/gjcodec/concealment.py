@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import NEIGHBOR_OFFSETS, NeighborhoodModel, neighbor_context
+from .context import ABSENT, NEIGHBOR_OFFSETS, NeighborhoodModel
 from .errors import ParameterError
 
 
@@ -83,8 +83,7 @@ def marginal_fill(grid: TokenGrid, model: NeighborhoodModel) -> TokenGrid:
     if model.alphabet != grid.alphabet:
         raise ParameterError("model and grid alphabets differ")
     out = grid.copy()
-    fill = model.marginal().argmax()
-    out.tokens[out.missing] = fill
+    out.tokens[out.missing] = model.predict((ABSENT,) * model.arity)[0]
     out.missing[:] = False
     return out
 
@@ -104,52 +103,48 @@ def conceal(grid: TokenGrid, model: NeighborhoodModel,
         raise ParameterError(f"unknown schedule {schedule!r}")
 
     out = grid.copy()
-    tokens, missing = out.tokens, out.missing
-    rows, cols = tokens.shape
-    avail = ~missing
+    rows, cols = out.shape
+    # The grid in a one-cell ABSENT frame, flattened: cell (r, c) is
+    # (r + 1) * width + c + 1, its neighbors lie a fixed step away in
+    # context order, and a frame or missing cell reads as ABSENT.  The
+    # padded index orders cells as the raster index does.
+    width = cols + 2
+    missing = np.pad(out.missing, 1)
+    known = np.pad(np.where(out.missing, ABSENT, out.tokens), 1,
+                   constant_values=ABSENT).ravel().tolist()
+    up, left, right, down = (dr * width + dc for dr, dc in NEIGHBOR_OFFSETS)
+    holes = np.flatnonzero(missing).tolist()
 
-    def predict(r: int, c: int) -> tuple[int, int]:
-        ctx = neighbor_context(tokens, avail, r, c)
-        w, _ = model.coding_table(ctx)
-        tok = int(np.argmax(w))
-        return tok, int(w[tok])
+    def predict(j: int) -> tuple[int, int]:
+        return model.predict((known[j + up], known[j + left],
+                              known[j + right], known[j + down]))
 
     if schedule == "raster":
-        for r in range(rows):
-            for c in range(cols):
-                if missing[r, c]:
-                    tok, _ = predict(r, c)
-                    tokens[r, c] = tok
-                    avail[r, c] = True
-                    missing[r, c] = False
-        return out
+        for j in holes:
+            known[j] = predict(j)[0]
+    else:
+        # Confidence-first: lazy max-heap keyed by (-weight, cell index).
+        # Stale entries are skipped via a per-cell version counter; every
+        # version bump pushes a fresh entry, so no live cell is ever dropped.
+        hole = missing.ravel().tolist()
+        version = [0] * len(known)
+        heap = []
+        for j in holes:
+            tok, weight = predict(j)
+            heap.append((-weight, j, 0, tok))
+        heapq.heapify(heap)
+        while heap:
+            _, j, ver, tok = heapq.heappop(heap)
+            if not hole[j] or ver != version[j]:
+                continue
+            known[j] = tok
+            hole[j] = False
+            for n in (j + up, j + left, j + right, j + down):
+                if hole[n]:
+                    version[n] += 1
+                    tok, weight = predict(n)
+                    heapq.heappush(heap, (-weight, n, version[n], tok))
 
-    # Confidence-first: lazy max-heap keyed by (-weight, raster index).
-    # Stale entries are skipped via a per-cell version counter; every
-    # version bump pushes a fresh entry, so no live cell is ever dropped.
-    version = np.zeros(tokens.shape, dtype=np.int64)
-    heap: list[tuple[int, int, int, int]] = []
-
-    def push(r: int, c: int) -> None:
-        tok, wmax = predict(r, c)
-        heapq.heappush(heap, (-wmax, r * cols + c, int(version[r, c]), tok))
-
-    for r in range(rows):
-        for c in range(cols):
-            if missing[r, c]:
-                push(r, c)
-
-    while heap:
-        neg_w, flat, ver, tok = heapq.heappop(heap)
-        r, c = divmod(flat, cols)
-        if not missing[r, c] or ver != version[r, c]:
-            continue
-        tokens[r, c] = tok
-        avail[r, c] = True
-        missing[r, c] = False
-        for dr, dc in NEIGHBOR_OFFSETS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < rows and 0 <= nc < cols and missing[nr, nc]:
-                version[nr, nc] += 1
-                push(nr, nc)
+    out.tokens[:] = np.reshape(known, (rows + 2, width))[1:-1, 1:-1]
+    out.missing[:] = False
     return out

@@ -202,6 +202,27 @@ def sparse_interval(table, symbol: int) -> tuple[int, int]:
     return cum, w0 + (symbol < cut)
 
 
+def sparse_argmax(table, alphabet: int) -> tuple[int, int]:
+    """(symbol, weight) of the heaviest symbol of a sparse_pmf table over
+    `alphabet` symbols, the lowest symbol on ties, as np.argmax picks it
+    from the quantize_pmf weights.
+
+    The lowest zero-count symbol z outweighs or ties every other zero-count
+    symbol (they weigh w0 + 1 below `cut`, w0 from there on), so z and the
+    heaviest non-zero are the only candidates."""
+    idx, w, w0, cut = table
+    symbol, weight = -1, 0
+    if w:
+        weight = max(w)
+        symbol = idx[w.index(weight)]
+    if len(idx) < alphabet:
+        z = next((k for k, i in enumerate(idx) if i != k), len(idx))
+        wz = w0 + (z < cut)
+        if wz > weight or (wz == weight and z < symbol):
+            symbol, weight = z, wz
+    return symbol, weight
+
+
 def sparse_starts(table) -> list[int]:
     """The cumulative weight below each non-zero symbol of a sparse_pmf
     table, for sparse_locate on a table that is searched many times."""
@@ -304,7 +325,6 @@ class _CountModel:
         self.context_len = context_len
         self.alpha_fp = _alpha_to_fp(alpha, alphabet)
         self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._hash: int | None = None
 
     # -- counting ---------------------------------------------------------
@@ -325,8 +345,6 @@ class _CountModel:
                 _add_count(idx, cnt, s, n)
             fresh[key] = tuple(idx), tuple(cnt)
         self.counts.update(fresh)
-        for key in fresh:
-            self._tables.pop(key, None)
         self._hash = None
 
     def grid_contexts(self, grid) -> np.ndarray:
@@ -352,20 +370,21 @@ class _CountModel:
         """Hook: map a query context onto the count table that answers it."""
         return key
 
-    def coding_table(self, context) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, cumulative) for the arithmetic coder; cached per context."""
-        key = self._resolve_key(self._context_key(context))
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
+    def _table(self, key: tuple):
+        """The sparse_pmf table of the counts under a resolved key."""
         symbols, counts = self.counts.get(key, ((), ()))
+        return sparse_pmf(symbols, counts, self.alphabet, self.alpha_fp)
+
+    def coding_table(self, context) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, cumulative) over the whole alphabet, by quantize_pmf:
+        the dense reference for the sparse tables coding and concealment
+        use."""
+        symbols, counts = self.counts.get(
+            self._resolve_key(self._context_key(context)), ((), ()))
         vec = np.zeros(self.alphabet, dtype=np.int64)
         vec[list(symbols)] = counts
         w = quantize_pmf(vec, self.alpha_fp)
-        cum = np.concatenate(([0], np.cumsum(w)))
-        table = (w, cum)
-        self._tables[key] = table
-        return table
+        return w, np.concatenate(([0], np.cumsum(w)))
 
     def pmf(self, context) -> Pmf:
         return Pmf(weights=self.coding_table(context)[0].copy())
@@ -402,7 +421,6 @@ class _CountModel:
         dup = self.__class__.__new__(self.__class__)
         dup.__dict__.update(self.__dict__)
         dup.counts = dict(self.counts)
-        dup._tables = dict(self._tables)
         return dup
 
 
@@ -485,7 +503,6 @@ class AdaptiveCounts:
         model = self.model
         for key, idx, cnt in self._views.values():
             model.counts[key] = (tuple(idx), tuple(cnt))
-            model._tables.pop(key, None)
         model._hash = None
         self._views = {}
 
@@ -507,9 +524,7 @@ class StaticCounts(dict):
         self.model = model
 
     def __missing__(self, context: tuple):
-        model = self.model
-        symbols, counts = model.counts.get(model._context_key(context), ((), ()))
-        table = sparse_pmf(symbols, counts, model.alphabet, model.alpha_fp)
+        table = self.model._table(self.model._context_key(context))
         self[context] = entry = table, sparse_starts(table)
         return entry
 
@@ -543,6 +558,18 @@ class NeighborhoodModel(_CountModel):
     def __init__(self, alphabet: int, alpha: float = 1.0):
         super().__init__(alphabet, alpha, len(NEIGHBOR_OFFSETS))
         self.arity = self.context_len
+        # predict()'s results by context as passed in and by resolved key,
+        # until the counts change
+        self._predictions: dict[tuple, tuple[int, int]] = {}
+
+    def _merge(self, fresh: dict) -> None:
+        super()._merge(fresh)
+        self._predictions.clear()
+
+    def copy(self):
+        dup = super().copy()
+        dup._predictions = dict(self._predictions)
+        return dup
 
     def _context_key(self, context) -> tuple:
         key = tuple(int(s) for s in context)
@@ -579,22 +606,25 @@ class NeighborhoodModel(_CountModel):
             row_symbols.append(symbols[take])
         return np.concatenate(rows), np.concatenate(row_symbols)
 
+    def predict(self, context: tuple) -> tuple[int, int]:
+        """(most probable token, its weight) given a 4-neighborhood context:
+        np.argmax of the context's coding_table weights and the weight
+        there, found in O(non-zeros) by sparse_argmax.  Memoised per context
+        as passed in, and per resolved key (which resolves to itself), so
+        the back-off of a context and the table of a key are worked out
+        once until the counts change."""
+        memo = self._predictions
+        hit = memo.get(context)
+        if hit is None:
+            key = self._resolve_key(self._context_key(context))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = sparse_argmax(self._table(key), self.alphabet)
+            memo[context] = hit
+        return hit
+
     def marginal(self) -> Pmf:
         return self.pmf((ABSENT,) * self.arity)
-
-
-def neighbor_context(tokens: np.ndarray, available: np.ndarray,
-                     r: int, c: int) -> tuple:
-    """4-neighbor context of cell (r, c); borders and unavailable cells -> ABSENT."""
-    rows, cols = tokens.shape
-    ctx = []
-    for dr, dc in NEIGHBOR_OFFSETS:
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < rows and 0 <= cc < cols and available[rr, cc]:
-            ctx.append(int(tokens[rr, cc]))
-        else:
-            ctx.append(ABSENT)
-    return tuple(ctx)
 
 
 def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
@@ -640,10 +670,13 @@ def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
         raise ParameterError("grid must be a non-empty 1-D or 2-D array")
     if g.min() < 0 or g.max() >= model.alphabet:
         raise ParameterError(f"tokens outside alphabet [0, {model.alphabet})")
+    tables = {}  # resolved key -> its sparse_pmf table
     total = 0.0
     for key, sym in zip(model.grid_contexts(g).tolist(), g.ravel().tolist()):
-        w, _ = model.coding_table(key)
-        total += PMF_BITS - np.log2(int(w[sym]))
+        key = model._resolve_key(model._context_key(key))
+        if key not in tables:
+            tables[key] = model._table(key)
+        total += PMF_BITS - np.log2(sparse_interval(tables[key], sym)[1])
     return float(total / g.size)
 
 

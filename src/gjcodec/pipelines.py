@@ -112,9 +112,11 @@ def _describe(f: _Field) -> str:
     if f.choices:
         return f"one of: {', '.join(f.choices)}"
     left, right = "()" if f.open else "[]"
+    lo, hi = (str(int(x)) if f.type is int and math.isfinite(x) else f"{x:g}"
+              for x in (f.lo, f.hi))
     bounded = f.lo > -math.inf or f.hi < math.inf
     return _TYPE_NAMES[f.type] + (
-        f" in {left}{f.lo:g}, {f.hi:g}{right}" if bounded else "")
+        f" in {left}{lo}, {hi}{right}" if bounded else "")
 
 
 def _check(v, f: _Field, path: str, optional: frozenset):
@@ -170,7 +172,13 @@ def _check(v, f: _Field, path: str, optional: frozenset):
 
 _TEXTURE = {"rho": _Field(float), "sigma": _Field(float),
             "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
-_AR1 = {"width": _Field(int, lo=1), "height": _Field(int, lo=1),
+# Size bounds: see "Scenario files" in README.md.
+_MAX_SIDE = 4096
+_MAX_TRAIN_IMAGES = 64
+_MAX_SEEDS = 10_000
+_MAX_WINDOW = 10 ** 6
+_AR1 = {"width": _Field(int, lo=1, hi=_MAX_SIDE),
+        "height": _Field(int, lo=1, hi=_MAX_SIDE),
         "rho": _Field(float), "sigma": _Field(float), "mean": _Field(float),
         "upsample": _Field(int, 1, lo=1),
         "texture": _Field(dict, None, item=_TEXTURE)}
@@ -181,10 +189,11 @@ _CONDITIONS = {
     # power 10 ** (-snr / 10) leaves the float range
     "snr_db": {"values": _Field(list, item=_Field(float, lo=-1000, hi=1000)),
                "burst_mean": _Field(float, None, lo=1),
-               "window": _Field(int, None, lo=1)},
+               "window": _Field(int, None, lo=1, hi=_MAX_WINDOW)},
     "loss": {"values": _Field(list, item=_Field(float, lo=0, hi=1, open=True)),
              "burst_mean": _Field(float, 2.0, lo=1),
-             "window": _Field(int, None, lo=1)},  # default: see validate_scenario
+             # default: see validate_scenario
+             "window": _Field(int, None, lo=1, hi=_MAX_WINDOW)},
 }
 _ORDER = _Field(int, 2, lo=0, hi=255)
 
@@ -615,14 +624,15 @@ _SCHEMES = {
 
 _SCENARIO = _Field(dict, item={
     "name": _Field(str), "seed": _Field(int),
-    "num_seeds": _Field(int, lo=1),
+    "num_seeds": _Field(int, lo=1, hi=_MAX_SEEDS),
     "bandwidth_ratio": _Field(float, lo=0, open=True),
     "source": _Field(dict, item=_SOURCES, tag="type"),
     "conditions": _Field(dict, item=_CONDITIONS, tag="kind"),
     "schemes": _Field(list, item=_Field(dict, tag="scheme", item={
         name: scheme.fields for name, scheme in _SCHEMES.items()})),
     "mcs_table": _Field(list, item=_Field(list, item=_Field(float))),
-    "train": _Field(dict, item={"images": _Field(int, lo=1),
+    "train": _Field(dict, item={"images": _Field(int, lo=1,
+                                                 hi=_MAX_TRAIN_IMAGES),
                                 "seed": _Field(int), **_AR1}),
     # A weak record reads as many slots of its 255-slot loss trace.
     "packets": _Field(int, 16, lo=2, hi=255),

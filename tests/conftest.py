@@ -1,6 +1,24 @@
 import numpy as np
 import pytest
 
+from gjcodec.context import ABSENT, NEIGHBOR_OFFSETS
+
+
+def neighbor_context(tokens: np.ndarray, available: np.ndarray,
+                     r: int, c: int) -> tuple:
+    """4-neighbor context of cell (r, c), cell by cell: borders and
+    unavailable cells -> ABSENT.  The reference the per-cell training,
+    cross-entropy and concealment walks of the tests read contexts with."""
+    rows, cols = tokens.shape
+    ctx = []
+    for dr, dc in NEIGHBOR_OFFSETS:
+        rr, cc = r + dr, c + dc
+        if 0 <= rr < rows and 0 <= cc < cols and available[rr, cc]:
+            ctx.append(int(tokens[rr, cc]))
+        else:
+            ctx.append(ABSENT)
+    return tuple(ctx)
+
 
 @pytest.fixture
 def rng():

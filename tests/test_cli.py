@@ -469,6 +469,16 @@ def _bundled_scenario(name):
     ("fig5", "source", {"type": "pgm", "path": 3}, "source.path"),
     # beyond what a codebook, and an i16 context symbol, can hold
     ("fig5", "schemes.1.codebook_size", 40000, "schemes[1].codebook_size"),
+    # sizes that ended in a MemoryError traceback or ran for minutes
+    ("fig5", "num_seeds", 10 ** 9, "num_seeds"),
+    ("fig6", "num_seeds", 1e9, "num_seeds"),
+    ("fig5", "source.width", 10 ** 9, "source.width"),
+    ("fig6", "source.height", 10 ** 9, "source.height"),
+    ("fig5", "train.width", 10 ** 9, "train.width"),
+    ("fig6", "train.height", 10 ** 9, "train.height"),
+    ("fig6", "train.images", 10 ** 9, "train.images"),
+    ("fig6", "conditions.window", 10 ** 9, "conditions.window"),
+    ("fig5", "conditions.window", 10 ** 9, "conditions.window"),
 ])
 def test_malformed_scenario_is_usage_error(tmp_path, name, path, value, field):
     """A malformed scenario file exits 2, naming the field, before any work

@@ -1,5 +1,8 @@
+import heapq
+
 import numpy as np
 import pytest
+from conftest import neighbor_context
 
 from gjcodec.concealment import (TokenGrid, apply_loss_mask, conceal,
                                  marginal_fill, strided_assignment)
@@ -141,3 +144,97 @@ def test_neighborhood_beats_marginal_on_correlated_grids():
         acc_m = (marginal_fill(g, model).tokens[holes] == truth[holes]).mean()
         better += acc_n > acc_m
     assert better >= 8
+
+
+def _reference_conceal(grid, model, schedule="confidence"):
+    """conceal as a numpy cell walk that prices each context with its
+    dense coding_table, kept frozen as the oracle for the list walk."""
+    out = grid.copy()
+    tokens, missing = out.tokens, out.missing
+    rows, cols = tokens.shape
+    avail = ~missing
+
+    def predict(r, c):
+        w, _ = model.coding_table(neighbor_context(tokens, avail, r, c))
+        tok = int(np.argmax(w))
+        return tok, int(w[tok])
+
+    if schedule == "raster":
+        for r in range(rows):
+            for c in range(cols):
+                if missing[r, c]:
+                    tokens[r, c] = predict(r, c)[0]
+                    avail[r, c] = True
+                    missing[r, c] = False
+        return out
+    version = np.zeros(tokens.shape, dtype=np.int64)
+    heap = []
+
+    def push(r, c):
+        tok, wmax = predict(r, c)
+        heapq.heappush(heap, (-wmax, r * cols + c, int(version[r, c]), tok))
+
+    for r in range(rows):
+        for c in range(cols):
+            if missing[r, c]:
+                push(r, c)
+    while heap:
+        _, flat, ver, tok = heapq.heappop(heap)
+        r, c = divmod(flat, cols)
+        if not missing[r, c] or ver != version[r, c]:
+            continue
+        tokens[r, c] = tok
+        avail[r, c] = True
+        missing[r, c] = False
+        for dr, dc in ((-1, 0), (0, -1), (0, 1), (1, 0)):
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < rows and 0 <= nc < cols and missing[nr, nc]:
+                version[nr, nc] += 1
+                push(nr, nc)
+    return out
+
+
+def test_conceal_matches_the_dense_reference():
+    """Both schedules fill every grid as the dense per-cell walk does, on
+    seeded models (alphabets 2-256, alpha 0.01-300, smooth and noisy
+    corpora) and grids of every shape up to 13x13 and loss fraction."""
+    rng = np.random.default_rng(99)
+    grids = 0
+    for t in range(80):
+        a = int(rng.choice([2, 3, 8, 16, 256]))
+        alpha = float(rng.choice([0.01, 0.5, 1.0, 4.0, 300.0]))
+        corpus = [rng.integers(0, a, (int(rng.integers(1, 12)),
+                                      int(rng.integers(1, 12))))
+                  for _ in range(int(rng.integers(1, 4)))]
+        if t % 2:
+            corpus = [np.cumsum(g, axis=1) % a for g in corpus]
+        model = train(NeighborhoodModel(a, alpha), corpus)
+        for _ in range(3):
+            shape = (int(rng.integers(1, 14)), int(rng.integers(1, 14)))
+            g = _grid(rng.integers(0, a, shape),
+                      rng.random(shape) < rng.random(), alphabet=a)
+            for schedule in ("confidence", "raster"):
+                out = conceal(g, model, schedule)
+                ref = _reference_conceal(g, model, schedule)
+                np.testing.assert_array_equal(out.tokens, ref.tokens)
+                assert not out.missing.any()
+            grids += 1
+    assert grids >= 200
+
+
+def test_concealment_builds_no_dense_table(monkeypatch):
+    """Concealment and marginal filling predict from sparse tables: they
+    never call coding_table or quantize_pmf."""
+    import gjcodec.context as context
+
+    def dense(*args):
+        raise AssertionError("dense table built")
+
+    model = _trained_model()
+    monkeypatch.setattr(NeighborhoodModel, "coding_table", dense)
+    monkeypatch.setattr(context, "quantize_pmf", dense)
+    g = apply_loss_mask(_grid(_ar1_tokens(11)), {0, 2},
+                        strided_assignment(16, 16, 4))
+    for schedule in ("confidence", "raster"):
+        assert not conceal(g, model, schedule).missing.any()
+    assert not marginal_fill(g, model).missing.any()

@@ -2,11 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import neighbor_context
 
 from gjcodec.context import (ABSENT, PMF_BITS, PMF_TOTAL, AdaptiveCounts,
                              CausalContextModel, NeighborhoodModel,
-                             cross_entropy, load_model, neighbor_context,
-                             quantize_pmf, train)
+                             cross_entropy, load_model, quantize_pmf, train)
 from gjcodec.errors import ParameterError
 
 
@@ -357,6 +357,73 @@ def test_sparse_pmf_excess_branch(counts, alpha_fp):
     _assert_sparse_matches(counts, alpha_fp)
 
 
+def test_predict_is_the_dense_argmax():
+    """sparse_argmax and predict() give np.argmax of the quantize_pmf
+    weights (the lowest symbol on ties) and its weight, on seeded random
+    sparse counts that reach every case: an empty context, a full alphabet,
+    tied non-zeros, a zero-count symbol tying the heaviest non-zero from
+    either side, and the excess branch where w0 is floored to 1."""
+    from gjcodec.context import sparse_argmax, sparse_pmf
+    rng = np.random.default_rng(17)
+    ctx = (ABSENT,) * 4
+    reached = set()
+    for _ in range(1500):
+        a = int(rng.choice([2, 3, 5, 16, 256, 300]))
+        alpha_fp = int(rng.choice([1, 1 << 8, 3 << 14, 1 << 16, 1 << 20,
+                                   1 << 24, (1 << 32) - 1]))
+        if a * alpha_fp >= 1 << 47:
+            continue
+        nnz = int(rng.integers(0, (a if rng.random() < 0.5 else min(a, 6)) + 1))
+        c = np.zeros(a, dtype=np.int64)
+        high = int(rng.choice([2, 4, 1000, 10 ** 6, 10 ** 9]))
+        c[rng.choice(a, nnz, replace=False)] = rng.integers(1, high, nnz)
+        w = quantize_pmf(c, alpha_fp)
+        best = int(np.argmax(w))
+        nz = np.flatnonzero(c)
+        table = sparse_pmf(nz.tolist(), c[nz].tolist(), a, alpha_fp)
+        assert sparse_argmax(table, a) == (best, int(w[best]))
+        model = NeighborhoodModel(a, alpha=alpha_fp / PMF_TOTAL)
+        if nnz:
+            model.counts[ctx] = (tuple(nz.tolist()), tuple(c[nz].tolist()))
+        assert model.predict(ctx) == (best, int(w[best]))
+        top = w == w.max()
+        num = c * PMF_TOTAL + alpha_fp
+        reached.update(name for name, hit in (
+            ("empty", nnz == 0),
+            ("full", nnz == a),
+            ("non-zeros tie", (top & (c > 0)).sum() > 1),
+            ("zero-count wins a tie", c[best] == 0 and (top & (c > 0)).any()),
+            ("non-zero wins a tie", c[best] > 0 and (top & (c == 0)).any()),
+            ("excess", np.maximum(num * PMF_TOTAL // int(num.sum()), 1).sum()
+             > PMF_TOTAL)) if hit)
+    assert reached == {"empty", "full", "non-zeros tie",
+                       "zero-count wins a tie", "non-zero wins a tie",
+                       "excess"}
+
+
+def test_predict_memo_follows_the_counts(rng):
+    """train() and update() on top of a model clear its predictions; a copy
+    predicts from its own memo, so training the copy leaves the original's
+    predictions as they were."""
+    marginal = (ABSENT,) * 4
+    m = train(NeighborhoodModel(8), [np.full((6, 6), 3)])
+    assert m.predict(marginal)[0] == 3
+    dup = m.copy()
+    train(dup, [np.full((9, 9), 5)])
+    assert dup.predict(marginal)[0] == 5
+    assert m.predict(marginal)[0] == 3
+    train(m, [np.full((9, 9), 6)])
+    assert m.predict(marginal)[0] == 6
+    for _ in range(200):
+        m.update(marginal, 1)
+    assert m.predict(marginal)[0] == 1
+    grid = rng.integers(0, 8, (7, 7))
+    train(m, [grid])
+    for ctx in m.counts:
+        w = m.coding_table(ctx)[0]
+        assert m.predict(ctx) == (int(np.argmax(w)), int(w.max()))
+
+
 def test_adaptive_counts_price_like_update_then_coding_table(rng):
     """code() and decode() give the coding_table interval of the counts so
     far, and commit() leaves the state that one update() per symbol does."""
@@ -366,7 +433,6 @@ def test_adaptive_counts_price_like_update_then_coding_table(rng):
     hist, seen = (), []
     for s in rng.integers(0, 40, 600).tolist() + [39, 39, 39]:
         seen.append(hist)
-        coded.coding_table(hist)  # a cached table commit() must drop
         w, cum = ref.coding_table(hist)
         expect = (int(cum[s]), int(w[s]))
         assert enc.code(hist, s) == expect

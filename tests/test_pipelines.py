@@ -342,6 +342,31 @@ def test_normalised_scenario_golden_digest(make, digest):
     assert hashlib.sha256(blob.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, path, bound", [
+    ("fig5", ("num_seeds",), 10_000),
+    ("fig5", ("source", "width"), 4096),
+    ("fig5", ("source", "height"), 4096),
+    ("fig5", ("train", "width"), 4096),
+    ("fig5", ("train", "height"), 4096),
+    ("fig5", ("train", "images"), 64),
+    ("fig5", ("conditions", "window"), 10 ** 6),
+    ("fig6", ("conditions", "window"), 10 ** 6),
+])
+def test_size_bounds_are_inclusive(name, path, bound):
+    """A size at its bound validates; one more is a ConfigError naming the
+    field and the range."""
+    scn = _bundled(name)
+    node = scn
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bound
+    assert validate_scenario(scn) is not None
+    node[path[-1]] = bound + 1
+    with pytest.raises(ConfigError, match=rf"{'.'.join(path)} must be an "
+                                          rf"integer in \[1, {bound}\]"):
+        validate_scenario(scn)
+
+
 def _json_type(value):
     if isinstance(value, bool):
         return "boolean"
