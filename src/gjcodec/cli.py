@@ -142,8 +142,15 @@ def _cmd_decompress(args) -> int:
     else:
         model = CausalContextModel(alphabet, order=order)
         adaptive = True
-    syms = ac_decode(stream, model, adaptive=adaptive)
-    save_pgm(digital_image(syms, height, width, step, alphabet), args.output)
+    try:
+        syms = ac_decode(stream, model, adaptive=adaptive)
+        image = digital_image(syms, height, width, step, alphabet)
+    except GjcError:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise FormatError(f"stream cannot be decoded: "
+                          f"{type(exc).__name__}: {exc}") from None
+    save_pgm(image, args.output)
     print(f"{args.input}: restored {height}x{width} image", file=sys.stderr)
     return 0
 

@@ -308,7 +308,8 @@ class _CountModel:
 
     The symbols ascend and every count is non-zero; a context with no counts
     has no entry.  Entries are replaced, never changed in place, so copies
-    of a model share them.
+    of a model share them, and so do the contexts with equal counts after
+    train or load_model.
     """
 
     kind: int
@@ -338,23 +339,29 @@ class _CountModel:
         self._merge({key: ((int(symbol),), (1,))})
 
     def _merge(self, fresh: dict) -> None:
-        """Add `fresh` (context -> entry, as in `counts`) to the counts."""
-        for key in fresh.keys() & self.counts.keys():
-            idx, cnt = map(list, self.counts[key])
-            for s, n in zip(*fresh[key]):
-                _add_count(idx, cnt, s, n)
-            fresh[key] = tuple(idx), tuple(cnt)
-        self.counts.update(fresh)
+        """Add `fresh` (context -> entry, as in `counts`) to the counts; a
+        model with no counts yet adopts `fresh` itself."""
+        if not self.counts:
+            self.counts = fresh
+        else:
+            for key in fresh.keys() & self.counts.keys():
+                idx, cnt = map(list, self.counts[key])
+                for s, n in zip(*fresh[key]):
+                    _add_count(idx, cnt, s, n)
+                fresh[key] = tuple(idx), tuple(cnt)
+            self.counts.update(fresh)
         self._hash = None
 
     def grid_contexts(self, grid) -> np.ndarray:
-        """(cells, context_len) int64 keys: row i is the context of the i-th
-        cell of a 2-D token grid in raster order, ABSENT off the grid."""
+        """(cells, context_len) int16 keys: row i is the context of the i-th
+        cell of a 2-D token grid in raster order, ABSENT off the grid.  A
+        model with context positions has an alphabet of at most 2**15, so
+        its context symbols fit."""
         grid = np.asarray(grid, dtype=np.int64)
         rows, cols = grid.shape
         pad = max((abs(d) for off in self.offsets for d in off), default=0)
         padded = np.pad(grid, pad, constant_values=ABSENT)
-        keys = np.empty((rows * cols, self.context_len), dtype=np.int64)
+        keys = np.empty((rows * cols, self.context_len), dtype=np.int16)
         for j, (dr, dc) in enumerate(self.offsets):
             keys[:, j] = padded[pad + dr:pad + dr + rows,
                                 pad + dc:pad + dc + cols].ravel()
@@ -642,18 +649,41 @@ def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
         rows.append(model._training_rows(g.astype(np.int64, copy=False)))
     keys, symbols = (np.concatenate(part) for part in zip(*rows))
     # Sort the rows by context, then symbol: each context is one run of
-    # rows, and each of its symbols one run within it.
+    # rows, and each of its symbols one run within it.  Training sets the
+    # peak memory of a sweep, so no array outlives its use.
+    del rows
     order = np.lexsort((symbols, *keys.T[::-1]))
     keys, symbols = keys[order], symbols[order]
+    del order
     new_context = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
     starts = np.flatnonzero(new_context | np.r_[True, symbols[1:] != symbols[:-1]])
-    counts = np.diff(starts, append=len(symbols)).tolist()
-    symbols = symbols[starts].tolist()
-    firsts = np.flatnonzero(new_context[starts]).tolist()
-    model._merge({tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
-                  for key, lo, hi in zip(keys[starts[firsts]].tolist(), firsts,
-                                         firsts[1:] + [len(starts)])})
+    firsts = np.flatnonzero(new_context[starts])
+    model._merge(_count_dict(keys[starts[firsts]], symbols[starts],
+                             np.diff(starts, append=len(symbols)),
+                             np.diff(firsts, append=len(starts))))
     return model
+
+
+def _count_dict(contexts: np.ndarray, symbols: np.ndarray, counts: np.ndarray,
+                sizes: np.ndarray) -> dict:
+    """The counts dict of (symbol, count) runs sorted by context, then
+    symbol: context i, the i-th row of `contexts`, holds the next sizes[i]
+    runs.
+
+    Key tuples come from per-column lists, with no list per row, and every
+    context with the same (symbols, counts) pair gets the same entry tuple,
+    so a model holds each distinct pair once.  Entries are never changed
+    in place, so sharing them is as safe as copy() sharing them."""
+    columns = [column.tolist() for column in contexts.T]
+    keys = zip(*columns) if columns else [()] * len(sizes)
+    symbols, counts = symbols.tolist(), counts.tolist()
+    shared, out = {}, {}
+    hi = 0
+    for key, n in zip(keys, sizes.tolist()):
+        lo, hi = hi, hi + n
+        entry = tuple(symbols[lo:hi]), tuple(counts[lo:hi])
+        out[key] = shared.setdefault(entry, entry)
+    return out
 
 
 def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
@@ -751,7 +781,5 @@ def _checked_counts(entries: np.ndarray, alphabet: int, scaled_alpha: int):
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     if counts.max() >= limit or np.add.reduceat(counts, starts).max() >= limit:
         raise FormatError("model: the counts of a context total too much")
-    bounds = starts.tolist() + [len(entries)]
-    symbols, counts = symbols.tolist(), counts.tolist()
-    return {tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
-            for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])}
+    return _count_dict(keys[starts], symbols, counts,
+                       np.diff(starts, append=len(entries)))

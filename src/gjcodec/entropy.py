@@ -32,6 +32,7 @@ u16 alphabet, u32 symbol count, u64 model state hash, then the payload as
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -190,6 +191,24 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
                      cost_bits=_ideal_cost(widths))
 
 
+def _max_symbols(payload_bytes: int, alphabet: int) -> int:
+    """The most symbols a payload of `payload_bytes` bytes can code over an
+    alphabet of `alphabet` symbols.
+
+    Each coded symbol shrinks the range by at least a factor
+    1 - (A-1)(2**16-1)/2**32: a symbol below the top one keeps
+    r * width <= range * (2**16-A+1) / 2**16 of it, and the top one, which
+    also takes the subdivision remainder, range - r * low with low >= A-1
+    and r = range >> 16 >= (range - 2**16 + 1) / 2**16, range >= 2**32.
+    The range starts at 2**64 and ends at or above 2**32, and each
+    renormalisation multiplies it by 2**16 and emits two payload bytes, so
+    n * delta <= 32 + 8 * bytes, with delta = -log2 of that factor (rounded
+    down here, so float rounding cannot reject a valid stream)."""
+    shrink = (alphabet - 1) * 0xFFFF / _TWO32   # exact in a float
+    delta = -math.log1p(-shrink) / math.log(2) * (1 - 2 ** -20)
+    return math.floor((8 * payload_bytes + 32) / delta)
+
+
 class _WordReader:
     """Serves 16-bit words from the payload, zero-padding past the end."""
 
@@ -214,7 +233,9 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
 
     Raises ModelMismatchError if the model state hash differs from the one
     recorded at encode time, and CorruptStreamError if the payload length is
-    inconsistent with the decoded symbol count (e.g. truncation).
+    inconsistent with the decoded symbol count (e.g. truncation), before
+    decoding anything if the payload is too short to hold that many
+    symbols.
     """
     pricer = _pricer(model, adaptive)
     if model.alphabet != stream.alphabet:
@@ -232,6 +253,9 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
             raise CorruptStreamError(
                 f"stream: empty sequence carries {len(payload)} payload bytes")
         return np.zeros(0, dtype=np.int64)
+    if n > _max_symbols(len(payload), model.alphabet):
+        raise CorruptStreamError(
+            f"stream: {len(payload)} payload bytes cannot hold {n} symbols")
 
     reader = _WordReader(payload)
     c = 0

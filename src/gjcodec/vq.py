@@ -146,7 +146,9 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
     mean update, clusters that lost all members are re-seeded from the
     training vectors with the highest quantization distortion.  The recorded
     per-iteration mean distortion (measured at assignment time) is
-    non-increasing.
+    non-increasing.  Once an assignment repeats with no cluster empty, the
+    centres are a fixed point: training stops there and repeats the last
+    distortion up to `iters` entries, as running on would.
 
     Assignments and distortions come from `_nearest`, whose GEMM screen
     only prunes candidates and whose direct-difference form decides, and
@@ -183,15 +185,25 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
     c = np.array(centers)
 
     history = []
+    previous = None
     for _ in range(iters):
         assign, per_point = _nearest(x, c)
         history.append(float(per_point.mean()))
+        counts = np.bincount(assign, minlength=k)
+        # Fixed point: the centres are the means of the previous assignment
+        # (no cluster was empty, so none was re-seeded); if it recurs, the
+        # mean update reproduces them bit for bit, and so does every later
+        # iteration, each recording this distortion again.
+        if (previous is not None and counts.all()
+                and np.array_equal(assign, previous)):
+            history += history[-1:] * (iters - len(history))
+            break
+        previous = assign
         # Mean update.  Each cluster's members are a contiguous run of the
         # stably sorted vectors, in training order, and each run gets the
         # reduction `mean(axis=0)` runs, so means match a boolean-mask mean
         # bit for bit (`np.add.reduceat` sums in another order).
         new_c = c.copy()
-        counts = np.bincount(assign, minlength=k)
         members = x[np.argsort(assign, kind="stable")]
         ends = np.cumsum(counts)
         filled = np.nonzero(counts)[0]

@@ -247,6 +247,52 @@ def test_hostile_container_rejected_before_decoding(tmp_path, sample_pgm,
     assert message in err
 
 
+def test_header_consistent_giant_container_is_bounded(tmp_path, sample_pgm,
+                                                     run_bounded):
+    """A 65528x65528 container whose headers agree (4,293,918,784 symbols)
+    but whose payload is that of a 32x32 image exits 4 at once: the decoder
+    bounds the symbol count by the payload before it allocates."""
+    import time
+    comp = tmp_path / "img.gjc"
+    assert run_cli("compress", "--input", str(sample_pgm),
+                   "--output", str(comp))[0] == 0
+    blob = bytearray(comp.read_bytes())
+    head = dict(zip(_FIELDS, _HEADERS.unpack_from(blob)))
+    head.update(height=65528, width=65528, n_symbols=65528 * 65528)
+    _HEADERS.pack_into(blob, 0, *(head[f] for f in _FIELDS))
+    comp.write_bytes(bytes(blob))
+    assert head["alphabet"] == 256
+
+    start = time.perf_counter()
+    code, _, err = run_cli("decompress", "--input", str(comp),
+                           "--output", str(tmp_path / "out.pgm"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and "cannot hold" in err
+    r = run_bounded("-m", "gjcodec.cli", "decompress", "--input", str(comp),
+                    "--output", str(tmp_path / "out.pgm"))
+    assert r.returncode == 4 and "cannot hold" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("error", [MemoryError(), ValueError("bad shape")])
+def test_decode_failures_are_format_errors(tmp_path, sample_pgm, monkeypatch,
+                                           error):
+    """A MemoryError or ValueError on the decode path exits 4, not 1."""
+    import gjcodec.cli as cli
+    comp = tmp_path / "img.gjc"
+    assert run_cli("compress", "--input", str(sample_pgm),
+                   "--output", str(comp))[0] == 0
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "ac_decode", fail)
+    code, _, err = run_cli("decompress", "--input", str(comp),
+                           "--output", str(tmp_path / "out.pgm"))
+    assert code == 4
+    assert type(error).__name__ in err
+
+
 def test_entry_point_runs_as_subprocess():
     r = subprocess.run([sys.executable, "-m", "gjcodec.cli", "--help"],
                        capture_output=True, text=True)

@@ -7,6 +7,7 @@ from conftest import neighbor_context
 from gjcodec.context import (ABSENT, PMF_BITS, PMF_TOTAL, AdaptiveCounts,
                              CausalContextModel, NeighborhoodModel,
                              cross_entropy, load_model, quantize_pmf, train)
+from gjcodec.entropy import ac_encode
 from gjcodec.errors import ParameterError
 
 
@@ -789,3 +790,182 @@ def test_save_of_loaded_model_rewrites_the_file(tmp_path, rng, factory):
     fresh = loaded.copy()
     fresh._hash = None
     assert loaded.state_hash() == fresh.state_hash()
+
+
+# -- frozen copies of train and _checked_counts as they built the counts dict
+# before entries were shared: int64 rows, one (symbols, counts) pair of
+# tuples per context, merged into the model's own dict --
+
+def _frozen_rows(model, grid):
+    grid = np.asarray(grid, dtype=np.int64)
+    rows, cols = grid.shape
+    pad = max((abs(d) for off in model.offsets for d in off), default=0)
+    padded = np.pad(grid, pad, constant_values=ABSENT)
+    keys = np.empty((rows * cols, model.context_len), dtype=np.int64)
+    for j, (dr, dc) in enumerate(model.offsets):
+        keys[:, j] = padded[pad + dr:pad + dr + rows,
+                            pad + dc:pad + dc + cols].ravel()
+    symbols = grid.ravel()
+    if isinstance(model, CausalContextModel):
+        return keys, symbols
+    present = keys != ABSENT
+    parts, part_symbols = [], []
+    for m in range(1 << model.arity):
+        keep = np.array([m >> i & 1 for i in range(model.arity)], dtype=bool)
+        take = present[:, keep].all(axis=1)
+        parts.append(np.where(keep, keys[take], ABSENT))
+        part_symbols.append(symbols[take])
+    return np.concatenate(parts), np.concatenate(part_symbols)
+
+
+def _frozen_train(model, corpus):
+    rows = [_frozen_rows(model, g) for g in corpus]
+    keys, symbols = (np.concatenate(part) for part in zip(*rows))
+    order = np.lexsort((symbols, *keys.T[::-1]))
+    keys, symbols = keys[order], symbols[order]
+    new_context = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    starts = np.flatnonzero(new_context | np.r_[True, symbols[1:] != symbols[:-1]])
+    counts = np.diff(starts, append=len(symbols)).tolist()
+    symbols = symbols[starts].tolist()
+    firsts = np.flatnonzero(new_context[starts]).tolist()
+    fresh = {tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
+             for key, lo, hi in zip(keys[starts[firsts]].tolist(), firsts,
+                                    firsts[1:] + [len(starts)])}
+    for key in fresh.keys() & model.counts.keys():
+        merged = dict(zip(*model.counts[key]))
+        for s, n in zip(*fresh[key]):
+            merged[s] = merged.get(s, 0) + n
+        fresh[key] = tuple(sorted(merged)), tuple(v for _, v in sorted(merged.items()))
+    model.counts.update(fresh)
+    model._hash = None
+    return model
+
+
+def _frozen_checked_counts(entries, alphabet, scaled_alpha):
+    from gjcodec.context import _MAX_SCALED_TOTAL
+    from gjcodec.errors import FormatError
+    keys = entries["context"].astype(np.int64)
+    symbols, counts = entries["symbol"], entries["count"]
+    if symbols.max() >= alphabet:
+        raise FormatError(f"model: entry symbol {symbols.max()} outside alphabet")
+    if not counts.all():
+        raise FormatError("model: zero count")
+    if keys.size and ((keys < ABSENT) | (keys >= alphabet)).any():
+        raise FormatError(
+            f"model: context symbol outside [{ABSENT}, {alphabet})")
+    step = np.diff(np.column_stack((keys, symbols)), axis=0)
+    first = (step != 0).argmax(axis=1)
+    if (step[np.arange(len(step)), first] <= 0).any():
+        raise FormatError("model: entries are not strictly ascending in "
+                          "(context, symbol)")
+    limit = -(-(_MAX_SCALED_TOTAL - scaled_alpha) // PMF_TOTAL)
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    if counts.max() >= limit or np.add.reduceat(counts, starts).max() >= limit:
+        raise FormatError("model: the counts of a context total too much")
+    bounds = starts.tolist() + [len(entries)]
+    symbols, counts = symbols.tolist(), counts.tolist()
+    return {tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
+            for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])}
+
+
+def _file_entries(path, context_len):
+    from gjcodec.context import _MODEL_HEAD_SIZE
+    dtype = np.dtype([("context", "<i2", (context_len,)), ("symbol", "<u2"),
+                      ("count", "<u8")])
+    return np.frombuffer(path.read_bytes()[_MODEL_HEAD_SIZE:], dtype)
+
+
+def _assert_each_pair_stored_once(model):
+    entries = list(model.counts.values())
+    assert len({id(v) for v in entries}) == len(set(entries))
+
+
+def _skewed_corpus(rng, alphabet):
+    """Seeded grids mixing uniform tokens with a few frequent ones, so that
+    many contexts hold the same (symbols, counts) pair."""
+    skewed = (rng.geometric(0.5, (24, 20)) - 1) % alphabet
+    return [rng.integers(0, alphabet, (1, 1)), rng.integers(0, alphabet, (9, 1)),
+            rng.integers(0, alphabet, (7, 11)), skewed]
+
+
+@pytest.mark.parametrize("kind, alphabet", [
+    *((order, a) for order in range(4) for a in (2, 256, 32768)),
+    (0, 65535),
+    *(("neighborhood", a) for a in (2, 3, 16, 256, 1024)),
+])
+def test_train_and_load_match_the_frozen_count_dict(tmp_path, kind, alphabet):
+    """train and load_model build the counts dict of the frozen code, with
+    the same saved bytes and state_hash, alone and on top of earlier
+    training, and store each distinct (symbols, counts) pair once."""
+    rng = np.random.default_rng(alphabet + 7 * (kind == "neighborhood"))
+    corpus, more = _skewed_corpus(rng, alphabet), _skewed_corpus(rng, alphabet)
+    got, ref = _fresh(kind, alphabet), _fresh(kind, alphabet)
+    train(got, corpus)
+    _frozen_train(ref, corpus)
+    assert got.counts == ref.counts
+    _assert_each_pair_stored_once(got)
+    if kind == "neighborhood" or (kind and alphabet == 256):
+        assert len(set(got.counts.values())) < len(got.counts)
+    train(got, more)
+    _frozen_train(ref, more)
+    assert got.counts == ref.counts
+    assert got.state_hash() == ref.state_hash()
+    for model, name in ((got, "got"), (ref, "ref")):
+        model.save(tmp_path / name)
+    blob = (tmp_path / "got").read_bytes()
+    assert blob == (tmp_path / "ref").read_bytes()
+    loaded = load_model(tmp_path / "got")
+    assert loaded.counts == _frozen_checked_counts(
+        _file_entries(tmp_path / "got", got.context_len), alphabet,
+        alphabet * got.alpha_fp)
+    assert loaded.counts == ref.counts
+    assert loaded.state_hash() == ref.state_hash()
+    _assert_each_pair_stored_once(loaded)
+
+
+def _two_contexts_sharing_an_entry(model):
+    by_entry = {}
+    for key, entry in model.counts.items():
+        by_entry.setdefault(id(entry), []).append(key)
+    return next(keys[:2] for keys in by_entry.values() if len(keys) > 1)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: CausalContextModel(16, order=1, alpha=0.5),
+    lambda: NeighborhoodModel(16, alpha=2.0),
+], ids=["causal", "neighborhood"])
+def test_shared_entries_carry_no_change_across_contexts_or_models(factory):
+    """An update of one of two contexts that share an entry, an adaptive
+    pass committed on a copy and training into a copy each leave the other
+    context and the original model as they were."""
+    # order 1: contexts (3,) and (4,) both hold ((5,), (1,))
+    m = train(factory(), [np.array([[3, 5, 9], [4, 5, 9], [0, 0, 1]])])
+    before, digest = dict(m.counts), m.state_hash()
+    one, other = _two_contexts_sharing_an_entry(m)
+    shared = m.counts[other]
+
+    dup = m.copy()
+    dup.update(one, 15)
+    assert dup.counts[one] != shared
+    assert dup.counts[other] is shared and shared == before[other]
+
+    if isinstance(m, CausalContextModel):
+        dup = m.copy()
+        ac_encode([3, 15, 15, 0, 15], dup, adaptive=True)
+        assert dup.counts[(3,)] != before[(3,)]
+        assert dup.counts[(4,)] is before[(4,)]
+
+    dup = m.copy()
+    train(dup, [np.full((3, 4), 5)])
+    assert dup.state_hash() != digest
+
+    empty = factory()
+    fresh = empty.copy()
+    train(fresh, [np.full((3, 4), 15)])
+    assert empty.counts == {} and fresh.counts
+
+    assert m.counts == before
+    assert all(m.counts[k] is before[k] for k in before)
+    assert m.state_hash() == digest
+    m._hash = None
+    assert m.state_hash() == digest

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gjcodec.context import CausalContextModel, train
-from gjcodec.entropy import (Bitstream, ac_decode, ac_encode,
+from gjcodec.entropy import (Bitstream, _max_symbols, ac_decode, ac_encode,
                              sequence_cost_bits)
 from gjcodec.errors import (CorruptStreamError, ModelMismatchError,
                             ParameterError)
@@ -86,6 +86,44 @@ def test_truncated_stream_detected(rng):
     blob = ac_encode(syms, model).to_bytes()
     with pytest.raises(CorruptStreamError):
         ac_decode(Bitstream.from_bytes(blob[:-1]), model)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("alphabet", [2, 32, 256])
+@pytest.mark.parametrize("top", [False, True])
+def test_extreme_streams_fit_the_payload_bound(alphabet, top, adaptive):
+    """The cheapest streams there are, 2e5 copies of one symbol coded with
+    counts that favour it as much as a PMF can (static) or ever more
+    (adaptive), pass the decoder's payload bound and decode.  The top
+    symbol also takes the subdivision remainder."""
+    n, sym = 200_000, alphabet - 1 if top else 0
+    model = CausalContextModel(alphabet, order=0)
+    if not adaptive:
+        train(model, [np.full((1, n), sym)])
+    stream = ac_encode([sym] * n, model.copy(), adaptive=adaptive)
+    assert n <= _max_symbols(len(stream.payload), alphabet)
+    out = ac_decode(stream, model.copy(), adaptive=adaptive)
+    assert len(out) == n and (out == sym).all()
+
+
+def test_symbol_count_beyond_the_payload_is_rejected_unread(monkeypatch):
+    """A symbol count the payload cannot hold is corrupt before the decoder
+    allocates or prices anything."""
+    import gjcodec.entropy as entropy
+    model = CausalContextModel(256, order=2)
+    stream = ac_encode(np.arange(100) % 256, model.copy(), adaptive=True)
+    limit = _max_symbols(len(stream.payload), 256)
+    assert 100 < limit < 2 ** 32 - 1
+
+    def never(*args, **kwargs):
+        raise AssertionError("the decoder ran")
+
+    monkeypatch.setattr(entropy.np, "empty", never)
+    monkeypatch.setattr(entropy.AdaptiveCounts, "decode", never)
+    for count in (limit + 1, 2 ** 32 - 1):
+        stream.n_symbols = count
+        with pytest.raises(CorruptStreamError, match="cannot hold"):
+            ac_decode(stream, model.copy(), adaptive=True)
 
 
 def test_model_mismatch_detected(rng):

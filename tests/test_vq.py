@@ -111,6 +111,59 @@ def test_vq_train_matches_reference_bit_for_bit(shape, k, seed, reseeds):
     assert cb.distortion_history == ref_hist
 
 
+def _fixed_point_corpus(name):
+    """(vectors, k, seed) of a seeded corpus for the early-stop test."""
+    rng = np.random.default_rng(5)
+    if name == "blobs":
+        centres = rng.normal(0, 50, (8, 4))
+        return centres[rng.integers(0, 8, 400)] + rng.normal(0, 1, (400, 4)), 8, 1
+    if name == "ar1_patches":
+        from gjcodec.pipelines import _ar1_textured
+        img = _ar1_textured(64, 64, {"rho": 0.9, "sigma": 26.0, "mean": 120.0},
+                            7)
+        return extract_patches(img.samples, 4), 32, 2
+    if name == "heavy_tails":
+        return np.random.default_rng(3).standard_t(1, (400, 16)), 128, 3
+    if name == "integer_ties":
+        return rng.integers(0, 5, (500, 3)).astype(np.float64), 20, 4
+    if name == "one_dim":
+        return rng.normal(0, 10, (500, 1)), 20, 5
+    # -0.0 and 0.0 are distinct starting centres at distance 0 from each
+    # other: one cluster stays empty while the assignment repeats, so the
+    # fixed point is not reached there (found by a seeded search)
+    x = np.array([-0.0, -7.0, 4.0, -0.0, -3.0, 37.0, -3.0, 0.0, -1.0, 1.0,
+                  0.0, 0.0, 2.0, -0.0, -1.0, 0.0, 0.0, 1.0, -0.0, 4.0, -0.0,
+                  0.0]).reshape(11, 2)
+    return x, 7, 219
+
+
+@pytest.mark.parametrize("name, stops, reseeds", [
+    ("blobs", True, False),
+    ("ar1_patches", True, False),
+    ("heavy_tails", True, True),
+    ("integer_ties", True, False),
+    ("one_dim", True, False),
+    ("empty_while_repeating", True, True),
+])
+def test_vq_train_stops_at_its_fixed_point(monkeypatch, name, stops, reseeds):
+    """Training that stops once an assignment repeats with no cluster empty
+    gives the codebook and the 25-entry distortion history of every
+    iteration run, bit for bit."""
+    import gjcodec.vq as vq
+    x, k, seed = _fixed_point_corpus(name)
+    ref_c, ref_hist, reseeded = _reference_vq_train(x, k, 25, seed)
+    assert (reseeded > 0) == reseeds
+    calls = []
+    nearest = vq._nearest
+    monkeypatch.setattr(vq, "_nearest",
+                        lambda *a: calls.append(1) or nearest(*a))
+    cb = vq_train(x, k, iters=25, seed=seed)
+    np.testing.assert_array_equal(cb.vectors.view(np.uint32),
+                                  ref_c.view(np.uint32))
+    assert cb.distortion_history == ref_hist
+    assert (len(calls) < 25) == stops
+
+
 def test_vq_train_peak_memory_is_bounded():
     """Training allocates O(block * K), not an (N, K, dim) difference array
     (one 2048-row chunk of which is 64 MB at this size)."""
