@@ -21,7 +21,7 @@ from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
 from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import ConfigError, FormatError, GjcError, ParameterError
-from .pipelines import (CSV_COLUMNS, build_context, digital_image,
+from .pipelines import (_MAX_SIDE, CSV_COLUMNS, build_context, digital_image,
                         digital_symbols, load_scenario_file, records_to_csv,
                         run_record, sweep, validate_scenario)
 from .sources import load_pgm, save_pgm
@@ -78,6 +78,9 @@ def _apply_sets(scn: dict, assignments: list[str]) -> dict:
 
 def _cmd_compress(args) -> int:
     image = load_pgm(_open_input(args.input))
+    if max(image.height, image.width) > _MAX_SIDE:
+        raise ConfigError(f"image size {image.height}x{image.width}: a side "
+                          f"above {_MAX_SIDE} cannot be compressed")
     if args.model:
         model = load_model(_open_input(args.model))
         if not isinstance(model, CausalContextModel):
@@ -120,6 +123,10 @@ def _cmd_decompress(args) -> int:
     if height == 0 or width == 0 or height % 8 or width % 8:
         raise FormatError(
             f"image size {height}x{width} is not a positive multiple of 8")
+    # bounds the decode to 4096**2 symbols, whatever the payload admits
+    if max(height, width) > _MAX_SIDE:
+        raise FormatError(f"image size {height}x{width}: a container cannot "
+                          f"hold a side above {_MAX_SIDE}")
     if not (math.isfinite(step) and step > 0):
         raise FormatError(f"quantizer step {step} is not a positive number")
     if alphabet < 2:

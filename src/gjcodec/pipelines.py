@@ -28,11 +28,13 @@ Work that does not depend on a record's channel draw is done once per
 `SweepContext`: each artifact (digital stream and decoded image; weak-JSCC
 codebook, models and packets, each packet decoded and verified once; analog
 code), built on first use and cached by (scheme, its artifact fields); the
-FEC parity of each (digital payload, r); and every record whose runner draws
-no randomness (digital and weak JSCC under snr_db), computed once per
+FEC block of each digital payload, encoded once with as many parity packets
+as any loss scheme sending it can ask for; and every record whose runner
+draws no randomness (digital and weak JSCC under snr_db), computed once per
 (scheme, condition) and repeated for each trial with its own `seed`.
-With `jobs` > 1, `sweep` builds all of that except the parity in the parent
-and forks its workers from there, so they inherit it and build nothing.
+With `jobs` > 1, `sweep` builds all of that in the parent, then runs one
+share of the records there and forks a child for each other share, so the
+children inherit everything and build nothing.
 """
 
 from __future__ import annotations
@@ -262,13 +264,14 @@ class WeakCode:
 @dataclasses.dataclass
 class SweepContext:
     """Everything shared across the records of one scenario.  `artifacts`
-    maps (scheme, its artifact field values) to the built artifact."""
+    maps (scheme, its artifact field values) to the built artifact, and
+    ("fec", scheme, its artifact field values) to the FEC block of a digital
+    payload."""
 
     scenario: dict
     image: ImageGrid
     budget_symbols: int
     artifacts: dict = dataclasses.field(default_factory=dict)
-    parity_cache: dict = dataclasses.field(default_factory=dict)
     record_cache: dict = dataclasses.field(default_factory=dict)
 
 
@@ -281,12 +284,16 @@ def build_context(scn: dict) -> SweepContext:
     return SweepContext(scenario=scn, image=image, budget_symbols=budget)
 
 
+def _artifact_key(sp: dict) -> tuple:
+    artifact = _SCHEMES[sp["scheme"]].artifact
+    return (sp["scheme"], *(sp[name] for name in artifact))
+
+
 def _artifact(ctx: SweepContext, sp: dict):
     """The scheme's artifact for `sp`, built on first use."""
-    scheme = _SCHEMES[sp["scheme"]]
-    key = (sp["scheme"], *(sp[name] for name in scheme.artifact))
+    key = _artifact_key(sp)
     if key not in ctx.artifacts:
-        ctx.artifacts[key] = scheme.build(ctx, sp)
+        ctx.artifacts[key] = _SCHEMES[sp["scheme"]].build(ctx, sp)
     return ctx.artifacts[key]
 
 
@@ -523,17 +530,24 @@ def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
                                     rng).lost
 
 
-def _fec_block(ctx: SweepContext, payload: bytes, r: int):
-    """(packets, packet length) of `payload` split into k data packets plus
-    r parity packets; cached per (payload, r)."""
-    key = (payload, r)
-    if key not in ctx.parity_cache:
+def _fec_block(ctx: SweepContext, sp: dict):
+    """(packets, packet length) of the digital payload of `sp` split into k
+    data packets plus the most parity packets, min(255 - k, multiplier * k),
+    that any loss scheme sending that payload can ask for.  The parity rows
+    for r are a prefix of those for any larger r, so a record sends the
+    first k + r packets and each payload is encoded once."""
+    key = ("fec", *_artifact_key(sp))
+    if key not in ctx.artifacts:
         k = ctx.scenario["fec"]["k"]
+        r = max(min(255 - k, other["fec_multiplier"] * k)
+                for other in ctx.scenario["schemes"]
+                if _artifact_key(other) == key[1:])
+        payload = _artifact(ctx, sp)[0].payload
         plen = max(1, -(-len(payload) // k))
         padded = payload.ljust(k * plen, b"\x00")
         data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
-        ctx.parity_cache[key] = (_fec.fec_encode(data, r), plen)
-    return ctx.parity_cache[key]
+        ctx.artifacts[key] = (_fec.fec_encode(data, r), plen)
+    return ctx.artifacts[key]
 
 
 def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
@@ -548,10 +562,10 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
 
     stream, decoded = _artifact(ctx, sp)
     payload = stream.payload
-    packets, plen = _fec_block(ctx, payload, r)
+    packets, plen = _fec_block(ctx, sp)
 
     slots = lost[window:window + k + r]
-    received = [pkt for pkt, gone in zip(packets, slots) if not gone]
+    received = [pkt for pkt, gone in zip(packets[:k + r], slots) if not gone]
     realized = float(np.mean(slots))
     bits = (k + r) * plen * 8
     try:
@@ -710,30 +724,80 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
 # Sweep driver
 
 
-_WORKER_CTX: SweepContext | None = None
-_CHUNK = 4  # tasks a worker takes at a time
-
-
-def _mp_run(task):
-    return task, run_record(_WORKER_CTX, *task)
+_CHUNK = 4  # one process for each started chunk of this many records
 
 
 def _built_context(scn: dict) -> SweepContext:
-    """A context with every artifact and every record that draws no
+    """A context with every artifact, FEC block and record that draws no
     randomness already built, so running any task builds nothing."""
     ctx = build_context(scn)
     kind = ctx.scenario["conditions"]["kind"]
     for si, sp in enumerate(ctx.scenario["schemes"]):
         _artifact(ctx, sp)
+        if kind == "loss" and sp["scheme"] == "digital_separate":
+            _fec_block(ctx, sp)
         if not _SCHEMES[sp["scheme"]].runs[kind][2]:
             for ci in range(len(ctx.scenario["conditions"]["values"])):
                 run_record(ctx, si, ci, 0)
     return ctx
 
 
+def _run_share(ctx: SweepContext, share: list, conn) -> None:
+    """A child's body: send {task: record} of its share, or the exception
+    that stopped it."""
+    try:
+        result = {t: run_record(ctx, *t) for t in share}
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _fan_out(ctx: SweepContext, tasks: list, jobs: int, fork) -> dict:
+    """{task: record} over `jobs` processes: the parent runs the first of
+    `jobs` interleaved shares itself, beside a child forked for each other
+    share.  A child gets the built context by fork, never pickled, and
+    sends its records back over its own one-way pipe.  Children draw
+    channels, decode FEC and conceal, none of which calls BLAS; the parent
+    starts no thread of its own, and OpenBLAS stops its thread pool in a
+    fork handler."""
+    shares = [tasks[i::jobs] for i in range(jobs)]
+    children = []
+    try:
+        for share in shares[1:]:
+            recv_end, send_end = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_share, args=(ctx, share, send_end))
+            child.start()
+            # the parent holds no send end, so a child that dies unreported
+            # ends its pipe, and later children inherit no earlier send end
+            send_end.close()
+            children.append((child, recv_end))
+        results = {t: run_record(ctx, *t) for t in shares[0]}
+        for child, recv_end in children:
+            try:
+                got = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"sweep child process exited with code {child.exitcode} "
+                    f"before sending its records") from None
+            if isinstance(got, Exception):
+                raise got
+            results.update(got)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # none is left blocked on a full pipe
+        raise
+    finally:
+        for child, recv_end in children:
+            child.join()
+            recv_end.close()
+    return results
+
+
 def sweep(scn: dict, jobs: int = 1) -> list[dict]:
-    """Run every (scheme, condition, trial) record of a scenario."""
-    global _WORKER_CTX
+    """Run every (scheme, condition, trial) record of a scenario on `jobs`
+    processes."""
     scn = validate_scenario(scn)
     tasks = [(si, ci, ti)
              for si in range(len(scn["schemes"]))
@@ -741,25 +805,17 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
              for ti in range(scn["num_seeds"])]
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, -(-len(tasks) // _CHUNK))  # each worker gets a chunk
+    jobs = min(jobs, -(-len(tasks) // _CHUNK))
     if jobs > 1:
         import multiprocessing as mp
         if "fork" not in mp.get_all_start_methods():
-            jobs = 1  # spawned workers would build everything again
+            jobs = 1  # spawned children would build everything again
     if jobs <= 1:
         ctx = build_context(scn)
         records = [run_record(ctx, *t) for t in tasks]
     else:
-        # Forked workers inherit the built context copy-on-write: they only
-        # draw channels, decode FEC and conceal, none of which calls BLAS.
-        # The parent starts no thread of its own, and OpenBLAS stops its
-        # thread pool in a fork handler.
-        _WORKER_CTX = _built_context(scn)
-        try:
-            with mp.get_context("fork").Pool(jobs) as pool:
-                results = dict(pool.map(_mp_run, tasks, chunksize=_CHUNK))
-        finally:
-            _WORKER_CTX = None
+        results = _fan_out(_built_context(scn), tasks, jobs,
+                           mp.get_context("fork"))
         records = [results[t] for t in tasks]
     # canonical merge order, independent of how trials were executed
     records.sort(key=lambda r: (r["scheme"], r["condition"], r["seed"]))

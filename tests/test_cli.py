@@ -274,6 +274,66 @@ def test_header_consistent_giant_container_is_bounded(tmp_path, sample_pgm,
     assert "Traceback" not in r.stderr
 
 
+def test_small_alphabet_giant_container_is_bounded(tmp_path, sample_pgm,
+                                                   run_bounded, monkeypatch):
+    """A 22360x22360 container over A = 2 symbols whose headers agree
+    (499,969,600 symbols), with a 1.4 KB payload, passes the payload bound,
+    which is loose at small alphabets.  The side bound rejects it with exit
+    4 at once, before the decoder runs."""
+    import time
+
+    import gjcodec.cli as cli
+    from gjcodec.entropy import _max_symbols
+    comp = tmp_path / "img.gjc"
+    assert run_cli("compress", "--input", str(sample_pgm), "--output",
+                   str(comp), "--alphabet", "2")[0] == 0
+    blob = bytearray(comp.read_bytes())
+    assert len(blob) - _HEADERS.size < 1400
+    head = dict(zip(_FIELDS, _HEADERS.unpack_from(blob)))
+    head.update(height=22360, width=22360, n_symbols=22360 * 22360)
+    _HEADERS.pack_into(blob, 0, *(head[f] for f in _FIELDS))
+    comp.write_bytes(bytes(blob).ljust(_HEADERS.size + 1400, b"\x00"))
+    assert _max_symbols(1400, 2) >= 22360 * 22360
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized container reached the decoder")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "ac_decode", never)
+        start = time.perf_counter()
+        code, _, err = run_cli("decompress", "--input", str(comp),
+                               "--output", str(tmp_path / "out.pgm"))
+        assert time.perf_counter() - start < 1.0
+    assert code == 4 and "above 4096" in err
+    r = run_bounded("-m", "gjcodec.cli", "decompress", "--input", str(comp),
+                    "--output", str(tmp_path / "out.pgm"))
+    assert r.returncode == 4 and "above 4096" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("height, width, code", [
+    (8, 4096, 0), (4096, 8, 0), (8, 4104, 2), (4104, 8, 2)])
+def test_compress_bounds_the_image_side(tmp_path, height, width, code):
+    """Sides up to 4096 compress and decompress; a larger one exits 2 and
+    writes nothing."""
+    rng = np.random.default_rng(height + width)
+    src = tmp_path / "wide.pgm"
+    save_pgm(ImageGrid(rng.integers(0, 256, (height, width), dtype=np.uint8)),
+             src)
+    comp = tmp_path / "wide.gjc"
+    got, _, err = run_cli("compress", "--input", str(src), "--output",
+                          str(comp), "--order", "0", "--alphabet", "16")
+    assert got == code, err
+    if code:
+        assert "above 4096" in err and not comp.exists()
+        return
+    rest = tmp_path / "wide_hat.pgm"
+    assert run_cli("decompress", "--input", str(comp), "--output",
+                   str(rest))[0] == 0
+    assert load_pgm(rest).samples.shape == (height, width)
+
+
 @pytest.mark.parametrize("error", [MemoryError(), ValueError("bad shape")])
 def test_decode_failures_are_format_errors(tmp_path, sample_pgm, monkeypatch,
                                            error):
@@ -434,37 +494,30 @@ def test_parameter_the_files_cannot_hold_is_usage_error(tmp_path, sample_pgm,
 
 
 def test_sweep_starts_no_idle_worker(tmp_path, monkeypatch):
-    """--jobs 100 on an 18-record sweep starts one worker per chunk of four
-    tasks (five), checked with a pool that records its size and runs the
-    tasks in this process."""
-    import multiprocessing
+    """--jobs 100 on an 18-record sweep runs on one process per chunk of
+    four records: the parent and four forked children, each running its
+    share of three or four records."""
+    import os
+    from collections import Counter
 
     import gjcodec.pipelines as pipelines
-    started = []
+    ran = tmp_path / "ran"
+    ran.mkdir()
+    real = pipelines.run_record
 
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
+    def run_record(ctx, *task):
+        (ran / f"{os.getpid()}-{'-'.join(map(str, task))}").touch()
+        return real(ctx, *task)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return [fn(t) for t in tasks]
-
-    class SerialContext:
-        Pool = SerialPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
-    monkeypatch.setattr(pipelines, "_WORKER_CTX", None)
+    monkeypatch.setattr(pipelines, "run_record", run_record)
     code, _, err = run_cli("sweep", "--scenario", "fig5", "--set", "num_seeds=1",
                            "--jobs", "100", "--output", str(tmp_path / "a.csv"))
     assert code == 0, err
     assert "18 records" in err
-    assert started == [5]
+    per_process = Counter(int(p.name.split("-")[0]) for p in ran.iterdir())
+    assert len(per_process) == 5 and os.getpid() in per_process
+    children = [n for pid, n in per_process.items() if pid != os.getpid()]
+    assert sorted(children) == [3, 3, 4, 4]
 
 
 @pytest.mark.parametrize("burst", ["1e9", "1e300"])

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -149,10 +151,12 @@ def test_sweep_worker_pool_matches_serial():
 @pytest.mark.parametrize("kind,jobs", [("loss", 2), ("loss", 4),
                                        ("snr_db", 2)])
 def test_sweep_pool_workers_build_nothing(monkeypatch, kind, jobs):
-    """The parent builds every artifact and RNG-free record before it forks,
-    so pool workers (here up to twice as many as cores) never train, encode
-    or decode a stream."""
+    """The parent builds every artifact, FEC block and RNG-free record before
+    it forks, so child processes (here up to twice as many as cores) never
+    train, encode or decode a stream, nor encode parity; and the sweep keeps
+    no reference to the built context once it returns."""
     import os
+    import weakref
 
     import gjcodec.pipelines as pipelines
     parent = os.getpid()
@@ -160,17 +164,27 @@ def test_sweep_pool_workers_build_nothing(monkeypatch, kind, jobs):
     def parent_only(fn):
         def wrapper(*args, **kwargs):
             if os.getpid() != parent:
-                raise AssertionError(f"{fn.__name__} ran in a pool worker")
+                raise AssertionError(f"{fn.__name__} ran in a child process")
             return fn(*args, **kwargs)
         return wrapper
 
     scn = _mixed_scenario(kind)
     serial = records_to_csv(sweep(scn))
-    for name in ("vq_train", "train", "ac_encode", "ac_decode"):
-        monkeypatch.setattr(pipelines, name,
-                            parent_only(getattr(pipelines, name)))
+    for module, name in [(pipelines, "vq_train"), (pipelines, "train"),
+                         (pipelines, "ac_encode"), (pipelines, "ac_decode"),
+                         (pipelines._fec, "fec_encode")]:
+        monkeypatch.setattr(module, name, parent_only(getattr(module, name)))
+    built = []
+    real_built = pipelines._built_context
+
+    def remember(scn):
+        ctx = real_built(scn)
+        built.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(pipelines, "_built_context", remember)
     assert records_to_csv(sweep(scn, jobs=jobs)) == serial
-    assert pipelines._WORKER_CTX is None
+    assert len(built) == 1 and built[0]() is None
 
 
 def test_sweep_without_fork_runs_serially(monkeypatch):
@@ -284,8 +298,144 @@ def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
     # each weak packet once, plus the one check decode of the digital stream
     assert sorted(decoded_alphabets) == [16] * 4 + [32]
     assert trained_hashes == [16]
+    # one block for the payload both digital schemes send, with the parity
+    # of the larger multiplier: min(255 - k, 4 * k) for k = 10
     used_r = {r["fec_r"] for r in recs if r["fec_r"] is not None}
-    assert sorted(fec_blocks) == sorted(used_r)
+    assert fec_blocks == [40] and max(used_r) <= 40
+
+
+def test_loss_sweep_encodes_parity_once_per_payload(monkeypatch):
+    """Each distinct digital payload is FEC-encoded once, with the parity of
+    the largest multiplier among the schemes that send it."""
+    import gjcodec.pipelines as pipelines
+    scn = _mixed_scenario("loss")
+    coarse = dict(scn["schemes"][1], label="coarse_30x", sq_step=40.0,
+                  fec_multiplier=30)
+    scn["schemes"].append(coarse)
+    blocks = []
+    real = pipelines._fec.fec_encode
+
+    def fec_encode(data, r):
+        blocks.append((b"".join(data), r))
+        return real(data, r)
+
+    monkeypatch.setattr(pipelines._fec, "fec_encode", fec_encode)
+    recs = sweep(scn, jobs=1)
+    assert len({data for data, _ in blocks}) == len(blocks) == 2
+    # k = 10: the 1x/4x payload gets 4 * k parity packets, the 30x one
+    # 255 - k, the most a block can hold
+    assert sorted(r for _, r in blocks) == [40, 245]
+    assert max(r["fec_r"] for r in recs if r["scheme"] == "coarse_30x") > 40
+
+
+def _fail_in_share(monkeypatch, where):
+    """Make every record of the parent's share, or of each child's, fail
+    once the built context exists: `where` is "parent", "child" (a
+    ConfigError) or "child-exit" (the child exits with code 1, unreported).
+    When the parent's share fails, the children are still running."""
+    import os
+    import time
+
+    import gjcodec.pipelines as pipelines
+    parent = os.getpid()
+    built = []
+    real_built, real_record = pipelines._built_context, pipelines.run_record
+
+    def built_context(scn):
+        ctx = real_built(scn)
+        built.append(True)
+        return ctx
+
+    def run_record(ctx, *task):
+        in_parent = os.getpid() == parent
+        if built and where == "parent" and not in_parent:
+            time.sleep(3600)
+        if built and in_parent == (where == "parent"):
+            if where == "child-exit":
+                os._exit(1)
+            raise ConfigError(f"injected failure in the {where}")
+        return real_record(ctx, *task)
+
+    monkeypatch.setattr(pipelines, "_built_context", built_context)
+    monkeypatch.setattr(pipelines, "run_record", run_record)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: SIGALRM raises after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_error_in_a_share_is_raised_and_no_child_is_left(monkeypatch, where,
+                                                         jobs):
+    import multiprocessing
+    _fail_in_share(monkeypatch, where)
+    with _deadline(30), pytest.raises(
+            ConfigError, match=f"injected failure in the {where}"):
+        sweep(_mixed_scenario("loss"), jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_child_that_exits_unreported_is_named(monkeypatch, jobs):
+    import multiprocessing
+    _fail_in_share(monkeypatch, "child-exit")
+    with _deadline(30), pytest.raises(ChildProcessError,
+                                      match="exited with code 1 before"):
+        sweep(_mixed_scenario("loss"), jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where, code", [("parent", 2), ("child", 2),
+                                         ("child-exit", 3)])
+def test_failed_share_exits_without_traceback(tmp_path, where, code):
+    """Through the CLI, a failed share ends the sweep with its exit code, a
+    one-line message and no traceback from any process."""
+    import subprocess
+    import sys
+    import textwrap
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_mixed_scenario("loss")))
+    script = textwrap.dedent(f"""
+        import runpy
+        import sys
+        import pytest
+        from gjcodec.cli import main
+        fail_in_share = runpy.run_path({__file__!r})["_fail_in_share"]
+        with pytest.MonkeyPatch.context() as mp:
+            fail_in_share(mp, {where!r})
+            sys.exit(main(["sweep", "--scenario", {str(scenario)!r},
+                           "--jobs", "3"]))
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == code, r.stderr
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert ("exited with code 1" if where == "child-exit"
+            else f"injected failure in the {where}") in r.stderr
+
+
+@pytest.mark.parametrize("kind", ["snr_db", "loss"])
+def test_forked_shares_match_serial(kind):
+    """Two and three processes, with shares of 9 and 9 or 6, 6 and 6
+    records, give the serial CSV bytes."""
+    scn = _mixed_scenario(kind)
+    serial = records_to_csv(sweep(scn))
+    assert records_to_csv(sweep(scn, jobs=2)) == serial
+    assert records_to_csv(sweep(scn, jobs=3)) == serial
 
 
 @pytest.mark.parametrize("kind", ["snr_db", "loss"])
