@@ -9,9 +9,8 @@ compared under matched channel budgets.
 """
 
 from .analog import AnalogCode, jscc_decode, jscc_encode, jscc_fit
-from .channel import ChannelTrace, awgn, gilbert_elliott, interval_loss_rate
-from .concealment import (TokenGrid, apply_loss_mask, conceal, marginal_fill,
-                          strided_assignment)
+from .channel import ChannelTrace, awgn, gilbert_elliott
+from .concealment import TokenGrid, conceal, marginal_fill, strided_assignment
 from .context import (CausalContextModel, NeighborhoodModel, cross_entropy,
                       load_model, quantize_pmf, train)
 from .entropy import Bitstream, ac_decode, ac_encode
@@ -20,7 +19,7 @@ from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
 from .fec import Packet, fec_decode, fec_encode
 from .metrics import MetricsRow, compute_metrics, detect_cliff, psnr_from_mse
 from .pipelines import records_to_csv, sweep, validate_scenario
-from .sources import ImageGrid, ar1_field, ar1_image, gen_ar1, load_pgm, save_pgm
+from .sources import ImageGrid, ar1_field, load_pgm, save_pgm
 from .transform import (dct2, idct2, sq_dequantize, sq_quantize,
                         zigzag_scan, zigzag_unscan)
 from .vq import Codebook, load_codebook, save_codebook, vq_decode, vq_encode, vq_train
@@ -29,9 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalogCode", "jscc_decode", "jscc_encode", "jscc_fit",
-    "ChannelTrace", "awgn", "gilbert_elliott", "interval_loss_rate",
-    "TokenGrid", "apply_loss_mask", "conceal", "marginal_fill",
-    "strided_assignment",
+    "ChannelTrace", "awgn", "gilbert_elliott",
+    "TokenGrid", "conceal", "marginal_fill", "strided_assignment",
     "CausalContextModel", "NeighborhoodModel", "cross_entropy", "load_model",
     "quantize_pmf", "train",
     "Bitstream", "ac_decode", "ac_encode",
@@ -40,7 +38,7 @@ __all__ = [
     "Packet", "fec_decode", "fec_encode",
     "MetricsRow", "compute_metrics", "detect_cliff", "psnr_from_mse",
     "records_to_csv", "sweep", "validate_scenario",
-    "ImageGrid", "ar1_field", "ar1_image", "gen_ar1", "load_pgm", "save_pgm",
+    "ImageGrid", "ar1_field", "load_pgm", "save_pgm",
     "dct2", "idct2", "sq_dequantize", "sq_quantize", "zigzag_scan",
     "zigzag_unscan",
     "Codebook", "load_codebook", "save_codebook", "vq_decode", "vq_encode",

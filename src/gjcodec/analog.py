@@ -46,10 +46,6 @@ class AnalogCode:
     symbols: np.ndarray     # (num_blocks, m) channel symbols, unit mean power
     budget: int             # symbol budget the encoder was given
 
-    @property
-    def num_symbols(self) -> int:
-        return int(self.symbols.size)
-
 
 def jscc_encode(image: ImageGrid, bandwidth_ratio: float,
                 variances: np.ndarray) -> AnalogCode:

@@ -1,4 +1,4 @@
-"""Channel abstractions: AWGN, Gilbert-Elliott packet loss, loss monitoring."""
+"""Channel abstractions: AWGN and Gilbert-Elliott packet loss."""
 
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ class ChannelTrace:
 
     def __len__(self) -> int:
         return len(self.lost)
-
-    def loss_rate(self) -> float:
-        return float(np.mean(self.lost))
 
 
 def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
@@ -104,14 +101,3 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
     lost = u < loss_p
     params = {"p_gb": p_gb, "p_bg": p_bg, "loss_g": loss_g, "loss_b": loss_b}
     return ChannelTrace(states=states, lost=lost, params=params)
-
-
-def interval_loss_rate(lost: np.ndarray, window: int) -> list[float]:
-    """Mean loss rate over consecutive windows; the final partial window is
-    averaged over its actual length."""
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    flags = np.asarray(lost, dtype=np.float64)
-    return [float(flags[s:s + window].mean())
-            for s in range(0, len(flags), window)]
-

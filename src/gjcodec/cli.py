@@ -21,7 +21,7 @@ from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
 from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import ConfigError, FormatError, GjcError, ParameterError
-from .pipelines import (_MAX_SIDE, CSV_COLUMNS, build_context, digital_image,
+from .pipelines import (_MAX_SIDE, build_context, digital_image,
                         digital_symbols, load_scenario_file, records_to_csv,
                         run_record, sweep, validate_scenario)
 from .sources import load_pgm, save_pgm

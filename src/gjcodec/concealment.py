@@ -62,22 +62,6 @@ def strided_assignment(rows: int, cols: int, num_packets: int) -> np.ndarray:
     return ((r + c) % num_packets).astype(np.int64)
 
 
-def apply_loss_mask(grid: TokenGrid, lost_packets, assignment: np.ndarray) -> TokenGrid:
-    """Mark every cell of each lost packet as missing."""
-    assignment = np.asarray(assignment)
-    if assignment.shape != grid.shape:
-        raise ParameterError("assignment map must cover the grid exactly")
-    lost = set(int(p) for p in lost_packets)
-    known = set(np.unique(assignment).tolist())
-    unknown = lost - known
-    if unknown:
-        raise ParameterError(f"lost packet ids not in assignment: {sorted(unknown)}")
-    out = grid.copy()
-    if lost:
-        out.missing |= np.isin(assignment, sorted(lost))
-    return out
-
-
 def marginal_fill(grid: TokenGrid, model: NeighborhoodModel) -> TokenGrid:
     """Context-free baseline: every hole gets the global modal token."""
     if model.alphabet != grid.alphabet:

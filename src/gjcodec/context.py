@@ -21,7 +21,6 @@ import hashlib
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,20 +50,6 @@ KIND_NEIGHBOR = 1
 
 # Neighborhood positions in context order: up, left, right, down.
 NEIGHBOR_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
-
-
-@dataclass
-class Pmf:
-    """Fixed-point PMF: int64 weights summing to exactly PMF_TOTAL."""
-
-    weights: np.ndarray
-
-    def probabilities(self) -> np.ndarray:
-        return self.weights / PMF_TOTAL
-
-    def argmax(self) -> int:
-        # np.argmax takes the first maximum, i.e. the lowest symbol on ties.
-        return int(np.argmax(self.weights))
 
 
 def quantize_pmf(counts: np.ndarray, alpha_fp: int) -> np.ndarray:
@@ -393,9 +378,6 @@ class _CountModel:
         w = quantize_pmf(vec, self.alpha_fp)
         return w, np.concatenate(([0], np.cumsum(w)))
 
-    def pmf(self, context) -> Pmf:
-        return Pmf(weights=self.coding_table(context)[0].copy())
-
     # -- hashing / serialization -----------------------------------------
 
     def _entries(self) -> list[tuple[tuple, int, int]]:
@@ -629,9 +611,6 @@ class NeighborhoodModel(_CountModel):
                 hit = memo[key] = sparse_argmax(self._table(key), self.alphabet)
             memo[context] = hit
         return hit
-
-    def marginal(self) -> Pmf:
-        return self.pmf((ABSENT,) * self.arity)
 
 
 def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:

@@ -37,10 +37,6 @@ _GF_MUL[0, :] = 0
 _GF_MUL[:, 0] = 0
 
 
-def gf_mul(a: int, b: int) -> int:
-    return int(_GF_MUL[a, b])
-
-
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("gf_inv(0)")

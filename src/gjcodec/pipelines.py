@@ -25,16 +25,18 @@ artifact depends on, how the artifact is built, and its runners.
 `validate_scenario` applies one field checker to every section.
 
 Work that does not depend on a record's channel draw is done once per
-`SweepContext`: each artifact (digital stream and decoded image; weak-JSCC
-codebook, models and packets, each packet decoded and verified once; analog
-code), built on first use and cached by (scheme, its artifact fields); the
-FEC block of each digital payload, encoded once with as many parity packets
-as any loss scheme sending it can ask for; and every record whose runner
-draws no randomness (digital and weak JSCC under snr_db), computed once per
-(scheme, condition) and repeated for each trial with its own `seed`.
-With `jobs` > 1, `sweep` builds all of that in the parent, then runs one
-share of the records there and forks a child for each other share, so the
-children inherit everything and build nothing.
+`SweepContext` and kept in its one memo, under tagged keys: each artifact
+(digital stream and decoded image; weak-JSCC codebook, models and packets,
+each packet decoded and verified once; analog code) under ("artifact",
+scheme, its artifact fields); the FEC block of each digital payload, encoded
+once with as many parity packets as any loss scheme sending it can ask for,
+under ("fec", scheme, its artifact fields); and every record whose runner
+draws no randomness (digital and weak JSCC under snr_db) under ("record",
+scheme index, condition index), repeated for each trial with its own `seed`.
+`sweep` builds all of that first, then runs one share of the records in
+its own process and forks a child for each other share, so the children
+inherit everything and build nothing.  With `jobs` = 1 there is one share
+and no child.
 """
 
 from __future__ import annotations
@@ -263,16 +265,13 @@ class WeakCode:
 
 @dataclasses.dataclass
 class SweepContext:
-    """Everything shared across the records of one scenario.  `artifacts`
-    maps (scheme, its artifact field values) to the built artifact, and
-    ("fec", scheme, its artifact field values) to the FEC block of a digital
-    payload."""
+    """Everything shared across the records of one scenario.  `memo` holds
+    what `_memo` built, under the tagged keys of the module docstring."""
 
     scenario: dict
     image: ImageGrid
     budget_symbols: int
-    artifacts: dict = dataclasses.field(default_factory=dict)
-    record_cache: dict = dataclasses.field(default_factory=dict)
+    memo: dict = dataclasses.field(default_factory=dict)
 
 
 def build_context(scn: dict) -> SweepContext:
@@ -284,6 +283,13 @@ def build_context(scn: dict) -> SweepContext:
     return SweepContext(scenario=scn, image=image, budget_symbols=budget)
 
 
+def _memo(ctx: SweepContext, key: tuple, build):
+    """ctx.memo[key], set to build() on first use."""
+    if key not in ctx.memo:
+        ctx.memo[key] = build()
+    return ctx.memo[key]
+
+
 def _artifact_key(sp: dict) -> tuple:
     artifact = _SCHEMES[sp["scheme"]].artifact
     return (sp["scheme"], *(sp[name] for name in artifact))
@@ -291,10 +297,8 @@ def _artifact_key(sp: dict) -> tuple:
 
 def _artifact(ctx: SweepContext, sp: dict):
     """The scheme's artifact for `sp`, built on first use."""
-    key = _artifact_key(sp)
-    if key not in ctx.artifacts:
-        ctx.artifacts[key] = _SCHEMES[sp["scheme"]].build(ctx, sp)
-    return ctx.artifacts[key]
+    return _memo(ctx, ("artifact", *_artifact_key(sp)),
+                 lambda: _SCHEMES[sp["scheme"]].build(ctx, sp))
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +540,27 @@ def _fec_block(ctx: SweepContext, sp: dict):
     that any loss scheme sending that payload can ask for.  The parity rows
     for r are a prefix of those for any larger r, so a record sends the
     first k + r packets and each payload is encoded once."""
-    key = ("fec", *_artifact_key(sp))
-    if key not in ctx.artifacts:
+    key = _artifact_key(sp)
+
+    def build():
         k = ctx.scenario["fec"]["k"]
         r = max(min(255 - k, other["fec_multiplier"] * k)
                 for other in ctx.scenario["schemes"]
-                if _artifact_key(other) == key[1:])
+                if _artifact_key(other) == key)
         payload = _artifact(ctx, sp)[0].payload
         plen = max(1, -(-len(payload) // k))
         padded = payload.ljust(k * plen, b"\x00")
         data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
-        ctx.artifacts[key] = (_fec.fec_encode(data, r), plen)
-    return ctx.artifacts[key]
+        return _fec.fec_encode(data, r), plen
+    return _memo(ctx, ("fec", *key), build)
 
 
 def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     k = ctx.scenario["fec"]["k"]
     window = ctx.scenario["conditions"]["window"]
     lost = _loss_trace(ctx, loss, rng)
-    est = _channel.interval_loss_rate(lost[:window], window)[0]
-    lost_in_window = int(round(est * window))
-    # r = ceil(mult * est * k) computed exactly in integers.
+    lost_in_window = int(np.count_nonzero(lost[:window]))
+    # r = ceil(mult * k * lost_in_window / window), exactly in integers.
     r = -(-sp["fec_multiplier"] * lost_in_window * k // window)
     r = min(r, 255 - k)
 
@@ -713,10 +717,8 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
         rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
         row = runner(ctx, sp, value, rng)
     else:
-        key = (scheme_idx, cond_idx)
-        if key not in ctx.record_cache:
-            ctx.record_cache[key] = runner(ctx, sp, value)
-        row = ctx.record_cache[key]
+        row = _memo(ctx, ("record", scheme_idx, cond_idx),
+                    lambda: runner(ctx, sp, value))
     return dict(row, seed=trial)
 
 
@@ -753,17 +755,20 @@ def _run_share(ctx: SweepContext, share: list, conn) -> None:
     conn.close()
 
 
-def _fan_out(ctx: SweepContext, tasks: list, jobs: int, fork) -> dict:
+def _fan_out(ctx: SweepContext, tasks: list, jobs: int) -> dict:
     """{task: record} over `jobs` processes: the parent runs the first of
     `jobs` interleaved shares itself, beside a child forked for each other
-    share.  A child gets the built context by fork, never pickled, and
-    sends its records back over its own one-way pipe.  Children draw
-    channels, decode FEC and conceal, none of which calls BLAS; the parent
-    starts no thread of its own, and OpenBLAS stops its thread pool in a
-    fork handler."""
+    share (none when `jobs` is 1).  A child gets the built context by fork,
+    never pickled, and sends its records back over its own one-way pipe.
+    Children draw channels, decode FEC and conceal, none of which calls
+    BLAS; the parent starts no thread of its own, and OpenBLAS stops its
+    thread pool in a fork handler."""
     shares = [tasks[i::jobs] for i in range(jobs)]
     children = []
     try:
+        if jobs > 1:
+            import multiprocessing as mp
+            fork = mp.get_context("fork")
         for share in shares[1:]:
             recv_end, send_end = fork.Pipe(duplex=False)
             child = fork.Process(target=_run_share, args=(ctx, share, send_end))
@@ -797,26 +802,22 @@ def _fan_out(ctx: SweepContext, tasks: list, jobs: int, fork) -> dict:
 
 def sweep(scn: dict, jobs: int = 1) -> list[dict]:
     """Run every (scheme, condition, trial) record of a scenario on `jobs`
-    processes."""
-    scn = validate_scenario(scn)
+    processes, from a context built before any record runs."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    ctx = _built_context(scn)
+    scn = ctx.scenario
     tasks = [(si, ci, ti)
              for si in range(len(scn["schemes"]))
              for ci in range(len(scn["conditions"]["values"]))
              for ti in range(scn["num_seeds"])]
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, -(-len(tasks) // _CHUNK))
     if jobs > 1:
         import multiprocessing as mp
         if "fork" not in mp.get_all_start_methods():
             jobs = 1  # spawned children would build everything again
-    if jobs <= 1:
-        ctx = build_context(scn)
-        records = [run_record(ctx, *t) for t in tasks]
-    else:
-        results = _fan_out(_built_context(scn), tasks, jobs,
-                           mp.get_context("fork"))
-        records = [results[t] for t in tasks]
+    results = _fan_out(ctx, tasks, jobs)
+    records = [results[t] for t in tasks]
     # canonical merge order, independent of how trials were executed
     records.sort(key=lambda r: (r["scheme"], r["condition"], r["seed"]))
     return records

@@ -1,7 +1,7 @@
 """Test sources and image containers.
 
-Provides a seeded AR(1) scalar source, a separable AR(1) image texture
-generator used by the bundled scenarios, and binary PGM (P5) image I/O.
+Provides a separable AR(1) image texture generator used by the bundled
+scenarios, and binary PGM (P5) image I/O.
 """
 
 from __future__ import annotations
@@ -11,36 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-
-
-def gen_ar1(n: int, rho: float, sigma: float, seed: int) -> np.ndarray:
-    """Generate n samples of a stationary AR(1) process.
-
-    x[t] = rho * x[t-1] + w[t], with innovation variance sigma^2 * (1 - rho^2)
-    so the marginal variance is sigma^2 for every t.  x[0] is drawn from the
-    stationary distribution, so there is no warm-up transient.
-    """
-    if not (0.0 <= rho < 1.0):
-        raise ParameterError(f"rho must be in [0, 1), got {rho}")
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if n <= 0:
-        raise ParameterError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(0.0, sigma)
-    if n == 1:
-        return np.array([x0])
-    w = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=n - 1)
-    # x[t] = w[t-1] + rho * x[t-1] from x[0] = x0.  Python floats are IEEE
-    # doubles, so each step rounds as a first-order IIR filter's does, and
-    # a scalar loop over them is faster than one over numpy.
-    r = float(rho)
-    out = [float(x0)]
-    y = out[0]
-    for wt in w.tolist():
-        y = wt + r * y
-        out.append(y)
-    return np.array(out)
 
 
 def ar1_field(rows: int, cols: int, rho: float, seed: int) -> np.ndarray:
@@ -75,13 +45,6 @@ def _ar1_filter(x: np.ndarray, gain: float, rho: float, axis: int) -> np.ndarray
     for i in range(1, yv.shape[0]):
         yv[i] += rho * yv[i - 1]
     return y
-
-
-def ar1_image(rows: int, cols: int, rho: float, sigma: float, mean: float,
-              seed: int) -> "ImageGrid":
-    """8-bit image with separable AR(1) texture, clipped to [0, 255]."""
-    f = ar1_field(rows, cols, rho, seed) * sigma + mean
-    return ImageGrid.from_float(f)
 
 
 @dataclass

@@ -164,6 +164,8 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
         raise ConfigError(f"k={k} exceeds the supported maximum {MAX_CODEWORDS}")
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     _check_finite(x)
 
     uniq = np.unique(x, axis=0)
@@ -271,7 +273,7 @@ def save_codebook(codebook: Codebook, path) -> None:
     payload = codebook.vectors.astype("<f4").tobytes()
     header = CODEBOOK_MAGIC + struct.pack(
         "<BHHQ", CODEBOOK_VERSION, codebook.size, codebook.dim,
-        codebook.train_seed & 0xFFFFFFFFFFFFFFFF)
+        codebook.train_seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

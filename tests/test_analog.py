@@ -47,8 +47,8 @@ def test_encode_budget_example():
     code = jscc_encode(img, 0.02, np.ones(64))
     assert code.budget == 7864  # floor(0.02 * 393216)
     # uniform per-block selection transmits m = budget // blocks positions
-    assert code.num_symbols == 6144
-    assert code.num_symbols <= code.budget
+    assert code.symbols.size == 6144
+    assert code.symbols.size <= code.budget
 
 
 def test_encode_unit_power(rng):

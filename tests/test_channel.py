@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gjcodec.channel import (ChannelTrace, as_rng, awgn, gilbert_elliott,
-                             interval_loss_rate)
+from gjcodec.channel import ChannelTrace, as_rng, awgn, gilbert_elliott
 from gjcodec.errors import ParameterError
 
 
@@ -39,7 +38,7 @@ def test_gilbert_elliott_stationary_loss_rate():
     """Loss rate converges to pi_B = p_gb / (p_gb + p_bg) for loss_b=1."""
     tr = gilbert_elliott(1_000_000, 0.1, 0.5, 0.0, 1.0,
                          np.random.default_rng(2))
-    assert abs(tr.loss_rate() - 1 / 6) < 0.005
+    assert abs(float(tr.lost.mean()) - 1 / 6) < 0.005
 
 
 def test_gilbert_elliott_all_clear_and_all_lost():
@@ -133,19 +132,4 @@ def test_gilbert_elliott_extreme_bursts_are_bounded(run_bounded):
     r = run_bounded("-c", code)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "ok"
-
-
-def test_interval_loss_rate_direct_count():
-    lost = np.zeros(10, dtype=bool)
-    lost[0] = lost[7] = True
-    assert interval_loss_rate(lost, 5) == [0.2, 0.2]
-
-
-def test_interval_loss_rate_all_clear():
-    assert interval_loss_rate(np.zeros(20, dtype=bool), 4) == [0.0] * 5
-
-
-def test_interval_loss_rate_whole_trace():
-    lost = np.array([True, False, True, False])
-    assert interval_loss_rate(lost, 4) == [0.5]
 

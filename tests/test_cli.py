@@ -136,6 +136,26 @@ def test_train_codebook(tmp_path, sample_pgm):
     assert cb.stat().st_size > 0
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2 ** 64 + 1, 2), (2 ** 64, 2),
+                                        (2 ** 64 - 1, 0)])
+def test_train_codebook_seed_is_a_u64(tmp_path, sample_pgm, seed, code):
+    """The codebook file holds its seed as a u64: a seed it cannot hold
+    exits 2 before training, with one line and no traceback, instead of
+    being wrapped into the file; the largest it can hold is kept."""
+    from gjcodec.vq import load_codebook
+    cb = tmp_path / "cb.bin"
+    got, _, err = run_cli("train-codebook", str(sample_pgm),
+                          "--output", str(cb), "--size", "16",
+                          "--iters", "5", "--seed", str(seed))
+    assert got == code, err
+    if code:
+        assert len(err.splitlines()) == 1 and "seed" in err
+        assert "Traceback" not in err
+        assert not cb.exists()
+    else:
+        assert load_codebook(cb).train_seed == seed
+
+
 def test_non_finite_codebook_is_format_error(tmp_path, sample_pgm):
     cb = tmp_path / "cb.bin"
     assert run_cli("train-codebook", str(sample_pgm), "--output", str(cb),

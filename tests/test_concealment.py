@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from conftest import neighbor_context
 
-from gjcodec.concealment import (TokenGrid, apply_loss_mask, conceal,
-                                 marginal_fill, strided_assignment)
-from gjcodec.context import NeighborhoodModel, train
+from gjcodec.concealment import (TokenGrid, conceal, marginal_fill,
+                                 strided_assignment)
+from gjcodec.context import ABSENT, NeighborhoodModel, train
 from gjcodec.errors import ParameterError
 from gjcodec.sources import ar1_field
 
@@ -17,6 +17,12 @@ def _grid(tokens, missing=None, alphabet=8):
         missing = np.zeros(tokens.shape, dtype=bool)
     return TokenGrid(tokens=tokens, missing=np.asarray(missing, dtype=bool),
                      alphabet=alphabet)
+
+
+def _lose(tokens, lost, assignment):
+    """A grid of `tokens` missing every cell of the `lost` packets, by the
+    rule the weak-JSCC receiver applies."""
+    return _grid(tokens, np.isin(assignment, sorted(lost)))
 
 
 def _ar1_tokens(rng_seed, shape=(16, 16), alphabet=8, rho=0.9):
@@ -40,28 +46,11 @@ def test_strided_assignment_partitions():
 def test_strided_losses_are_never_adjacent():
     """One lost packet of four leaves 16 holes, none 4-adjacent."""
     a = strided_assignment(8, 8, 4)
-    g = apply_loss_mask(_grid(np.zeros((8, 8))), {2}, a)
+    g = _lose(np.zeros((8, 8)), {2}, a)
     assert g.missing.sum() == 16
     miss = g.missing
     assert not (miss[:-1] & miss[1:]).any()      # vertical neighbours
     assert not (miss[:, :-1] & miss[:, 1:]).any()  # horizontal neighbours
-
-
-def test_apply_loss_mask_empty_and_full():
-    a = strided_assignment(6, 6, 3)
-    base = _grid(np.arange(36).reshape(6, 6), alphabet=64)
-    same = apply_loss_mask(base, set(), a)
-    assert not same.missing.any()
-    np.testing.assert_array_equal(same.tokens, base.tokens)
-    gone = apply_loss_mask(base, {0, 1, 2}, a)
-    assert gone.missing.all()
-
-
-def test_apply_loss_mask_requires_partition():
-    bad = np.zeros((4, 4), dtype=np.int64)  # every cell claims packet 0
-    bad[0, 0] = 9
-    with pytest.raises(ParameterError):
-        apply_loss_mask(_grid(np.zeros((4, 4))), {0}, bad[:2])
 
 
 def test_conceal_identity_when_nothing_missing():
@@ -76,7 +65,7 @@ def test_conceal_never_touches_received_tokens():
     model = _trained_model()
     tokens = _ar1_tokens(6)
     a = strided_assignment(16, 16, 4)
-    g = apply_loss_mask(_grid(tokens), {1}, a)
+    g = _lose(tokens, {1}, a)
     out = conceal(g, model)
     kept = ~g.missing
     np.testing.assert_array_equal(out.tokens[kept], tokens[kept])
@@ -89,14 +78,14 @@ def test_all_missing_backs_off_to_marginal():
     model = train(NeighborhoodModel(8), corpus)
     g = _grid(np.zeros((6, 6)), missing=np.ones((6, 6), dtype=bool))
     out = conceal(g, model)
-    assert (out.tokens == model.marginal().argmax()).all()
+    assert (out.tokens == np.argmax(model.coding_table((ABSENT,) * 4)[0])).all()
 
 
 def test_constant_corpus_fills_constant():
     corpus = [np.full((10, 10), 7, dtype=np.int64) for _ in range(2)]
     model = train(NeighborhoodModel(8), corpus)
     tokens = np.full((8, 8), 7, dtype=np.int64)
-    g = apply_loss_mask(_grid(tokens), {0, 2}, strided_assignment(8, 8, 4))
+    g = _lose(tokens, {0, 2}, strided_assignment(8, 8, 4))
     assert g.missing.sum() == 32  # 50% strided missing
     out = conceal(g, model)
     assert (out.tokens == 7).all()
@@ -104,7 +93,7 @@ def test_constant_corpus_fills_constant():
 
 def test_marginal_fill_uses_global_mode():
     model = _trained_model()
-    fill = model.marginal().argmax()
+    fill = np.argmax(model.coding_table((ABSENT,) * 4)[0])
     g = _grid(np.zeros((5, 5)), missing=np.ones((5, 5), dtype=bool))
     out = marginal_fill(g, model)
     assert (out.tokens == fill).all()
@@ -119,8 +108,7 @@ def test_alphabet_mismatch_rejected():
 @pytest.mark.parametrize("schedule", ["confidence", "raster"])
 def test_schedules_fill_everything(schedule):
     model = _trained_model()
-    g = apply_loss_mask(_grid(_ar1_tokens(9)), {0, 3},
-                        strided_assignment(16, 16, 5))
+    g = _lose(_ar1_tokens(9), {0, 3}, strided_assignment(16, 16, 5))
     out = conceal(g, model, schedule=schedule)
     assert not out.missing.any()
     assert out.tokens.min() >= 0 and out.tokens.max() < 8
@@ -137,8 +125,7 @@ def test_neighborhood_beats_marginal_on_correlated_grids():
     better = 0
     for t in range(10):
         truth = _ar1_tokens(7000 + t)
-        g = apply_loss_mask(_grid(truth), {t % 5},
-                            strided_assignment(16, 16, 5))
+        g = _lose(truth, {t % 5}, strided_assignment(16, 16, 5))
         holes = g.missing
         acc_n = (conceal(g, model).tokens[holes] == truth[holes]).mean()
         acc_m = (marginal_fill(g, model).tokens[holes] == truth[holes]).mean()
@@ -233,8 +220,7 @@ def test_concealment_builds_no_dense_table(monkeypatch):
     model = _trained_model()
     monkeypatch.setattr(NeighborhoodModel, "coding_table", dense)
     monkeypatch.setattr(context, "quantize_pmf", dense)
-    g = apply_loss_mask(_grid(_ar1_tokens(11)), {0, 2},
-                        strided_assignment(16, 16, 4))
+    g = _lose(_ar1_tokens(11), {0, 2}, strided_assignment(16, 16, 4))
     for schedule in ("confidence", "raster"):
         assert not conceal(g, model, schedule).missing.any()
     assert not marginal_fill(g, model).missing.any()

@@ -13,7 +13,7 @@ from gjcodec.errors import ParameterError
 
 def test_untrained_model_is_uniform():
     m = CausalContextModel(4, order=0, alpha=1.0)
-    w = m.pmf(()).weights
+    w = m.coding_table(())[0]
     np.testing.assert_array_equal(w, [16384] * 4)
     assert int(w.sum()) == PMF_TOTAL
 
@@ -24,7 +24,7 @@ def test_laplace_estimate_before_quantization():
     for _ in range(3):
         m.update((), 2)
     assert m.counts[()] == ((2,), (3,))
-    probs = m.pmf(()).probabilities()
+    probs = m.coding_table(())[0] / PMF_TOTAL
     assert probs[2] == pytest.approx(4 / 7, abs=2 / PMF_TOTAL)
     assert probs[0] == pytest.approx(1 / 7, abs=2 / PMF_TOTAL)
 
@@ -42,9 +42,9 @@ def test_quantized_pmf_sums_exactly(seed):
 
 def test_update_strictly_increases_probability():
     m = CausalContextModel(8, order=1, alpha=1.0)
-    before = m.pmf((3,)).probabilities()[5]
+    before = m.coding_table((3,))[0][5]
     m.update((3,), 5)
-    after = m.pmf((3,)).probabilities()[5]
+    after = m.coding_table((3,))[0][5]
     assert after > before
 
 
@@ -57,24 +57,25 @@ def test_update_counts_accumulate():
 
 def test_updates_are_context_local():
     m = CausalContextModel(8, order=1)
-    base = m.pmf((1,)).weights.copy()
+    base = m.coding_table((1,))[0]
     for _ in range(50):
         m.update((0,), 4)
-    np.testing.assert_array_equal(m.pmf((1,)).weights, base)
+    np.testing.assert_array_equal(m.coding_table((1,))[0], base)
 
 
 def test_train_constant_corpus_prefers_constant():
     grids = [np.full((6, 6), 5, dtype=np.int64) for _ in range(4)]
     m = train(CausalContextModel(8, order=2), grids)
-    assert m.pmf((5, 5)).argmax() == 5
+    assert np.argmax(m.coding_table((5, 5))[0]) == 5
 
 
 def test_train_single_cell_grid_only_marginal():
     m = train(NeighborhoodModel(4), [np.array([[2]])])
-    assert m.marginal().argmax() == 2
+    marginal = m.coding_table((ABSENT,) * 4)[0]
+    assert np.argmax(marginal) == 2
     # no neighbours exist, so no directional context can have been seen
-    ctx_weights = m.pmf((2, ABSENT, ABSENT, ABSENT)).weights
-    np.testing.assert_array_equal(ctx_weights, m.marginal().weights)
+    ctx_weights = m.coding_table((2, ABSENT, ABSENT, ABSENT))[0]
+    np.testing.assert_array_equal(ctx_weights, marginal)
 
 
 def test_order0_training_equals_histogram(rng):

@@ -171,8 +171,8 @@ def test_adaptive_stream_golden_digest(alphabet, order, start):
     import hashlib
 
     from gjcodec.pipelines import digital_symbols
-    from gjcodec.sources import ar1_image
-    img = ar1_image(64, 64, 0.9, 40.0, 128.0, seed=5)
+    from gjcodec.sources import ImageGrid, ar1_field
+    img = ImageGrid.from_float(ar1_field(64, 64, 0.9, seed=5) * 40.0 + 128.0)
     syms = digital_symbols(img, _GOLDEN_STEP[alphabet], alphabet)
     model = CausalContextModel(alphabet, order=order)
     if start == "trained":

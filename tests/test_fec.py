@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gjcodec.errors import FecDecodeError, ParameterError
-from gjcodec.fec import Packet, fec_decode, fec_encode, gf_inv, gf_mul
+from gjcodec.fec import Packet, fec_decode, fec_encode, gf_inv
 
 
 def _slow_gf_mul(a, b):
@@ -20,14 +20,6 @@ def _slow_gf_mul(a, b):
     return acc
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_gf_mul_matches_reference(seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        a, b = int(rng.integers(0, 256)), int(rng.integers(0, 256))
-        assert gf_mul(a, b) == _slow_gf_mul(a, b)
-
-
 def test_product_table_matches_reference_exhaustively():
     from gjcodec.fec import _GF_MUL
     ref = np.array([[_slow_gf_mul(a, b) for b in range(256)]
@@ -37,7 +29,7 @@ def test_product_table_matches_reference_exhaustively():
 
 def test_gf_inverse():
     for a in range(1, 256):
-        assert gf_mul(a, gf_inv(a)) == 1
+        assert _slow_gf_mul(a, gf_inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         gf_inv(0)
 

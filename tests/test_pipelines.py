@@ -148,13 +148,15 @@ def test_sweep_worker_pool_matches_serial():
     assert records_to_csv(sweep(scn, jobs=2)) == records_to_csv(sweep(scn))
 
 
-@pytest.mark.parametrize("kind,jobs", [("loss", 2), ("loss", 4),
+@pytest.mark.parametrize("kind,jobs", [("loss", 1), ("snr_db", 1),
+                                       ("loss", 2), ("loss", 4),
                                        ("snr_db", 2)])
 def test_sweep_pool_workers_build_nothing(monkeypatch, kind, jobs):
-    """The parent builds every artifact, FEC block and RNG-free record before
-    it forks, so child processes (here up to twice as many as cores) never
-    train, encode or decode a stream, nor encode parity; and the sweep keeps
-    no reference to the built context once it returns."""
+    """Every `jobs` value goes through one built context: the parent builds
+    every artifact, FEC block and RNG-free record before it forks, so child
+    processes (here up to twice as many as cores) never train, encode or
+    decode a stream, nor encode parity; and the sweep keeps no reference to
+    the built context once it returns."""
     import os
     import weakref
 
@@ -264,6 +266,24 @@ def _mixed_scenario(kind):
     else:
         scn["schemes"].append(weak)
     return scn
+
+
+@pytest.mark.parametrize("kind", ["snr_db", "loss"])
+def test_built_context_is_complete(kind):
+    """Running every task on a built context adds nothing to its memo, so
+    no record of any share builds anything."""
+    import gjcodec.pipelines as pipelines
+    ctx = pipelines._built_context(_mixed_scenario(kind))
+    built = dict(ctx.memo)
+    scn = ctx.scenario
+    for si in range(len(scn["schemes"])):
+        for ci in range(len(scn["conditions"]["values"])):
+            for trial in range(scn["num_seeds"]):
+                run_record(ctx, si, ci, trial)
+    assert ctx.memo.keys() == built.keys()
+    # every record at loss draws its channel; at snr_db only analog does
+    assert {key[0] for key in built} == (
+        {"artifact", "fec"} if kind == "loss" else {"artifact", "record"})
 
 
 def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
