@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ChannelTrace:
 
     states: np.ndarray
     lost: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.lost)
@@ -99,5 +98,4 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
     u = g.random(n)
     loss_p = np.where(states == 0, loss_g, loss_b)
     lost = u < loss_p
-    params = {"p_gb": p_gb, "p_bg": p_bg, "loss_g": loss_g, "loss_b": loss_b}
-    return ChannelTrace(states=states, lost=lost, params=params)
+    return ChannelTrace(states=states, lost=lost)

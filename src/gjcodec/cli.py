@@ -131,6 +131,8 @@ def _cmd_decompress(args) -> int:
         raise FormatError(f"quantizer step {step} is not a positive number")
     if alphabet < 2:
         raise FormatError(f"alphabet {alphabet} is below 2")
+    if modeled not in (0, 1):
+        raise FormatError(f"model flag {modeled} is neither 0 nor 1")
     stream = Bitstream.from_bytes(blob[hsize:])
     # Checked before decoding, so the decoder's run time and memory are
     # bounded by the container's image size, not by a hostile symbol count.
@@ -147,7 +149,10 @@ def _cmd_decompress(args) -> int:
         model = load_model(_open_input(args.model))
         adaptive = False
     else:
-        model = CausalContextModel(alphabet, order=order)
+        try:
+            model = CausalContextModel(alphabet, order=order)
+        except ParameterError as exc:
+            raise FormatError(f"container: {exc}") from None
         adaptive = True
     try:
         syms = ac_decode(stream, model, adaptive=adaptive)
@@ -223,9 +228,12 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.trial < scn["num_seeds"]:
         raise ConfigError(
             f"trial must be in 0..{scn['num_seeds'] - 1}, got {args.trial}")
-    ctx = build_context(scn)
-    row = run_record(ctx, labels.index(args.scheme),
-                     values.index(args.condition), args.trial)
+    # Only this scheme is built; seeds hash no scheme index, and FEC parity
+    # rows for r are a prefix of those for any larger r, so the record is
+    # the one the whole scenario's sweep gives.
+    sp = scn["schemes"][labels.index(args.scheme)]
+    ctx = build_context(dict(scn, schemes=[sp]))
+    row = run_record(ctx, 0, values.index(args.condition), args.trial)
     json.dump(row, sys.stdout, indent=2)
     print()
     return 0

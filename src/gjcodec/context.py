@@ -449,26 +449,26 @@ class AdaptiveCounts:
     counts it, so no table is ever used twice.  Each context met in the pass
     keeps its non-zero counts here as two short ascending lists, so a step
     is O(non-zeros) Python-int work (sparse_pmf) with no alphabet-wide
-    array.  The model itself is untouched until commit().
+    array.  The pass starts from the model's counts and never changes the
+    model.
     """
 
     def __init__(self, model: "CausalContextModel"):
         self.model = model
-        # context as passed in -> (model key, symbols, their counts)
-        self._views: dict[tuple, tuple[tuple, list[int], list[int]]] = {}
+        # context as passed in -> (symbols, their counts)
+        self._views: dict[tuple, tuple[list[int], list[int]]] = {}
 
     def _view(self, context: tuple):
         view = self._views.get(context)
         if view is None:
-            key = self.model._context_key(context)
-            symbols, counts = self.model.counts.get(key, ((), ()))
-            view = (key, list(symbols), list(counts))
-            self._views[context] = view
+            symbols, counts = self.model.counts.get(
+                self.model._context_key(context), ((), ()))
+            view = self._views[context] = list(symbols), list(counts)
         return view
 
     def code(self, context: tuple, symbol: int) -> tuple[int, int]:
         """(cumulative weight below `symbol`, its weight), then count it."""
-        _, idx, cnt = self._view(context)
+        idx, cnt = self._view(context)
         model = self.model
         interval = sparse_interval(
             sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), symbol)
@@ -478,22 +478,12 @@ class AdaptiveCounts:
     def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
         """(symbol, cumulative weight below it, its weight) for the symbol
         whose interval holds `target`, then count it."""
-        _, idx, cnt = self._view(context)
+        idx, cnt = self._view(context)
         model = self.model
         found = sparse_locate(
             sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), target)
         _add_count(idx, cnt, found[0], 1)
         return found
-
-    def commit(self) -> None:
-        """Add the pass's counts to the model, as one update per symbol would."""
-        if not self._views:
-            return
-        model = self.model
-        for key, idx, cnt in self._views.values():
-            model.counts[key] = (tuple(idx), tuple(cnt))
-        model._hash = None
-        self._views = {}
 
 
 class StaticCounts(dict):
@@ -503,9 +493,8 @@ class StaticCounts(dict):
     Each distinct context is validated and its table (with the table's
     sparse_starts, for decoding) built on first use, so a coding step is one
     dict lookup plus sparse_interval or sparse_locate, with O(non-zeros)
-    memory per context and no alphabet-wide array.  It shares code(),
-    decode() and commit() with AdaptiveCounts, so one coding walk serves
-    both.
+    memory per context and no alphabet-wide array.  It shares code() and
+    decode() with AdaptiveCounts, so one coding walk serves both.
     """
 
     def __init__(self, model: "CausalContextModel"):
@@ -526,9 +515,6 @@ class StaticCounts(dict):
         whose interval holds `target`."""
         table, starts = self[context]
         return sparse_locate(table, target, starts)
-
-    def commit(self) -> None:
-        """A frozen model gains no counts."""
 
 
 class NeighborhoodModel(_CountModel):

@@ -18,10 +18,11 @@ alphabet; encoder and decoder share this rule exactly.
 One causal walk serves static and adaptive coding alike.  It prices each
 symbol in the history of the symbols before it through a pricer with
 code(history, symbol) and decode(history, target): StaticCounts for a
-frozen model, AdaptiveCounts for one that counts each symbol after coding
-it.  Both price from sparse_pmf tables, so no step builds an alphabet-wide
-array.  ac_decode runs the same walk in reverse.  The encoder keeps each
-symbol's width and returns the ideal cost sum(-log2 p) on the Bitstream
+frozen model, AdaptiveCounts for a pass that counts each symbol after
+coding it, on top of the model's counts.  Neither changes the model.  Both
+price from sparse_pmf tables, so no step builds an alphabet-wide array.
+ac_decode runs the same walk in reverse.  The encoder keeps each symbol's
+width and returns the ideal cost sum(-log2 p) on the Bitstream
 (`cost_bits`, neither serialised nor compared), so a caller that needs the
 cost prices each symbol once; sequence_cost_bits is that cost alone.
 
@@ -175,19 +176,18 @@ def _ideal_cost(widths: list[int]) -> float:
 def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bitstream:
     """Encode a symbol sequence under a causal context model.
 
-    With `adaptive` set, each symbol is coded with the counts of every
-    symbol before it, and the model gains all of them in place at the end
-    (pass `model.copy()` to keep the original).  The stream records the hash
-    of the model state *before* any update, which is the state the decoder
-    must start from, and carries the sequence's ideal cost in `cost_bits`.
+    With `adaptive` set, each symbol is coded with the model's counts plus
+    those of every symbol before it.  The model itself is never changed, so
+    its state hash, which the stream records, is the state the decoder must
+    start from.  The stream carries the sequence's ideal cost in
+    `cost_bits`.
     """
     pricer = _pricer(model, adaptive)
     syms = _checked_symbols(symbols, model.alphabet)
-    start_hash = model.state_hash()
+    model_hash = model.state_hash()
     payload, widths = _encode(syms, pricer)
-    pricer.commit()
     return Bitstream(alphabet=model.alphabet, n_symbols=len(syms),
-                     model_hash=start_hash, payload=payload,
+                     model_hash=model_hash, payload=payload,
                      cost_bits=_ideal_cost(widths))
 
 
@@ -287,7 +287,6 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
         out[i] = s
         if order:
             hist = (hist + (s,))[-order:]
-    pricer.commit()
 
     flush_words = 1 if range_ >= _TWO48 else 2
     expected = 2 * (renorms + flush_words)
@@ -301,7 +300,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
 def sequence_cost_bits(model: CausalContextModel, symbols,
                        adaptive: bool = False) -> float:
     """Ideal model cost sum(-log2 p) in bits, from quantized PMFs: the
-    `cost_bits` ac_encode reports, without touching the caller's model.
+    `cost_bits` ac_encode reports, without building a payload.
 
     With adaptive=True each symbol is priced with the counts of every symbol
     before it, mirroring ac_encode.

@@ -119,11 +119,11 @@ def _recovery_matrix(k: int, use: tuple) -> np.ndarray:
 
 @dataclass
 class Packet:
-    """One transmitted unit: block-local index, payload, parity flag."""
+    """One transmitted unit: block-local index (k and above for parity)
+    and payload."""
 
     index: int
     payload: bytes
-    is_parity: bool = False
 
 
 def _validate_block(k: int, r: int) -> None:
@@ -141,12 +141,12 @@ def fec_encode(data: list[bytes], r: int) -> list[Packet]:
     _validate_block(k, r)
     if k and any(len(p) != len(data[0]) for p in data):
         raise ParameterError("all data payloads must have equal length")
-    packets = [Packet(i, bytes(p), False) for i, p in enumerate(data)]
+    packets = [Packet(i, bytes(p)) for i, p in enumerate(data)]
     if r == 0:
         return packets
     block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
     parity = _gf_mul_mat(_parity_matrix(k)[:r], block)
-    packets.extend(Packet(k + i, row.tobytes(), True)
+    packets.extend(Packet(k + i, row.tobytes())
                    for i, row in enumerate(parity))
     return packets
 

@@ -24,19 +24,20 @@ scenario entries, what it needs under each condition kind, the fields its
 artifact depends on, how the artifact is built, and its runners.
 `validate_scenario` applies one field checker to every section.
 
-Work that does not depend on a record's channel draw is done once per
-`SweepContext` and kept in its one memo, under tagged keys: each artifact
-(digital stream and decoded image; weak-JSCC codebook, models and packets,
-each packet decoded and verified once; analog code) under ("artifact",
-scheme, its artifact fields); the FEC block of each digital payload, encoded
-once with as many parity packets as any loss scheme sending it can ask for,
-under ("fec", scheme, its artifact fields); and every record whose runner
-draws no randomness (digital and weak JSCC under snr_db) under ("record",
-scheme index, condition index), repeated for each trial with its own `seed`.
-`sweep` builds all of that first, then runs one share of the records in
-its own process and forks a child for each other share, so the children
-inherit everything and build nothing.  With `jobs` = 1 there is one share
-and no child.
+`build_context` does all work that does not depend on a record's channel
+draw, once, and keeps it in the context's one memo, under tagged keys: each
+artifact (digital stream and decoded image; weak-JSCC codebook, models and
+packets, each packet decoded and verified once; analog code) under
+("artifact", scheme, its artifact fields); the FEC block of each digital
+payload, encoded once with as many parity packets as any loss scheme sending
+it can ask for, under ("fec", scheme, its artifact fields); and every record
+whose runner draws no randomness (digital and weak JSCC under snr_db) under
+("record", scheme index, condition index), repeated for each trial with its
+own `seed`.  After the build, the context and its models are only read: a
+record looks its shared work up and builds none of it.  `sweep` runs one
+share of the records in its own process and forks a child for each other
+share, so the children inherit everything.  With `jobs` = 1 there is one
+share and no child.
 """
 
 from __future__ import annotations
@@ -250,10 +251,10 @@ class WeakCode:
     """Cached token-domain encoding of the scenario source.
 
     Every packet stream is entropy-decoded once when the code is built,
-    against a copy of the trained causal model (so the model-hash check
-    runs), and must give back exactly the packet's cells of `tokens`.  A
-    record therefore places the delivered packets' cells from `tokens`
-    instead of decoding them again.
+    against the trained causal model (so the model-hash check runs), and
+    must give back exactly the packet's cells of `tokens`.  A record
+    therefore places the delivered packets' cells from `tokens` instead of
+    decoding them again.
     """
 
     codebook: Codebook
@@ -266,28 +267,13 @@ class WeakCode:
 @dataclasses.dataclass
 class SweepContext:
     """Everything shared across the records of one scenario.  `memo` holds
-    what `_memo` built, under the tagged keys of the module docstring."""
+    what `build_context` built, under the tagged keys of the module
+    docstring."""
 
     scenario: dict
     image: ImageGrid
     budget_symbols: int
     memo: dict = dataclasses.field(default_factory=dict)
-
-
-def build_context(scn: dict) -> SweepContext:
-    scn = validate_scenario(scn)
-    src = scn["source"]
-    image = (load_pgm(src["path"]) if src["type"] == "pgm"
-             else _ar1_textured(src["height"], src["width"], src, src["seed"]))
-    budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
-    return SweepContext(scenario=scn, image=image, budget_symbols=budget)
-
-
-def _memo(ctx: SweepContext, key: tuple, build):
-    """ctx.memo[key], set to build() on first use."""
-    if key not in ctx.memo:
-        ctx.memo[key] = build()
-    return ctx.memo[key]
 
 
 def _artifact_key(sp: dict) -> tuple:
@@ -296,9 +282,8 @@ def _artifact_key(sp: dict) -> tuple:
 
 
 def _artifact(ctx: SweepContext, sp: dict):
-    """The scheme's artifact for `sp`, built on first use."""
-    return _memo(ctx, ("artifact", *_artifact_key(sp)),
-                 lambda: _SCHEMES[sp["scheme"]].build(ctx, sp))
+    """The scheme's artifact for `sp`."""
+    return ctx.memo["artifact", *_artifact_key(sp)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +340,11 @@ def digital_image(symbols: np.ndarray, height: int, width: int, step: float,
 
 def _build_digital(ctx: SweepContext, sp: dict):
     """(adaptive stream of the source, the image it decodes to)."""
-    step, alphabet, order = sp["sq_step"], sp["sq_alphabet"], sp["context_order"]
-    syms = digital_symbols(ctx.image, step, alphabet)
-    stream = ac_encode(syms, CausalContextModel(alphabet, order=order),
+    step, alphabet = sp["sq_step"], sp["sq_alphabet"]
+    model = CausalContextModel(alphabet, order=sp["context_order"])
+    stream = ac_encode(digital_symbols(ctx.image, step, alphabet), model,
                        adaptive=True)
-    decoded_syms = ac_decode(stream, CausalContextModel(alphabet, order=order),
-                             adaptive=True)
+    decoded_syms = ac_decode(stream, model, adaptive=True)
     return stream, digital_image(decoded_syms, ctx.image.height,
                                  ctx.image.width, step, alphabet)
 
@@ -395,7 +379,6 @@ def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     neighbor = NeighborhoodModel(ksize)
     train(causal, corpus_tokens)
     train(neighbor, corpus_tokens)
-    causal.state_hash()  # hashed once here; every copy below inherits it
 
     tokens = tokens_of(ctx.image)
     assignment = _conceal.strided_assignment(tokens.shape[0], tokens.shape[1],
@@ -403,9 +386,8 @@ def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     streams = []
     for p in range(scn["packets"]):
         seq = tokens[assignment == p]
-        stream = ac_encode(seq, causal.copy(), adaptive=True)
-        if not np.array_equal(ac_decode(stream, causal.copy(), adaptive=True),
-                              seq):
+        stream = ac_encode(seq, causal, adaptive=True)
+        if not np.array_equal(ac_decode(stream, causal, adaptive=True), seq):
             raise CorruptStreamError(f"packet {p} does not decode to its tokens")
         streams.append(stream)
     return WeakCode(codebook=codebook, neighbor=neighbor, tokens=tokens,
@@ -534,25 +516,22 @@ def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
                                     rng).lost
 
 
-def _fec_block(ctx: SweepContext, sp: dict):
+def _build_fec(ctx: SweepContext, sp: dict):
     """(packets, packet length) of the digital payload of `sp` split into k
     data packets plus the most parity packets, min(255 - k, multiplier * k),
     that any loss scheme sending that payload can ask for.  The parity rows
     for r are a prefix of those for any larger r, so a record sends the
     first k + r packets and each payload is encoded once."""
     key = _artifact_key(sp)
-
-    def build():
-        k = ctx.scenario["fec"]["k"]
-        r = max(min(255 - k, other["fec_multiplier"] * k)
-                for other in ctx.scenario["schemes"]
-                if _artifact_key(other) == key)
-        payload = _artifact(ctx, sp)[0].payload
-        plen = max(1, -(-len(payload) // k))
-        padded = payload.ljust(k * plen, b"\x00")
-        data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
-        return _fec.fec_encode(data, r), plen
-    return _memo(ctx, ("fec", *key), build)
+    k = ctx.scenario["fec"]["k"]
+    r = max(min(255 - k, other["fec_multiplier"] * k)
+            for other in ctx.scenario["schemes"]
+            if _artifact_key(other) == key)
+    payload = _artifact(ctx, sp)[0].payload
+    plen = max(1, -(-len(payload) // k))
+    padded = payload.ljust(k * plen, b"\x00")
+    data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
+    return _fec.fec_encode(data, r), plen
 
 
 def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
@@ -566,7 +545,7 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
 
     stream, decoded = _artifact(ctx, sp)
     payload = stream.payload
-    packets, plen = _fec_block(ctx, sp)
+    packets, plen = ctx.memo["fec", *_artifact_key(sp)]
 
     slots = lost[window:window + k + r]
     received = [pkt for pkt, gone in zip(packets[:k + r], slots) if not gone]
@@ -707,18 +686,41 @@ def load_scenario_file(path) -> dict:
     return validate_scenario(scn)
 
 
+def build_context(scn: dict) -> SweepContext:
+    """The validated scenario's context, with every artifact, FEC block and
+    record that draws no randomness built, so running any record builds
+    nothing."""
+    scn = validate_scenario(scn)
+    src = scn["source"]
+    image = (load_pgm(src["path"]) if src["type"] == "pgm"
+             else _ar1_textured(src["height"], src["width"], src, src["seed"]))
+    budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
+    ctx = SweepContext(scenario=scn, image=image, budget_symbols=budget)
+    memo, kind = ctx.memo, scn["conditions"]["kind"]
+    for si, sp in enumerate(scn["schemes"]):
+        scheme, key = _SCHEMES[sp["scheme"]], _artifact_key(sp)
+        if ("artifact", *key) not in memo:
+            memo["artifact", *key] = scheme.build(ctx, sp)
+            if kind == "loss" and sp["scheme"] == "digital_separate":
+                memo["fec", *key] = _build_fec(ctx, sp)
+        _, runner, draws = scheme.runs[kind]
+        if not draws:
+            for ci, value in enumerate(scn["conditions"]["values"]):
+                memo["record", si, ci] = runner(ctx, sp, value)
+    return ctx
+
+
 def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
                trial: int) -> dict:
+    """The record of one (scheme, condition, trial) of a built context."""
     scn = ctx.scenario
     sp = scn["schemes"][scheme_idx]
-    value = scn["conditions"]["values"][cond_idx]
     _, runner, draws = _SCHEMES[sp["scheme"]].runs[scn["conditions"]["kind"]]
     if draws:
         rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
-        row = runner(ctx, sp, value, rng)
+        row = runner(ctx, sp, scn["conditions"]["values"][cond_idx], rng)
     else:
-        row = _memo(ctx, ("record", scheme_idx, cond_idx),
-                    lambda: runner(ctx, sp, value))
+        row = ctx.memo["record", scheme_idx, cond_idx]
     return dict(row, seed=trial)
 
 
@@ -727,21 +729,6 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
 
 
 _CHUNK = 4  # one process for each started chunk of this many records
-
-
-def _built_context(scn: dict) -> SweepContext:
-    """A context with every artifact, FEC block and record that draws no
-    randomness already built, so running any task builds nothing."""
-    ctx = build_context(scn)
-    kind = ctx.scenario["conditions"]["kind"]
-    for si, sp in enumerate(ctx.scenario["schemes"]):
-        _artifact(ctx, sp)
-        if kind == "loss" and sp["scheme"] == "digital_separate":
-            _fec_block(ctx, sp)
-        if not _SCHEMES[sp["scheme"]].runs[kind][2]:
-            for ci in range(len(ctx.scenario["conditions"]["values"])):
-                run_record(ctx, si, ci, 0)
-    return ctx
 
 
 def _run_share(ctx: SweepContext, share: list, conn) -> None:
@@ -805,7 +792,7 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
     processes, from a context built before any record runs."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    ctx = _built_context(scn)
+    ctx = build_context(scn)
     scn = ctx.scenario
     tasks = [(si, ci, ti)
              for si in range(len(scn["schemes"]))

@@ -243,17 +243,21 @@ _FIELDS = ("magic", "version", "height", "width", "step", "alphabet", "order",
     ("step", -16.0, "step"),
     ("alphabet", 1, "alphabet"),
     ("stream_alphabet", 128, "alphabet"),
+    # no model of context length 2 has an alphabet above 2**15
+    ("alphabet stream_alphabet", 40000, "context length 2"),
+    ("modeled", 2, "model flag 2"),
 ])
 def test_hostile_container_rejected_before_decoding(tmp_path, sample_pgm,
                                                     monkeypatch, field, value,
                                                     message):
+    """`field` names each header field that the case sets to `value`."""
     import gjcodec.cli as cli
     comp = tmp_path / "img.gjc"
     assert run_cli("compress", "--input", str(sample_pgm),
                    "--output", str(comp))[0] == 0
     blob = bytearray(comp.read_bytes())
     head = dict(zip(_FIELDS, _HEADERS.unpack_from(blob)))
-    head[field] = value
+    head.update(dict.fromkeys(field.split(), value))
     _HEADERS.pack_into(blob, 0, *(head[f] for f in _FIELDS))
     comp.write_bytes(bytes(blob))
 
@@ -265,6 +269,7 @@ def test_hostile_container_rejected_before_decoding(tmp_path, sample_pgm,
                            "--output", str(tmp_path / "out.pgm"))
     assert code == 4
     assert message in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_header_consistent_giant_container_is_bounded(tmp_path, sample_pgm,

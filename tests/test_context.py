@@ -197,8 +197,9 @@ def test_copy_is_independent():
     lambda: NeighborhoodModel(40),
 ], ids=["causal", "neighborhood"])
 def test_trained_copy_shares_no_mutable_state(rng, factory):
-    """Copies share the trained entries; an update or an adaptive pass on a
-    copy leaves the original's counts and hash as they were."""
+    """Copies share the trained entries; an update on a copy, or an adaptive
+    pass over the model itself, leaves the original's counts and hash as
+    they were."""
     m = train(factory(), [rng.integers(0, 40, (20, 20))])
     saved, digest = m._serialize(), m.state_hash()
     key, (symbols, _) = next(iter(m.counts.items()))
@@ -207,12 +208,9 @@ def test_trained_copy_shares_no_mutable_state(rng, factory):
     dup.update(key, 39 - symbols[0])
     assert dup.state_hash() != digest
     if isinstance(m, CausalContextModel):
-        dup = m.copy()
-        counts = AdaptiveCounts(dup)
+        counts = AdaptiveCounts(m)
         for s in (symbols[0], 39 - symbols[0], symbols[0]):
             counts.code(key, s)
-        counts.commit()
-        assert dup.state_hash() != digest
     assert m._serialize() == saved
     assert m.state_hash() == digest
 
@@ -428,27 +426,21 @@ def test_predict_memo_follows_the_counts(rng):
 
 def test_adaptive_counts_price_like_update_then_coding_table(rng):
     """code() and decode() give the coding_table interval of the counts so
-    far, and commit() leaves the state that one update() per symbol does."""
+    far, as one update() per symbol would leave them, and change no model."""
     m = train(CausalContextModel(40, order=2), [rng.integers(0, 40, (30, 30))])
-    ref, coded, decoded = m.copy(), m.copy(), m.copy()
-    enc, dec = AdaptiveCounts(coded), AdaptiveCounts(decoded)
-    hist, seen = (), []
+    digest, ref = m.state_hash(), m.copy()
+    enc, dec = AdaptiveCounts(m), AdaptiveCounts(m)
+    hist = ()
     for s in rng.integers(0, 40, 600).tolist() + [39, 39, 39]:
-        seen.append(hist)
         w, cum = ref.coding_table(hist)
         expect = (int(cum[s]), int(w[s]))
         assert enc.code(hist, s) == expect
         assert dec.decode(hist, expect[0] + expect[1] - 1) == (s, *expect)
         ref.update(hist, s)
         hist = (hist + (s,))[-2:]
-    assert coded.state_hash() == m.state_hash()  # untouched until commit
-    enc.commit()
-    dec.commit()
-    assert coded.state_hash() == decoded.state_hash() == ref.state_hash()
-    assert list(coded.counts) == list(ref.counts)
-    for hist in seen:
-        np.testing.assert_array_equal(coded.coding_table(hist)[1],
-                                      ref.coding_table(hist)[1])
+    assert ref.state_hash() != digest
+    m._hash = None
+    assert m.state_hash() == digest
 
 
 def _model_file(path, alphabet, entries, order=1, alpha_fp=1 << 16):
@@ -937,7 +929,7 @@ def _two_contexts_sharing_an_entry(model):
 ], ids=["causal", "neighborhood"])
 def test_shared_entries_carry_no_change_across_contexts_or_models(factory):
     """An update of one of two contexts that share an entry, an adaptive
-    pass committed on a copy and training into a copy each leave the other
+    pass over the model and training into a copy each leave the other
     context and the original model as they were."""
     # order 1: contexts (3,) and (4,) both hold ((5,), (1,))
     m = train(factory(), [np.array([[3, 5, 9], [4, 5, 9], [0, 0, 1]])])
@@ -951,10 +943,7 @@ def test_shared_entries_carry_no_change_across_contexts_or_models(factory):
     assert dup.counts[other] is shared and shared == before[other]
 
     if isinstance(m, CausalContextModel):
-        dup = m.copy()
-        ac_encode([3, 15, 15, 0, 15], dup, adaptive=True)
-        assert dup.counts[(3,)] != before[(3,)]
-        assert dup.counts[(4,)] is before[(4,)]
+        ac_encode([3, 15, 15, 0, 15], m, adaptive=True)
 
     dup = m.copy()
     train(dup, [np.full((3, 4), 5)])

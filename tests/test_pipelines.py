@@ -177,14 +177,14 @@ def test_sweep_pool_workers_build_nothing(monkeypatch, kind, jobs):
                          (pipelines._fec, "fec_encode")]:
         monkeypatch.setattr(module, name, parent_only(getattr(module, name)))
     built = []
-    real_built = pipelines._built_context
+    real_built = pipelines.build_context
 
     def remember(scn):
         ctx = real_built(scn)
         built.append(weakref.ref(ctx))
         return ctx
 
-    monkeypatch.setattr(pipelines, "_built_context", remember)
+    monkeypatch.setattr(pipelines, "build_context", remember)
     assert records_to_csv(sweep(scn, jobs=jobs)) == serial
     assert len(built) == 1 and built[0]() is None
 
@@ -270,10 +270,10 @@ def _mixed_scenario(kind):
 
 @pytest.mark.parametrize("kind", ["snr_db", "loss"])
 def test_built_context_is_complete(kind):
-    """Running every task on a built context adds nothing to its memo, so
-    no record of any share builds anything."""
-    import gjcodec.pipelines as pipelines
-    ctx = pipelines._built_context(_mixed_scenario(kind))
+    """Every task runs on a built context, which holds all it reads (a
+    missing key would be a KeyError), and adds nothing to its memo, so no
+    record of any share builds anything."""
+    ctx = build_context(_mixed_scenario(kind))
     built = dict(ctx.memo)
     scn = ctx.scenario
     for si in range(len(scn["schemes"])):
@@ -359,7 +359,7 @@ def _fail_in_share(monkeypatch, where):
     import gjcodec.pipelines as pipelines
     parent = os.getpid()
     built = []
-    real_built, real_record = pipelines._built_context, pipelines.run_record
+    real_built, real_record = pipelines.build_context, pipelines.run_record
 
     def built_context(scn):
         ctx = real_built(scn)
@@ -376,7 +376,7 @@ def _fail_in_share(monkeypatch, where):
             raise ConfigError(f"injected failure in the {where}")
         return real_record(ctx, *task)
 
-    monkeypatch.setattr(pipelines, "_built_context", built_context)
+    monkeypatch.setattr(pipelines, "build_context", built_context)
     monkeypatch.setattr(pipelines, "run_record", run_record)
 
 
@@ -473,17 +473,41 @@ def test_memoised_records_match_a_fresh_context(kind, monkeypatch):
     monkeypatch.setattr(pipelines._conceal, "conceal", conceal)
     ctx = build_context(scn)
     values = scn["conditions"]["values"]
+    # weak records at snr_db draw nothing: the build conceals each once
+    assert len(conceal_calls) == (len(values) if kind == "snr_db" else 0)
     for si, sp in enumerate(scn["schemes"]):
         for ci, value in enumerate(values):
-            for trial in (1, 2):  # trial 1 fills the memo, not trial 0
+            for trial in (1, 2):  # the memo holds no trial; the sweep's rows do
                 row = run_record(ctx, si, ci, trial)
                 assert list(row) == list(CSV_COLUMNS)
                 assert row == next(r for r in recs
                                    if r["scheme"] == sp["label"]
                                    and r["condition"] == value
                                    and r["seed"] == trial)
-    # weak records at snr_db draw nothing, so trial 2 conceals nothing new
+    # so no trial conceals again there; under loss each trial conceals
     assert len(conceal_calls) == len(values) * (1 if kind == "snr_db" else 2)
+
+
+@pytest.mark.parametrize("kind", ["snr_db", "loss"])
+def test_simulate_gives_the_sweep_record(kind, tmp_path, capsys):
+    """`gjcodec simulate` builds only its scheme, yet prints the record the
+    whole scenario's sweep gives, for every scheme (the two loss schemes
+    share one FEC payload but ask for different parity), condition and
+    trial."""
+    from gjcodec.cli import main
+    scn = _mixed_scenario(kind)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scn))
+    recs = sweep(scn)
+    for sp in scn["schemes"]:
+        for value in scn["conditions"]["values"]:
+            for trial in (0, 2):
+                assert main(["simulate", "--scenario", str(path),
+                             "--scheme", sp["label"], "--condition",
+                             str(value), "--trial", str(trial)]) == 0
+                assert json.loads(capsys.readouterr().out) == next(
+                    r for r in recs if r["scheme"] == sp["label"]
+                    and r["condition"] == value and r["seed"] == trial)
 
 
 def _bundled(name):
