@@ -20,11 +20,12 @@ import numpy as np
 from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
 from .entropy import Bitstream, ac_decode, ac_encode
-from .errors import ConfigError, FormatError, GjcError, ParameterError
-from .pipelines import (_MAX_SIDE, build_context, digital_image,
-                        digital_symbols, load_scenario_file, records_to_csv,
-                        run_record, sweep, validate_scenario)
-from .sources import load_pgm, save_pgm
+from .errors import (ConfigError, FormatError, GjcError, ParameterError,
+                     existing_input)
+from .pipelines import (build_context, digital_image, digital_symbols,
+                        load_scenario_file, records_to_csv, run_record, sweep,
+                        validate_scenario)
+from .sources import MAX_SIDE, load_pgm, save_pgm
 from .vq import extract_patches, load_codebook, save_codebook, vq_encode, vq_train
 
 _CONTAINER_MAGIC = b"GJCF"
@@ -36,20 +37,12 @@ def _err(msg: str) -> None:
     print(f"gjcodec: error: {msg}", file=sys.stderr)
 
 
-def _open_input(path: str):
-    """Missing user-supplied inputs are usage errors, not I/O errors."""
-    import os
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    return path
-
-
 def _resolve_scenario(name_or_path: str) -> dict:
     if name_or_path in _BUNDLED:
         from importlib import resources
         ref = resources.files("gjcodec") / "scenarios" / f"{name_or_path}.json"
         return validate_scenario(json.loads(ref.read_text(encoding="utf-8")))
-    return load_scenario_file(_open_input(name_or_path))
+    return load_scenario_file(existing_input(name_or_path))
 
 
 def _apply_sets(scn: dict, assignments: list[str]) -> dict:
@@ -77,12 +70,9 @@ def _apply_sets(scn: dict, assignments: list[str]) -> dict:
 
 
 def _cmd_compress(args) -> int:
-    image = load_pgm(_open_input(args.input))
-    if max(image.height, image.width) > _MAX_SIDE:
-        raise ConfigError(f"image size {image.height}x{image.width}: a side "
-                          f"above {_MAX_SIDE} cannot be compressed")
+    image = load_pgm(existing_input(args.input))
     if args.model:
-        model = load_model(_open_input(args.model))
+        model = load_model(existing_input(args.model))
         if not isinstance(model, CausalContextModel):
             raise ConfigError("compress needs a causal context model")
         if model.alphabet != args.alphabet:
@@ -109,7 +99,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    with open(_open_input(args.input), "rb") as fh:
+    with open(existing_input(args.input), "rb") as fh:
         blob = fh.read()
     hsize = 4 + struct.calcsize(_CONTAINER_HEADER)
     if blob[:4] != _CONTAINER_MAGIC:
@@ -124,9 +114,9 @@ def _cmd_decompress(args) -> int:
         raise FormatError(
             f"image size {height}x{width} is not a positive multiple of 8")
     # bounds the decode to 4096**2 symbols, whatever the payload admits
-    if max(height, width) > _MAX_SIDE:
+    if max(height, width) > MAX_SIDE:
         raise FormatError(f"image size {height}x{width}: a container cannot "
-                          f"hold a side above {_MAX_SIDE}")
+                          f"hold a side above {MAX_SIDE}")
     if not (math.isfinite(step) and step > 0):
         raise FormatError(f"quantizer step {step} is not a positive number")
     if alphabet < 2:
@@ -146,7 +136,7 @@ def _cmd_decompress(args) -> int:
         if not args.model:
             raise ConfigError(
                 "this file was compressed with a trained model; pass --model")
-        model = load_model(_open_input(args.model))
+        model = load_model(existing_input(args.model))
         adaptive = False
     else:
         try:
@@ -174,7 +164,7 @@ def _cmd_decompress(args) -> int:
 def _cmd_train_codebook(args) -> int:
     patches = []
     for path in args.images:
-        img = load_pgm(_open_input(path))
+        img = load_pgm(existing_input(path))
         patches.append(extract_patches(img.samples, args.patch))
     cb = vq_train(np.concatenate(patches, axis=0), args.size, iters=args.iters,
                   seed=args.seed)
@@ -187,19 +177,19 @@ def _cmd_train_codebook(args) -> int:
 def _cmd_train_model(args) -> int:
     grids = []
     if args.codebook:
-        cb = load_codebook(_open_input(args.codebook))
+        cb = load_codebook(existing_input(args.codebook))
         patch = int(round(cb.dim ** 0.5))
         if patch * patch != cb.dim:
             raise ConfigError("codebook dimension is not a square patch")
         alphabet = cb.size
         for path in args.images:
-            img = load_pgm(_open_input(path))
+            img = load_pgm(existing_input(path))
             toks = vq_encode(cb, extract_patches(img.samples, patch))
             grids.append(toks.reshape(img.height // patch, img.width // patch))
     else:
         alphabet = 256
         for path in args.images:
-            grids.append(load_pgm(_open_input(path)).samples.astype(np.int64))
+            grids.append(load_pgm(existing_input(path)).samples.astype(np.int64))
     if args.kind == "causal":
         model = CausalContextModel(alphabet, order=args.order, alpha=args.alpha)
     else:

@@ -34,8 +34,8 @@ _PMF_SQUARE = PMF_TOTAL * PMF_TOTAL
 _MAX_SCALED_TOTAL = 1 << 47
 # The alphabet is a u16 field and the order a u8 field of the model file,
 # the stream header and the container.
-_MAX_ALPHABET = 0xFFFF
-_MAX_ORDER = 0xFF
+MAX_ALPHABET = 0xFFFF
+MAX_ORDER = 0xFF
 # Context symbols are i16 fields of the model file, so a model with context
 # positions has an alphabet of at most 2**15.
 _MAX_CONTEXT_ALPHABET = 0x8000
@@ -50,6 +50,13 @@ KIND_NEIGHBOR = 1
 
 # Neighborhood positions in context order: up, left, right, down.
 NEIGHBOR_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def _entry_dtype(context_len: int) -> np.dtype:
+    """One (context, symbol) entry of a model file, as save() writes it and
+    load_model() reads it."""
+    return np.dtype([("context", "<i2", (context_len,)), ("symbol", "<u2"),
+                     ("count", "<u8")])
 
 
 def quantize_pmf(counts: np.ndarray, alpha_fp: int) -> np.ndarray:
@@ -302,7 +309,7 @@ class _CountModel:
     offsets: tuple  # (row, column) offset of each context position
 
     def __init__(self, alphabet: int, alpha: float, context_len: int):
-        limit = _MAX_CONTEXT_ALPHABET if context_len else _MAX_ALPHABET
+        limit = _MAX_CONTEXT_ALPHABET if context_len else MAX_ALPHABET
         if alphabet < 2 or alphabet > limit:
             raise ParameterError(
                 f"alphabet size must be in [2, {limit}] for a model of "
@@ -380,20 +387,19 @@ class _CountModel:
 
     # -- hashing / serialization -----------------------------------------
 
-    def _entries(self) -> list[tuple[tuple, int, int]]:
-        return [(key, sym, count) for key in sorted(self.counts)
-                for sym, count in zip(*self.counts[key])]
-
     def _serialize(self) -> bytes:
-        entries = self._entries()
+        keys = sorted(self.counts)
+        sizes = [len(self.counts[key][0]) for key in keys]
+        entries = np.zeros(sum(sizes), _entry_dtype(self.context_len))
+        entries["context"] = np.repeat(
+            np.array(keys, dtype=np.int16).reshape(len(keys), self.context_len),
+            sizes, axis=0)
+        entries["symbol"] = [s for key in keys for s in self.counts[key][0]]
+        entries["count"] = [n for key in keys for n in self.counts[key][1]]
         head = MODEL_MAGIC + struct.pack(
             _MODEL_HEAD_FMT, MODEL_VERSION, self.kind, self.alphabet,
             self.context_len, self.alpha_fp, len(entries))
-        parts = [head]
-        fmt = "<" + "h" * self.context_len + "HQ"
-        for key, sym, count in entries:
-            parts.append(struct.pack(fmt, *key, sym, count))
-        return b"".join(parts)
+        return head + entries.tobytes()
 
     def state_hash(self) -> int:
         """64-bit digest of kind, parameters, and every count: two models
@@ -423,9 +429,9 @@ class CausalContextModel(_CountModel):
     kind = KIND_CAUSAL
 
     def __init__(self, alphabet: int, order: int = 2, alpha: float = 1.0):
-        if not 0 <= order <= _MAX_ORDER:
+        if not 0 <= order <= MAX_ORDER:
             raise ParameterError(
-                f"order must be in [0, {_MAX_ORDER}], got {order}")
+                f"order must be in [0, {MAX_ORDER}], got {order}")
         super().__init__(alphabet, alpha, order)
         self.order = order
         self.offsets = tuple((0, j - order) for j in range(order))
@@ -534,17 +540,12 @@ class NeighborhoodModel(_CountModel):
         super().__init__(alphabet, alpha, len(NEIGHBOR_OFFSETS))
         self.arity = self.context_len
         # predict()'s results by context as passed in and by resolved key,
-        # until the counts change
+        # until the counts change; a copy shares them until then
         self._predictions: dict[tuple, tuple[int, int]] = {}
 
     def _merge(self, fresh: dict) -> None:
         super()._merge(fresh)
-        self._predictions.clear()
-
-    def copy(self):
-        dup = super().copy()
-        dup._predictions = dict(self._predictions)
-        return dup
+        self._predictions = {}
 
     def _context_key(self, context) -> tuple:
         key = tuple(int(s) for s in context)
@@ -654,9 +655,12 @@ def _count_dict(contexts: np.ndarray, symbols: np.ndarray, counts: np.ndarray,
 def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
     """Mean -log2 p(symbol | context) over a grid, raster order, in bits/token.
 
-    Uses the model's quantized fixed-point PMFs and does not adapt mid-pass,
-    so the value is exactly the ideal (pre-termination) cost of coding the
-    grid with the frozen model.
+    Uses the model's quantized fixed-point PMFs and does not adapt mid-pass.
+    Each cell's context is its `grid_contexts` row, so a causal history
+    restarts at every grid row: for a 1-D sequence the value times its
+    length is the ideal (pre-termination) cost of static `ac_encode` with
+    the frozen model, and for a 2-D grid it is the sum of those costs over
+    the rows, not the cost of coding the flattened grid.
     """
     g = np.asarray(grid)
     if g.ndim == 1:
@@ -706,8 +710,7 @@ def load_model(path):
             raise FormatError(f"model: unknown kind {kind}")
     except ParameterError as exc:
         raise FormatError(f"model: bad header: {exc}") from None
-    dtype = np.dtype([("context", "<i2", (ctx_len,)), ("symbol", "<u2"),
-                      ("count", "<u8")])
+    dtype = _entry_dtype(ctx_len)
     if len(data) - _MODEL_HEAD_SIZE != n_entries * dtype.itemsize:
         raise FormatError(
             f"model: payload holds {len(data) - _MODEL_HEAD_SIZE} bytes, "

@@ -65,11 +65,6 @@ class Bitstream:
     cost_bits: float | None = field(default=None, compare=False)
 
     @property
-    def total_bits(self) -> int:
-        """Header plus payload size in bits."""
-        return 8 * (len(self.payload) + _HEADER_SIZE)
-
-    @property
     def payload_bits(self) -> int:
         return 8 * len(self.payload)
 
@@ -209,24 +204,6 @@ def _max_symbols(payload_bytes: int, alphabet: int) -> int:
     return math.floor((8 * payload_bytes + 32) / delta)
 
 
-class _WordReader:
-    """Serves 16-bit words from the payload, zero-padding past the end."""
-
-    def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 0
-
-    def next_word(self) -> int:
-        p = self.pos
-        self.pos = p + 2
-        chunk = self.payload[p:p + 2]
-        if len(chunk) == 2:
-            return chunk[0] << 8 | chunk[1]
-        if len(chunk) == 1:
-            return chunk[0] << 8
-        return 0
-
-
 def ac_decode(stream: Bitstream, model: CausalContextModel,
               adaptive: bool = False) -> np.ndarray:
     """Decode a Bitstream; the inverse of :func:`ac_encode`.
@@ -257,10 +234,11 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
         raise CorruptStreamError(
             f"stream: {len(payload)} payload bytes cannot hold {n} symbols")
 
-    reader = _WordReader(payload)
+    # 16-bit big-endian words, zero-padded past the end of the payload
+    words = struct.iter_unpack(">H", payload + b"\x00" * (len(payload) % 2))
     c = 0
     for _ in range(4):
-        c = c << 16 | reader.next_word()
+        c = c << 16 | next(words, (0,))[0]
     range_ = _TWO64
     renorms = 0
 
@@ -281,7 +259,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
         else:
             range_ = r * width
         while range_ < _TWO32:
-            c = c << 16 | reader.next_word()
+            c = c << 16 | next(words, (0,))[0]
             range_ <<= 16
             renorms += 1
         out[i] = s

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies rather than bare ValueError.
 """
 
+import os
+
 
 class GjcError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,13 @@ class FecDecodeError(GjcError):
     This is a *signal*, not a crash: pipelines catch it and record a failed
     transmission.
     """
+
+
+def existing_input(path, field: str | None = None):
+    """`path`, if it exists: a missing user-supplied input is a usage error
+    (ConfigError), not an operating-system I/O failure.  `field` names where
+    a scenario gave the path."""
+    if not os.path.exists(path):
+        where = f"{field}: " if field else ""
+        raise ConfigError(f"{where}input file not found: {path}")
+    return path

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import FecDecodeError, ParameterError
 
 _POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
+# The most packets, data plus parity, in one block.
+MAX_BLOCK = 255
 
 _GF_EXP = np.zeros(510, dtype=np.uint8)
 _GF_LOG = np.zeros(256, dtype=np.int32)
@@ -88,31 +90,24 @@ def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _parity_matrix(k: int) -> np.ndarray:
-    """Rows k..254 of the systematic generator matrix, (255-k, k) uint8.
+    """Rows k..MAX_BLOCK-1 of the systematic generator matrix,
+    (MAX_BLOCK - k, k) uint8.
 
     Row i of V @ inv(V[:k]) depends on k and i only, so every block size
-    k + r <= 255 with the same k uses a prefix of these rows.
+    k + r <= MAX_BLOCK with the same k uses a prefix of these rows.
     """
-    vand = np.array([[_gf_pow(i, j) for j in range(k)] for i in range(255)],
-                    dtype=np.uint8)
+    vand = np.array([[_gf_pow(i, j) for j in range(k)]
+                     for i in range(MAX_BLOCK)], dtype=np.uint8)
     top_inv = _gf_mat_inv(vand[:k])
     return _gf_mul_mat(vand[k:], top_inv)
-
-
-def _coding_row(index: int, k: int, parity_rows: np.ndarray) -> np.ndarray:
-    if index < k:
-        row = np.zeros(k, dtype=np.uint8)
-        row[index] = 1
-        return row
-    return parity_rows[index - k]
 
 
 @lru_cache(maxsize=128)
 def _recovery_matrix(k: int, use: tuple) -> np.ndarray:
     """Inverse of the coding rows of the k received packets `use` (sorted
     block indices), read-only; erasure patterns repeat across a sweep."""
-    parity_rows = _parity_matrix(k)
-    inv = _gf_mat_inv(np.stack([_coding_row(i, k, parity_rows) for i in use]))
+    rows = np.concatenate((np.eye(k, dtype=np.uint8), _parity_matrix(k)))
+    inv = _gf_mat_inv(rows[list(use)])
     inv.setflags(write=False)
     return inv
 
@@ -131,8 +126,8 @@ def _validate_block(k: int, r: int) -> None:
         raise ParameterError(f"k must be >= 1, got {k}")
     if r < 0:
         raise ParameterError(f"r must be >= 0, got {r}")
-    if k + r > 255:
-        raise ParameterError(f"k + r must be <= 255, got {k + r}")
+    if k + r > MAX_BLOCK:
+        raise ParameterError(f"k + r must be <= {MAX_BLOCK}, got {k + r}")
 
 
 def fec_encode(data: list[bytes], r: int) -> list[Packet]:

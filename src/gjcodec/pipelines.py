@@ -55,12 +55,13 @@ from . import analog as _analog
 from . import channel as _channel
 from . import concealment as _conceal
 from . import fec as _fec
-from .context import CausalContextModel, NeighborhoodModel, train
+from .context import (MAX_ALPHABET, MAX_ORDER, CausalContextModel,
+                      NeighborhoodModel, train)
 from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
-                     ParameterError)
+                     ParameterError, existing_input)
 from .metrics import compute_metrics
-from .sources import ImageGrid, ar1_field, load_pgm
+from .sources import MAX_SIDE, ImageGrid, ar1_field, load_pgm
 from .transform import (dct2, idct2, merge_blocks, split_blocks, sq_dequantize,
                         sq_quantize, symbol_to_signed, signed_to_symbol,
                         zigzag_scan, zigzag_unscan)
@@ -178,12 +179,11 @@ def _check(v, f: _Field, path: str, optional: frozenset):
 _TEXTURE = {"rho": _Field(float), "sigma": _Field(float),
             "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
 # Size bounds: see "Scenario files" in README.md.
-_MAX_SIDE = 4096
 _MAX_TRAIN_IMAGES = 64
 _MAX_SEEDS = 10_000
 _MAX_WINDOW = 10 ** 6
-_AR1 = {"width": _Field(int, lo=1, hi=_MAX_SIDE),
-        "height": _Field(int, lo=1, hi=_MAX_SIDE),
+_AR1 = {"width": _Field(int, lo=1, hi=MAX_SIDE),
+        "height": _Field(int, lo=1, hi=MAX_SIDE),
         "rho": _Field(float), "sigma": _Field(float), "mean": _Field(float),
         "upsample": _Field(int, 1, lo=1),
         "texture": _Field(dict, None, item=_TEXTURE)}
@@ -200,7 +200,7 @@ _CONDITIONS = {
              # default: see validate_scenario
              "window": _Field(int, None, lo=1, hi=_MAX_WINDOW)},
 }
-_ORDER = _Field(int, 2, lo=0, hi=255)
+_ORDER = _Field(int, 2, lo=0, hi=MAX_ORDER)
 
 
 def _check_layers(d: dict, path: str) -> None:
@@ -506,25 +506,26 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
 
 
 def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
-    """Lost flags of `window` monitoring slots, then 255 transmission slots,
-    from a Gilbert-Elliott channel with the scenario's mean burst length
-    and a stationary loss rate of `loss`."""
+    """Lost flags of `window` monitoring slots, then fec.MAX_BLOCK (one
+    block) transmission slots, from a Gilbert-Elliott channel with the
+    scenario's mean burst length and a stationary loss rate of `loss`."""
     cond = ctx.scenario["conditions"]
     p_bg = 1.0 / cond["burst_mean"]
     p_gb = p_bg * loss / (1.0 - loss)
-    return _channel.gilbert_elliott(cond["window"] + 255, p_gb, p_bg, 0.0, 1.0,
-                                    rng).lost
+    return _channel.gilbert_elliott(cond["window"] + _fec.MAX_BLOCK, p_gb,
+                                    p_bg, 0.0, 1.0, rng).lost
 
 
 def _build_fec(ctx: SweepContext, sp: dict):
     """(packets, packet length) of the digital payload of `sp` split into k
-    data packets plus the most parity packets, min(255 - k, multiplier * k),
-    that any loss scheme sending that payload can ask for.  The parity rows
-    for r are a prefix of those for any larger r, so a record sends the
-    first k + r packets and each payload is encoded once."""
+    data packets plus the most parity packets, min(MAX_BLOCK - k,
+    multiplier * k), that any loss scheme sending that payload can ask
+    for.  The parity rows for r are a prefix of those for any larger r, so
+    a record sends the first k + r packets and each payload is encoded
+    once."""
     key = _artifact_key(sp)
     k = ctx.scenario["fec"]["k"]
-    r = max(min(255 - k, other["fec_multiplier"] * k)
+    r = max(min(_fec.MAX_BLOCK - k, other["fec_multiplier"] * k)
             for other in ctx.scenario["schemes"]
             if _artifact_key(other) == key)
     payload = _artifact(ctx, sp)[0].payload
@@ -541,7 +542,7 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     lost_in_window = int(np.count_nonzero(lost[:window]))
     # r = ceil(mult * k * lost_in_window / window), exactly in integers.
     r = -(-sp["fec_multiplier"] * lost_in_window * k // window)
-    r = min(r, 255 - k)
+    r = min(r, _fec.MAX_BLOCK - k)
 
     stream, decoded = _artifact(ctx, sp)
     payload = stream.payload
@@ -593,7 +594,7 @@ _SCHEMES = {
     "digital_separate": _Scheme(
         fields={"label": _Field(str),
                 "sq_step": _Field(float, 16.0, lo=0, open=True),
-                "sq_alphabet": _Field(int, 256, lo=2, hi=65535),
+                "sq_alphabet": _Field(int, 256, lo=2, hi=MAX_ALPHABET),
                 "context_order": _ORDER, "est_snr_db": _Field(float),
                 "fec_multiplier": _Field(int, lo=1)},
         artifact=("sq_step", "sq_alphabet", "context_order"),
@@ -631,9 +632,9 @@ _SCENARIO = _Field(dict, item={
     "train": _Field(dict, item={"images": _Field(int, lo=1,
                                                  hi=_MAX_TRAIN_IMAGES),
                                 "seed": _Field(int), **_AR1}),
-    # A weak record reads as many slots of its 255-slot loss trace.
-    "packets": _Field(int, 16, lo=2, hi=255),
-    "fec": _Field(dict, item={"k": _Field(int, lo=1, hi=254)}),
+    # A weak record reads as many slots of its loss trace's one block.
+    "packets": _Field(int, 16, lo=2, hi=_fec.MAX_BLOCK),
+    "fec": _Field(dict, item={"k": _Field(int, lo=1, hi=_fec.MAX_BLOCK - 1)}),
 })
 # Required (or filled in) only when a scheme needs them under the kind.
 _CONDITIONAL = frozenset(name for scheme in _SCHEMES.values()
@@ -692,7 +693,8 @@ def build_context(scn: dict) -> SweepContext:
     nothing."""
     scn = validate_scenario(scn)
     src = scn["source"]
-    image = (load_pgm(src["path"]) if src["type"] == "pgm"
+    image = (load_pgm(existing_input(src["path"], "source.path"))
+             if src["type"] == "pgm"
              else _ar1_textured(src["height"], src["width"], src, src["seed"]))
     budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
     ctx = SweepContext(scenario=scn, image=image, budget_symbols=budget)

@@ -12,6 +12,11 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 
+# The largest image side the program reads, builds or decodes.  A
+# 4096x4096 image is 128 MiB of float64, and a decoder bounded by it walks
+# at most 4096**2 symbols.
+MAX_SIDE = 4096
+
 
 def ar1_field(rows: int, cols: int, rho: float, seed: int) -> np.ndarray:
     """Zero-mean, unit-variance field with separable AR(1) correlation.
@@ -101,7 +106,8 @@ def _read_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def load_pgm(path) -> ImageGrid:
-    """Read a binary PGM (P5) file with maxval 255."""
+    """Read a binary PGM (P5) file with maxval 255.  A side above MAX_SIDE
+    is a usage error, raised from the header."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -117,6 +123,9 @@ def load_pgm(path) -> ImageGrid:
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise FormatError(f"pgm: bad dimensions {width}x{height}")
+    if max(width, height) > MAX_SIDE:
+        raise ParameterError(f"pgm: image size {height}x{width}: a side "
+                             f"above {MAX_SIDE} is not supported")
     if maxval != 255:
         raise FormatError(f"pgm: maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -15,6 +15,8 @@ from .errors import ConfigError, FormatError, ParameterError
 
 CODEBOOK_MAGIC = b"GJCB"
 CODEBOOK_VERSION = 1
+_HEAD_FMT = "<BHHQ"
+_HEAD_SIZE = 4 + struct.calcsize(_HEAD_FMT)
 MAX_CODEWORDS = 1024
 
 
@@ -272,7 +274,7 @@ def assemble_patches(patches: np.ndarray, height: int, width: int, patch: int) -
 def save_codebook(codebook: Codebook, path) -> None:
     payload = codebook.vectors.astype("<f4").tobytes()
     header = CODEBOOK_MAGIC + struct.pack(
-        "<BHHQ", CODEBOOK_VERSION, codebook.size, codebook.dim,
+        _HEAD_FMT, CODEBOOK_VERSION, codebook.size, codebook.dim,
         codebook.train_seed)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -284,17 +286,16 @@ def load_codebook(path) -> Codebook:
         data = fh.read()
     if data[:4] != CODEBOOK_MAGIC:
         raise FormatError(f"codebook: bad magic {data[:4]!r}")
-    if len(data) < 4 + struct.calcsize("<BHHQ"):
+    if len(data) < _HEAD_SIZE:
         raise FormatError("codebook: truncated header")
-    version, k, dim, seed = struct.unpack_from("<BHHQ", data, 4)
+    version, k, dim, seed = struct.unpack_from(_HEAD_FMT, data, 4)
     if version != CODEBOOK_VERSION:
         raise FormatError(f"codebook: unsupported version {version}")
-    off = 4 + struct.calcsize("<BHHQ")
     need = k * dim * 4
-    if len(data) - off != need:
+    if len(data) - _HEAD_SIZE != need:
         raise FormatError(
-            f"codebook: payload holds {len(data) - off} bytes, expected {need}")
-    vec = np.frombuffer(data, dtype="<f4", count=k * dim, offset=off)
+            f"codebook: payload holds {len(data) - _HEAD_SIZE} bytes, expected {need}")
+    vec = np.frombuffer(data, dtype="<f4", count=k * dim, offset=_HEAD_SIZE)
     try:
         return Codebook(vectors=vec.reshape(k, dim).copy(), train_seed=seed)
     except (ConfigError, ParameterError) as exc:

@@ -359,6 +359,49 @@ def test_compress_bounds_the_image_side(tmp_path, height, width, code):
     assert load_pgm(rest).samples.shape == (height, width)
 
 
+def _pgm_source_sweep(tmp_path, path):
+    """`gjcodec sweep` of one fig5 trial with the PGM at `path` as its
+    source, CSV to stdout."""
+    scn = _bundled_scenario("fig5")
+    scn.update(num_seeds=1, source={"type": "pgm", "path": str(path)})
+    scn["train"]["images"] = 1
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(scn))
+    return run_cli("sweep", "--scenario", str(scenario), "--output", "-")
+
+
+@pytest.mark.parametrize("command", ["sweep", "train-model", "train-codebook"])
+def test_every_pgm_read_bounds_the_image_side(tmp_path, sample_pgm, command):
+    """A PGM with a side above 4096 exits 2 with one line and writes
+    nothing, whether it is a scenario's source or a training image, as it
+    does as the compress input."""
+    rng = np.random.default_rng(4104)
+    wide = tmp_path / "wide.pgm"
+    save_pgm(ImageGrid(rng.integers(0, 256, (8, 4104), dtype=np.uint8)), wide)
+    out_file = tmp_path / "out.bin"
+    if command == "sweep":
+        code, out, err = _pgm_source_sweep(tmp_path, wide)
+    else:
+        # with the sample image alone, each command writes its output
+        extra = {"train-codebook": ["--size", "2", "--iters", "1"]}
+        code, out, err = run_cli(command, str(sample_pgm), str(wide),
+                                 "--output", str(out_file),
+                                 *extra.get(command, []))
+    assert code == 2, err
+    assert "above 4096" in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert out == "" and not out_file.exists()
+
+
+def test_missing_pgm_source_is_usage_error(tmp_path):
+    """A scenario's PGM source is a user-supplied input: a missing one
+    exits 2 naming the field and the path, not 3 as an I/O failure."""
+    code, out, err = _pgm_source_sweep(tmp_path, tmp_path / "ghost.pgm")
+    assert code == 2, err
+    assert "source.path" in err and "ghost.pgm" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("error", [MemoryError(), ValueError("bad shape")])
 def test_decode_failures_are_format_errors(tmp_path, sample_pgm, monkeypatch,
                                            error):

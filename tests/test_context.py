@@ -98,6 +98,23 @@ def test_cross_entropy_deterministic_corpus():
     assert cross_entropy(m, grid) < 0.01
 
 
+def test_cross_entropy_is_the_static_cost_of_each_row():
+    """A causal history restarts at every grid row: on a sequence the mean
+    times its length is static ac_encode's ideal cost, and on a grid it is
+    the sum of that cost over the rows, not the cost of the flattened
+    grid."""
+    rng = np.random.default_rng(5)
+    m = train(CausalContextModel(8, order=2), [rng.integers(0, 8, (12, 9))])
+    seq = rng.integers(0, 8, 40)
+    assert cross_entropy(m, seq) * seq.size == pytest.approx(
+        ac_encode(seq, m).cost_bits, rel=1e-12)
+    grid = rng.integers(0, 8, (5, 7))
+    rows = sum(ac_encode(row, m).cost_bits for row in grid)
+    assert cross_entropy(m, grid) * grid.size == pytest.approx(rows, rel=1e-12)
+    assert cross_entropy(m, grid) * grid.size != pytest.approx(
+        ac_encode(grid.ravel(), m).cost_bits, rel=1e-6)
+
+
 def test_cross_entropy_non_negative(rng):
     for _ in range(5):
         grid = rng.integers(0, 7, (12, 12))
@@ -914,6 +931,63 @@ def test_train_and_load_match_the_frozen_count_dict(tmp_path, kind, alphabet):
     assert loaded.counts == ref.counts
     assert loaded.state_hash() == ref.state_hash()
     _assert_each_pair_stored_once(loaded)
+
+
+def _struct_save(model) -> bytes:
+    """The model file as save() wrote it one entry at a time with struct,
+    before the entries were written through one numpy record array."""
+    import struct
+    entries = [(key, sym, count) for key in sorted(model.counts)
+               for sym, count in zip(*model.counts[key])]
+    head = b"GJCM" + struct.pack("<BBHBIQ", 1, model.kind, model.alphabet,
+                                 model.context_len, model.alpha_fp,
+                                 len(entries))
+    fmt = "<" + "h" * model.context_len + "HQ"
+    return head + b"".join(struct.pack(fmt, *key, sym, count)
+                           for key, sym, count in entries)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(11)
+    corpus = _skewed_corpus(rng, 16)
+    for order in range(4):
+        yield f"causal order {order}", train(
+            CausalContextModel(16, order=order, alpha=0.5), corpus)
+    yield "neighborhood", train(NeighborhoodModel(16), corpus)
+    for order in (0, 2):
+        yield f"empty causal order {order}", CausalContextModel(16, order=order)
+    yield "empty neighborhood", NeighborhoodModel(16)
+    for alphabet in (2, 32768):
+        m = CausalContextModel(alphabet, order=3)
+        top = alphabet - 1
+        for context, symbol in (((), top), ((top,), 0), ((0, top), top),
+                                ((ABSENT, 0, top), 1), ((top,) * 3, 0)):
+            m.update(context, symbol)
+        yield f"alphabet {alphabet}", m
+    m = NeighborhoodModel(32768)
+    m.update((ABSENT, 32767, ABSENT, 0), 32767)
+    yield "neighborhood alphabet 32768", m
+    # The largest context totals load_model accepts under alpha = 1.
+    limit = ((1 << 47) - 2 * PMF_TOTAL) // PMF_TOTAL
+    m = CausalContextModel(2, order=1)
+    m.counts = {(ABSENT,): ((0,), (limit - 1,)), (0,): ((0, 1), (1, limit - 2))}
+    yield "counts near the load bound", m
+
+
+@pytest.mark.parametrize("name, model", list(_writer_cases()),
+                         ids=[name for name, _ in _writer_cases()])
+def test_save_writes_the_struct_writers_bytes(tmp_path, name, model):
+    """save() writes, and state_hash() digests, the bytes a per-entry
+    struct writer gives, and load_model reads them back to the same
+    counts."""
+    want = _struct_save(model)
+    model.save(tmp_path / "m.gjm")
+    assert (tmp_path / "m.gjm").read_bytes() == want
+    assert model.state_hash() == int.from_bytes(
+        hashlib.blake2b(want, digest_size=8).digest(), "little")
+    loaded = load_model(tmp_path / "m.gjm")
+    assert loaded.counts == model.counts
+    assert loaded.state_hash() == model.state_hash()
 
 
 def _two_contexts_sharing_an_entry(model):

@@ -1,7 +1,8 @@
-"""Names that code outside the package reaches by name: everything in
-`gjcodec.__all__`, and the functions and methods that the benchmark's
-tracer (gjbench/tracing.py) rebinds."""
+"""Names that code reaches by name: everything in `gjcodec.__all__`, the
+functions and methods that the benchmark's tracer (gjbench/tracing.py)
+rebinds, and the names one gjcodec module imports from another."""
 
+import ast
 from pathlib import Path
 
 import gjcodec
@@ -27,3 +28,18 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert pipelines.run_record is original
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each format and bound has one owning module, which makes it public
+    when another module reads it; no module imports an underscore name of
+    another gjcodec module."""
+    package = Path(gjcodec.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("gjcodec"))):
+                private += [f"{path.name}: {node.module}.{a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert private == []
