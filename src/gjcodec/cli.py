@@ -21,7 +21,7 @@ from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
 from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import (ConfigError, FormatError, GjcError, ParameterError,
-                     existing_input)
+                     existing_input, output_file)
 from .pipelines import (build_context, digital_image, digital_symbols,
                         load_scenario_file, records_to_csv, run_record, sweep,
                         validate_scenario)
@@ -55,6 +55,8 @@ def _apply_sets(scn: dict, assignments: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"--set {path}: value is not usable: {exc}") from None
         node = scn
         parts = path.split(".")
         for p in parts[:-1]:
@@ -88,7 +90,7 @@ def _cmd_compress(args) -> int:
         _CONTAINER_HEADER, 1, image.height, image.width, args.step,
         args.alphabet, order, 0 if adaptive else 1)
     blob = header + stream.to_bytes()
-    with open(args.output, "wb") as fh:
+    with output_file(args.output) as fh:
         fh.write(blob)
     # machine-readable stats line on stdout; chatter stays on stderr
     print(f"bpp={8 * len(blob) / image.pixels:.6f} "
@@ -235,9 +237,9 @@ def _cmd_sweep(args) -> int:
         sys.stdout.write(records_to_csv(sweep(scn, jobs=args.jobs)))
         return 0
     # Opened before the sweep runs, so an unwritable path fails at once.
-    with open(args.output, "w", encoding="ascii") as fh:
+    with output_file(args.output) as fh:
         records = sweep(scn, jobs=args.jobs)
-        fh.write(records_to_csv(records))
+        fh.write(records_to_csv(records).encode("ascii"))
     print(f"{len(records)} records -> {args.output}", file=sys.stderr)
     return 0
 

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, output_file
 
 PMF_BITS = 16
 PMF_TOTAL = 1 << PMF_BITS
@@ -409,7 +409,7 @@ class _CountModel:
         return self._hash
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
+        with output_file(path) as fh:
             fh.write(self._serialize())
 
     def copy(self):

@@ -4,7 +4,9 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies rather than bare ValueError.
 """
 
+import contextlib
 import os
+import uuid
 
 
 class GjcError(Exception):
@@ -47,3 +49,27 @@ def existing_input(path, field: str | None = None):
         where = f"{field}: " if field else ""
         raise ConfigError(f"{where}input file not found: {path}")
     return path
+
+
+@contextlib.contextmanager
+def output_file(path):
+    """A binary file handle whose contents replace `path` whole, or not at
+    all: writes go to a new file beside `path`, created at entry with the
+    permissions open() gives a new file, moved over `path` on success and
+    removed on failure.  An existing target that is not a regular file (a
+    device such as /dev/null, a pipe) is written in place instead."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)  # a symlink keeps pointing at the output
+    tmp = os.path.join(os.path.dirname(path), f".gjcodec-{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

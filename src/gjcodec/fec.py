@@ -1,10 +1,14 @@
-"""Systematic Reed-Solomon style erasure coding over GF(256).
+"""Systematic erasure coding over GF(256) with a Cauchy generator.
 
 A block of k equal-length data packets is extended with r parity packets;
-any k of the k+r packets recover the data.  The generator matrix is built
-from a Vandermonde matrix V (evaluation points 0..k+r-1) normalised so the
-top k rows are the identity: M = V @ inv(V[:k]).  Every k-row submatrix of
-M is then invertible, which is exactly the any-k recovery property.
+any k of the k+r packets recover the data.  Parity row i (k <= i < 255)
+holds the Cauchy entries C[i, j] = 1 / (i xor j) over data columns
+j < k.  Every square submatrix of a Cauchy matrix is invertible, so every
+k rows of the generator [I; C] are too: with e data packets lost, the k
+received rows reduce to the e x e submatrix C[P, E] of e parity rows P
+and the lost columns E.  That is the any-k recovery property, and it is
+also the decoder: subtract the known data's share from the e parity
+payloads and multiply by inv(C[P, E]).
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ def gf_inv(a: int) -> int:
     return int(_GF_EXP[255 - int(_GF_LOG[a])])
 
 
-def _gf_pow(base: int, exp: int) -> int:
-    if exp == 0:
-        return 1
-    if base == 0:
-        return 0
-    return int(_GF_EXP[(int(_GF_LOG[base]) * exp) % 255])
-
-
 # Column chunks of _gf_mul_mat keep its (rows, inner, chunk) product
 # temporary near this many bytes, whatever the packet length.
 _MUL_MAT_BYTES = 1 << 20
@@ -69,16 +65,12 @@ def _gf_mul_mat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inversion over GF(256); m is a uint8 square matrix."""
+    """Gauss-Jordan inversion over GF(256) of a square Cauchy matrix m
+    (uint8).  Its leading principal minors are Cauchy determinants, never
+    zero, so every pivot is already in place."""
     k = len(m)
     a = np.concatenate([m.astype(np.uint8), np.eye(k, dtype=np.uint8)], axis=1)
     for col in range(k):
-        nz = np.nonzero(a[col:, col])[0]
-        if nz.size == 0:
-            raise FecDecodeError("singular recovery matrix")
-        pivot = col + int(nz[0])
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
         a[col] = _GF_MUL[gf_inv(int(a[col, col]))][a[col]]
         factors = a[:, col].copy()
         factors[col] = 0
@@ -90,24 +82,21 @@ def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _parity_matrix(k: int) -> np.ndarray:
-    """Rows k..MAX_BLOCK-1 of the systematic generator matrix,
-    (MAX_BLOCK - k, k) uint8.
+    """Rows k..MAX_BLOCK-1 of the generator, (MAX_BLOCK - k, k) uint8.
 
-    Row i of V @ inv(V[:k]) depends on k and i only, so every block size
+    An entry depends on its row and column only, so every block size
     k + r <= MAX_BLOCK with the same k uses a prefix of these rows.
     """
-    vand = np.array([[_gf_pow(i, j) for j in range(k)]
-                     for i in range(MAX_BLOCK)], dtype=np.uint8)
-    top_inv = _gf_mat_inv(vand[:k])
-    return _gf_mul_mat(vand[k:], top_inv)
+    rows = np.arange(k, MAX_BLOCK)[:, None] ^ np.arange(k)[None, :]
+    return _GF_EXP[255 - _GF_LOG[rows]]
 
 
 @lru_cache(maxsize=128)
-def _recovery_matrix(k: int, use: tuple) -> np.ndarray:
-    """Inverse of the coding rows of the k received packets `use` (sorted
-    block indices), read-only; erasure patterns repeat across a sweep."""
-    rows = np.concatenate((np.eye(k, dtype=np.uint8), _parity_matrix(k)))
-    inv = _gf_mat_inv(rows[list(use)])
+def _recovery_matrix(k: int, lost: tuple, parity: tuple) -> np.ndarray:
+    """inv(C[parity, lost]) for the lost data columns and as many received
+    parity rows (block indices), read-only; erasure patterns repeat across
+    a sweep."""
+    inv = _gf_mat_inv(_parity_matrix(k)[np.ix_(np.subtract(parity, k), lost)])
     inv.setflags(write=False)
     return inv
 
@@ -167,10 +156,20 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
     if len(lengths) > 1:
         raise ParameterError("received payloads must have equal length")
 
-    if all(i in seen for i in range(k)):
+    lost = tuple(i for i in range(k) if i not in seen)
+    if not lost:
         return [seen[i] for i in range(k)]
 
-    use = tuple(sorted(seen)[:k])
-    rec = np.frombuffer(b"".join(seen[i] for i in use), dtype=np.uint8)
-    data = _gf_mul_mat(_recovery_matrix(k, use), rec.reshape(k, -1))
-    return [row.tobytes() for row in data]
+    parity = tuple(sorted(i for i in seen if i >= k)[:len(lost)])
+    known = [i for i in range(k) if i in seen]
+    width = lengths.pop()
+
+    def block(idx) -> np.ndarray:
+        return np.frombuffer(b"".join(seen[i] for i in idx),
+                             dtype=np.uint8).reshape(len(idx), width)
+
+    rows = _parity_matrix(k)[np.subtract(parity, k)]
+    syndrome = block(parity) ^ _gf_mul_mat(rows[:, known], block(known))
+    found = _gf_mul_mat(_recovery_matrix(k, lost, parity), syndrome)
+    seen.update(zip(lost, (row.tobytes() for row in found)))
+    return [seen[i] for i in range(k)]

@@ -338,15 +338,24 @@ def digital_image(symbols: np.ndarray, height: int, width: int, step: float,
     return ImageGrid.from_float(merge_blocks(blocks, height, width))
 
 
+def _verified_stream(symbols: np.ndarray, model: CausalContextModel,
+                     what: str):
+    """The adaptive stream of `symbols`, decoded once: a stream that does
+    not decode to them raises CorruptStreamError."""
+    stream = ac_encode(symbols, model, adaptive=True)
+    if not np.array_equal(ac_decode(stream, model, adaptive=True), symbols):
+        raise CorruptStreamError(f"{what} does not decode to its symbols")
+    return stream
+
+
 def _build_digital(ctx: SweepContext, sp: dict):
     """(adaptive stream of the source, the image it decodes to)."""
     step, alphabet = sp["sq_step"], sp["sq_alphabet"]
     model = CausalContextModel(alphabet, order=sp["context_order"])
-    stream = ac_encode(digital_symbols(ctx.image, step, alphabet), model,
-                       adaptive=True)
-    decoded_syms = ac_decode(stream, model, adaptive=True)
-    return stream, digital_image(decoded_syms, ctx.image.height,
-                                 ctx.image.width, step, alphabet)
+    syms = digital_symbols(ctx.image, step, alphabet)
+    stream = _verified_stream(syms, model, "the digital payload")
+    return stream, digital_image(syms, ctx.image.height, ctx.image.width,
+                                 step, alphabet)
 
 
 def _fallback_image(image: ImageGrid) -> ImageGrid:
@@ -383,13 +392,8 @@ def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     tokens = tokens_of(ctx.image)
     assignment = _conceal.strided_assignment(tokens.shape[0], tokens.shape[1],
                                              scn["packets"])
-    streams = []
-    for p in range(scn["packets"]):
-        seq = tokens[assignment == p]
-        stream = ac_encode(seq, causal, adaptive=True)
-        if not np.array_equal(ac_decode(stream, causal, adaptive=True), seq):
-            raise CorruptStreamError(f"packet {p} does not decode to its tokens")
-        streams.append(stream)
+    streams = [_verified_stream(tokens[assignment == p], causal, f"packet {p}")
+               for p in range(scn["packets"])]
     return WeakCode(codebook=codebook, neighbor=neighbor, tokens=tokens,
                     assignment=assignment, streams=streams)
 
@@ -650,7 +654,11 @@ def validate_scenario(scn: dict) -> dict:
     """
     # The first pass checks every field given; the second, once the schemes
     # and the condition kind are known, requires or fills in what they need.
-    out = _check(json.loads(json.dumps(scn)), _SCENARIO, "", _CONDITIONAL)
+    try:
+        out = _check(json.loads(json.dumps(scn)), _SCENARIO, "", _CONDITIONAL)
+    except RecursionError:
+        # a value the parser took, nested too deeply to copy or quote
+        raise ConfigError("scenario is nested too deeply") from None
     kind = out["conditions"]["kind"]
     needed, labels = set(), set()
     for i, sp in enumerate(out["schemes"]):
@@ -679,11 +687,14 @@ def validate_scenario(scn: dict) -> dict:
 
 
 def load_scenario_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            scn = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        scn = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
+        # digit limit; RecursionError, nesting beyond the parser's depth
+        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
     return validate_scenario(scn)
 
 

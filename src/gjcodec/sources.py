@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, output_file
 
 # The largest image side the program reads, builds or decodes.  A
 # 4096x4096 image is 128 MiB of float64, and a decoder bounded by it walks
@@ -140,6 +140,6 @@ def load_pgm(path) -> ImageGrid:
 def save_pgm(image: ImageGrid, path) -> None:
     """Write a binary PGM (P5) file with maxval 255."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header)
         fh.write(image.samples.tobytes())

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ParameterError
+from .errors import ConfigError, FormatError, ParameterError, output_file
 
 CODEBOOK_MAGIC = b"GJCB"
 CODEBOOK_VERSION = 1
@@ -276,7 +276,7 @@ def save_codebook(codebook: Codebook, path) -> None:
     header = CODEBOOK_MAGIC + struct.pack(
         _HEAD_FMT, CODEBOOK_VERSION, codebook.size, codebook.dim,
         codebook.train_seed)
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header)
         fh.write(payload)
 

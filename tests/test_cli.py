@@ -224,6 +224,74 @@ def test_sweep_io_failure(tmp_path, monkeypatch):
     assert "I/O failure" in err
 
 
+def _failing_sweep(tmp_path, output):
+    """A sweep that fails in its build: its pgm source does not exist."""
+    source = json.dumps({"type": "pgm", "path": str(tmp_path / "gone.pgm")})
+    return run_cli("sweep", "--scenario", "fig5", "--set", f"source={source}",
+                   "--output", str(output))
+
+
+def test_failed_sweep_leaves_no_output_file(tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = _failing_sweep(tmp_path, out_dir / "x.csv")
+    assert code == 2 and "gone.pgm" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_failed_sweep_keeps_the_previous_output(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"previous,bytes\n")
+    assert _failing_sweep(tmp_path, out)[0] == 2
+    assert out.read_bytes() == b"previous,bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_output_file_permissions_and_devices(tmp_path):
+    import os
+    import stat
+    from gjcodec.errors import output_file
+    umask = os.umask(0o022)
+    os.umask(umask)
+    with output_file(tmp_path / "new.bin") as fh:
+        fh.write(b"abc")
+    assert (tmp_path / "new.bin").read_bytes() == b"abc"
+    assert stat.S_IMODE((tmp_path / "new.bin").stat().st_mode) == 0o666 & ~umask
+    with output_file(os.devnull) as fh:  # written in place, never replaced
+        fh.write(b"abc")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    (tmp_path / "link.bin").symlink_to("new.bin")
+    with output_file(tmp_path / "link.bin") as fh:  # replaces the target
+        fh.write(b"de")
+    assert (tmp_path / "link.bin").is_symlink()
+    assert (tmp_path / "new.bin").read_bytes() == b"de"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "new.bin"]
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+_HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize("via, text", [
+    ("file", b'{"name": "\xff\xfe"}'),                       # not UTF-8
+    ("file", _DEEP.encode()),
+    ("file", b'{"seed": ' + _HUGE_INT.encode() + b"}"),
+    ("set", _DEEP),
+    ("set", _HUGE_INT),
+], ids=["file-not-utf8", "file-deep", "file-huge-int", "set-deep",
+        "set-huge-int"])
+def test_hostile_scenario_text_is_a_usage_error(tmp_path, via, text):
+    if via == "file":
+        path = tmp_path / "scn.json"
+        path.write_bytes(text)
+        args = ("--scenario", str(path))
+    else:
+        args = ("--scenario", "fig5", "--set", f"seed={text}")
+    code, out, err = run_cli("sweep", *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("gjcodec: error:")
+
+
 # container magic, version, height, width, step, alphabet, order, modeled,
 # then the stream's magic, version, alphabet, symbol count and model hash
 _HEADERS = struct.Struct("<4sBHHdHBB4sBHIQ")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -104,34 +105,10 @@ def test_duplicate_packet_indices_rejected(rng):
 
 
 def _reference_generator_rows(k, total):
-    """Rows k..total-1 of V @ inv(V[:k]) for the (k, total) block alone,
-    with the shift-and-add multiply and a plain Gauss-Jordan inverse."""
-    def power(x, e):
-        out = 1
-        for _ in range(e):
-            out = _slow_gf_mul(out, x)
-        return out
-
-    vand = [[power(i, j) for j in range(k)] for i in range(total)]
-    a = [row[:] + [int(i == r) for i in range(k)] for r, row in enumerate(vand[:k])]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if a[r][col])
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = gf_inv(a[col][col])
-        a[col] = [_slow_gf_mul(inv, x) for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x ^ _slow_gf_mul(f, y) for x, y in zip(a[r], a[col])]
-    top_inv = [row[k:] for row in a]
-    rows = []
-    for row in vand[k:]:
-        out = [0] * k
-        for j in range(k):
-            for t in range(k):
-                out[j] ^= _slow_gf_mul(row[t], top_inv[t][j])
-        rows.append(out)
-    return np.array(rows, dtype=np.uint8).reshape(total - k, k)
+    """Rows k..total-1 of the Cauchy generator for the (k, total) block
+    alone: entry (i, j) is 1 / (i xor j)."""
+    return np.array([[gf_inv(i ^ j) for j in range(k)]
+                     for i in range(k, total)], dtype=np.uint8).reshape(total - k, k)
 
 
 @pytest.mark.parametrize("k, totals", [(1, (2, 9, 255)), (4, (5, 6, 40)),
@@ -147,9 +124,9 @@ def test_parity_rows_are_a_prefix_of_one_matrix_per_k(k, totals):
 
 
 def test_repeated_erasure_pattern_reuses_the_recovery_inverse(rng):
-    """The inverse is cached per (k, received indices): a repeat decodes to
-    the same bytes without inverting again, and the cached inverse is
-    read-only."""
+    """The inverse is cached per (k, lost data indices, parity indices
+    used): a repeat decodes to the same bytes without inverting again, and
+    the cached inverse is read-only."""
     from gjcodec.fec import _recovery_matrix
     _recovery_matrix.cache_clear()
     data = _payloads(rng, 6)
@@ -162,4 +139,99 @@ def test_repeated_erasure_pattern_reuses_the_recovery_inverse(rng):
     assert first == again == data
     info = _recovery_matrix.cache_info()
     assert (info.misses, info.hits) == (2, 1)
-    assert not _recovery_matrix(6, (0, 2, 3, 5, 6, 7)).flags.writeable
+    assert not _recovery_matrix(6, (1, 4), (6, 7)).flags.writeable
+
+
+# A frozen copy of the Vandermonde-generator codec that the Cauchy code
+# replaced: generator V @ inv(V[:k]) over the evaluation points 0..254,
+# and a k x k inverse of the first k received rows per decode.  Parity bytes
+# differ between the two codes, but the data each decodes must not.
+def _old_inv(m):
+    from gjcodec.fec import _GF_MUL
+    k = len(m)
+    a = np.concatenate([m, np.eye(k, dtype=np.uint8)], axis=1)
+    for col in range(k):
+        nz = np.nonzero(a[col:, col])[0]
+        if nz.size == 0:
+            raise FecDecodeError("singular recovery matrix")
+        pivot = col + int(nz[0])
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] = _GF_MUL[gf_inv(int(a[col, col]))][a[col]]
+        for row in range(k):
+            if row != col and a[row, col]:
+                a[row] ^= _GF_MUL[a[row, col]][a[col]]
+    return a[:, k:]
+
+
+def _old_mul(a, b):
+    from gjcodec.fec import _GF_MUL
+    return np.bitwise_xor.reduce(_GF_MUL[a[:, :, None], b[None, :, :]], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _old_generator(k):
+    from gjcodec.fec import _GF_EXP, _GF_LOG
+    vand = np.array([[1 if j == 0 else 0 if i == 0 else
+                      _GF_EXP[(int(_GF_LOG[i]) * j) % 255] for j in range(k)]
+                     for i in range(255)], dtype=np.uint8)
+    return _old_mul(vand, _old_inv(vand[:k]))
+
+
+def _old_encode(data, r):
+    k = len(data)
+    block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
+    parity = _old_mul(_old_generator(k)[k:k + r], block)
+    return [Packet(i, p) for i, p in enumerate(data)] + [
+        Packet(k + i, row.tobytes()) for i, row in enumerate(parity)]
+
+
+def _old_decode(received, k, total):
+    seen = {p.index: p.payload for p in received}
+    if len(seen) < k:
+        raise FecDecodeError("unrecoverable block")
+    if all(i in seen for i in range(k)):
+        return [seen[i] for i in range(k)]
+    use = sorted(seen)[:k]
+    rec = np.frombuffer(b"".join(seen[i] for i in use), dtype=np.uint8)
+    inv = _old_inv(_old_generator(k)[use])
+    return [row.tobytes() for row in _old_mul(inv, rec.reshape(k, -1))]
+
+
+def _agree_with_old_codec(rng, data, r, keep_sets):
+    """Each keep-set, given in shuffled order, decodes to the same payloads
+    under both codecs, or fails under both."""
+    k = len(data)
+    new, old = fec_encode(data, r), _old_encode(data, r)
+    for keep in keep_sets:
+        order = rng.permutation(sorted(keep))
+        outcomes = []
+        for packets, decode in ((new, fec_decode), (old, _old_decode)):
+            try:
+                outcomes.append(decode([packets[i] for i in order], k, k + r))
+            except FecDecodeError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1], (k, r, sorted(keep))
+        assert outcomes[0] in (None, data)
+
+
+def test_small_blocks_agree_with_the_vandermonde_codec_on_every_keep_set(rng):
+    for k in range(1, 7):
+        for r in range(5):
+            total = k + r
+            keep_sets = [[i for i in range(total) if mask >> i & 1]
+                         for mask in range(1 << total)]
+            _agree_with_old_codec(rng, _payloads(rng, k, 5), r, keep_sets)
+
+
+@pytest.mark.parametrize("r", [50, 200, 205])
+def test_k50_agrees_with_the_vandermonde_codec_on_seeded_keep_sets(rng, r):
+    k, total = 50, 50 + r
+    keep_sets = [list(range(k, total)),        # every data packet lost
+                 list(range(k)),               # only parity lost
+                 list(range(1, total)),        # one data packet lost
+                 list(range(k - 1)) + [total - 1],
+                 list(range(1, k))]            # one packet short
+    for _ in range(40):
+        size = int(rng.integers(k - 2, total + 1))
+        keep_sets.append(rng.choice(total, size=size, replace=False).tolist())
+    _agree_with_old_codec(rng, _payloads(rng, k, 16), r, keep_sets)

@@ -324,6 +324,24 @@ def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
     assert fec_blocks == [40] and max(used_r) <= 40
 
 
+def test_corrupted_digital_check_decode_raises(monkeypatch):
+    """A digital stream that does not decode to the coded symbols stops the
+    build instead of silently changing the image every record reports."""
+    import gjcodec.pipelines as pipelines
+    from gjcodec.errors import CorruptStreamError
+    real_decode = pipelines.ac_decode
+
+    def corrupt(stream, model, adaptive=False):
+        syms = np.array(real_decode(stream, model, adaptive), copy=True)
+        syms[len(syms) // 2] ^= 1
+        return syms
+
+    monkeypatch.setattr(pipelines, "ac_decode", corrupt)
+    scn = _base_scenario(schemes=_base_scenario()["schemes"][:1])
+    with pytest.raises(CorruptStreamError, match="digital payload"):
+        build_context(scn)
+
+
 def test_loss_sweep_encodes_parity_once_per_payload(monkeypatch):
     """Each distinct digital payload is FEC-encoded once, with the parity of
     the largest multiplier among the schemes that send it."""
