@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .sources import ImageGrid
-from .transform import dct2, idct2, merge_blocks, split_blocks, zigzag_scan, zigzag_unscan
-
-BLOCK = 8
+from .transform import (BLOCK, dct2, idct2, merge_blocks, split_blocks,
+                        zigzag_scan, zigzag_unscan)
 
 
 def jscc_fit(images: list[ImageGrid]) -> np.ndarray:

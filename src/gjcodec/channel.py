@@ -64,13 +64,12 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
 
     out_p = (p_gb, p_bg)  # probability of leaving state 0 / state 1
     p_a, p_b = out_p[state], out_p[1 - state]
+    # A state that cannot be left is the only one the start can pick: with
+    # p_bg = 0, pi_b is exactly 1.0 and the start is bad; with p_gb = 0,
+    # pi_b is 0.0 and the start is good.  Either way p_a = 0, so past this
+    # test both states can be left.
     if p_a == 0.0:
         states = np.full(n, state, dtype=np.uint8)
-    elif p_b == 0.0:
-        # The other state absorbs: one sojourn here, then stuck there.
-        first = min(int(g.geometric(p_a)), n)
-        states = np.full(n, 1 - state, dtype=np.uint8)
-        states[:first] = state
     else:
         # Alternating geometric sojourns, drawn as interleaved batches of
         # complete (state, other) pairs until the trace is covered; appending

@@ -21,14 +21,16 @@ from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
 from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import (ConfigError, FormatError, GjcError, ParameterError,
-                     existing_input, output_file)
+                     existing_input, output_file, read_header)
 from .pipelines import (build_context, digital_image, digital_symbols,
                         load_scenario_file, records_to_csv, run_record, sweep,
                         validate_scenario)
 from .sources import MAX_SIDE, load_pgm, save_pgm
+from .transform import BLOCK
 from .vq import extract_patches, load_codebook, save_codebook, vq_encode, vq_train
 
 _CONTAINER_MAGIC = b"GJCF"
+_CONTAINER_VERSION = 1
 _CONTAINER_HEADER = "<BHHdHBB"
 _BUNDLED = ("fig5", "fig6")
 
@@ -87,8 +89,8 @@ def _cmd_compress(args) -> int:
     syms = digital_symbols(image, args.step, args.alphabet)
     stream = ac_encode(syms, model, adaptive=adaptive)
     header = _CONTAINER_MAGIC + struct.pack(
-        _CONTAINER_HEADER, 1, image.height, image.width, args.step,
-        args.alphabet, order, 0 if adaptive else 1)
+        _CONTAINER_HEADER, _CONTAINER_VERSION, image.height, image.width,
+        args.step, args.alphabet, order, 0 if adaptive else 1)
     blob = header + stream.to_bytes()
     with output_file(args.output) as fh:
         fh.write(blob)
@@ -103,18 +105,12 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     with open(existing_input(args.input), "rb") as fh:
         blob = fh.read()
-    hsize = 4 + struct.calcsize(_CONTAINER_HEADER)
-    if blob[:4] != _CONTAINER_MAGIC:
-        raise FormatError("not a gjcodec compressed file (bad magic)")
-    if len(blob) < hsize:
-        raise FormatError("truncated container header")
-    (version, height, width, step, alphabet, order,
-     modeled) = struct.unpack(_CONTAINER_HEADER, blob[4:hsize])
-    if version != 1:
-        raise FormatError(f"unsupported container version {version}")
-    if height == 0 or width == 0 or height % 8 or width % 8:
+    (height, width, step, alphabet, order, modeled), start = read_header(
+        blob, _CONTAINER_MAGIC, _CONTAINER_HEADER, _CONTAINER_VERSION,
+        "container")
+    if height == 0 or width == 0 or height % BLOCK or width % BLOCK:
         raise FormatError(
-            f"image size {height}x{width} is not a positive multiple of 8")
+            f"image size {height}x{width} is not a positive multiple of {BLOCK}")
     # bounds the decode to 4096**2 symbols, whatever the payload admits
     if max(height, width) > MAX_SIDE:
         raise FormatError(f"image size {height}x{width}: a container cannot "
@@ -125,7 +121,7 @@ def _cmd_decompress(args) -> int:
         raise FormatError(f"alphabet {alphabet} is below 2")
     if modeled not in (0, 1):
         raise FormatError(f"model flag {modeled} is neither 0 nor 1")
-    stream = Bitstream.from_bytes(blob[hsize:])
+    stream = Bitstream.from_bytes(blob[start:])
     # Checked before decoding, so the decoder's run time and memory are
     # bounded by the container's image size, not by a hostile symbol count.
     if stream.alphabet != alphabet:

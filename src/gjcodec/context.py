@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, output_file
+from .errors import FormatError, ParameterError, output_file, read_header
 
 PMF_BITS = 16
 PMF_TOTAL = 1 << PMF_BITS
@@ -44,7 +44,6 @@ ABSENT = -1
 MODEL_MAGIC = b"GJCM"
 MODEL_VERSION = 1
 _MODEL_HEAD_FMT = "<BBHBIQ"
-_MODEL_HEAD_SIZE = 4 + struct.calcsize(_MODEL_HEAD_FMT)
 KIND_CAUSAL = 0
 KIND_NEIGHBOR = 1
 
@@ -302,6 +301,10 @@ class _CountModel:
     has no entry.  Entries are replaced, never changed in place, so copies
     of a model share them, and so do the contexts with equal counts after
     train or load_model.
+
+    `_memo` holds what code, decode or predict derived from the counts, by
+    context as passed in.  Changing the counts starts a new memo, so a copy
+    shares it only while their counts agree.
     """
 
     kind: int
@@ -319,6 +322,7 @@ class _CountModel:
         self.alpha_fp = _alpha_to_fp(alpha, alphabet)
         self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._hash: int | None = None
+        self._memo: dict = {}
 
     # -- counting ---------------------------------------------------------
 
@@ -343,6 +347,7 @@ class _CountModel:
                 fresh[key] = tuple(idx), tuple(cnt)
             self.counts.update(fresh)
         self._hash = None
+        self._memo = {}
 
     def grid_contexts(self, grid) -> np.ndarray:
         """(cells, context_len) int16 keys: row i is the context of the i-th
@@ -447,6 +452,28 @@ class CausalContextModel(_CountModel):
                     f"context symbol {s} outside alphabet [0, {self.alphabet})")
         return (ABSENT,) * (self.order - len(hist)) + hist
 
+    # -- static pricing: the entropy coder's view of the frozen counts ------
+
+    def _pricing(self, context: tuple):
+        """(sparse_pmf table, its sparse_starts) of `context`, validated and
+        built on first use, so a coding step is one dict lookup plus
+        sparse_interval or sparse_locate, with no alphabet-wide array."""
+        entry = self._memo.get(context)
+        if entry is None:
+            table = self._table(self._context_key(context))
+            entry = self._memo[context] = table, sparse_starts(table)
+        return entry
+
+    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
+        """(cumulative weight below `symbol`, its weight)."""
+        return sparse_interval(self._pricing(context)[0], symbol)
+
+    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
+        """(symbol, cumulative weight below it, its weight) for the symbol
+        whose interval holds `target`."""
+        table, starts = self._pricing(context)
+        return sparse_locate(table, target, starts)
+
 
 class AdaptiveCounts:
     """The counts a causal model gathers during one adaptive coding pass.
@@ -456,7 +483,8 @@ class AdaptiveCounts:
     keeps its non-zero counts here as two short ascending lists, so a step
     is O(non-zeros) Python-int work (sparse_pmf) with no alphabet-wide
     array.  The pass starts from the model's counts and never changes the
-    model.
+    model.  Its code() and decode() mirror CausalContextModel's own, so
+    one coding walk serves static and adaptive coding.
     """
 
     def __init__(self, model: "CausalContextModel"):
@@ -492,37 +520,6 @@ class AdaptiveCounts:
         return found
 
 
-class StaticCounts(dict):
-    """The sparse_pmf tables a frozen causal model prices with during one
-    static coding pass, keyed by context as passed in.
-
-    Each distinct context is validated and its table (with the table's
-    sparse_starts, for decoding) built on first use, so a coding step is one
-    dict lookup plus sparse_interval or sparse_locate, with O(non-zeros)
-    memory per context and no alphabet-wide array.  It shares code() and
-    decode() with AdaptiveCounts, so one coding walk serves both.
-    """
-
-    def __init__(self, model: "CausalContextModel"):
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, context: tuple):
-        table = self.model._table(self.model._context_key(context))
-        self[context] = entry = table, sparse_starts(table)
-        return entry
-
-    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
-        """(cumulative weight below `symbol`, its weight)."""
-        return sparse_interval(self[context][0], symbol)
-
-    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
-        """(symbol, cumulative weight below it, its weight) for the symbol
-        whose interval holds `target`."""
-        table, starts = self[context]
-        return sparse_locate(table, target, starts)
-
-
 class NeighborhoodModel(_CountModel):
     """Bidirectional model over the 4-neighborhood (up, left, right, down).
 
@@ -539,13 +536,6 @@ class NeighborhoodModel(_CountModel):
     def __init__(self, alphabet: int, alpha: float = 1.0):
         super().__init__(alphabet, alpha, len(NEIGHBOR_OFFSETS))
         self.arity = self.context_len
-        # predict()'s results by context as passed in and by resolved key,
-        # until the counts change; a copy shares them until then
-        self._predictions: dict[tuple, tuple[int, int]] = {}
-
-    def _merge(self, fresh: dict) -> None:
-        super()._merge(fresh)
-        self._predictions = {}
 
     def _context_key(self, context) -> tuple:
         key = tuple(int(s) for s in context)
@@ -589,7 +579,7 @@ class NeighborhoodModel(_CountModel):
         as passed in, and per resolved key (which resolves to itself), so
         the back-off of a context and the table of a key are worked out
         once until the counts change."""
-        memo = self._predictions
+        memo = self._memo
         hit = memo.get(context)
         if hit is None:
             key = self._resolve_key(self._context_key(context))
@@ -690,14 +680,8 @@ def load_model(path):
     describes, so its digest is the model's state_hash."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MODEL_MAGIC:
-        raise FormatError(f"model: bad magic {data[:4]!r}")
-    if len(data) < _MODEL_HEAD_SIZE:
-        raise FormatError("model: truncated header")
-    version, kind, alphabet, ctx_len, alpha_fp, n_entries = struct.unpack_from(
-        _MODEL_HEAD_FMT, data, 4)
-    if version != MODEL_VERSION:
-        raise FormatError(f"model: unsupported version {version}")
+    (kind, alphabet, ctx_len, alpha_fp, n_entries), start = read_header(
+        data, MODEL_MAGIC, _MODEL_HEAD_FMT, MODEL_VERSION, "model")
     try:
         if kind == KIND_CAUSAL:
             model = CausalContextModel(alphabet, order=ctx_len,
@@ -711,12 +695,12 @@ def load_model(path):
     except ParameterError as exc:
         raise FormatError(f"model: bad header: {exc}") from None
     dtype = _entry_dtype(ctx_len)
-    if len(data) - _MODEL_HEAD_SIZE != n_entries * dtype.itemsize:
+    if len(data) - start != n_entries * dtype.itemsize:
         raise FormatError(
-            f"model: payload holds {len(data) - _MODEL_HEAD_SIZE} bytes, "
+            f"model: payload holds {len(data) - start} bytes, "
             f"expected {n_entries * dtype.itemsize}")
     if n_entries:
-        entries = np.frombuffer(data, dtype, offset=_MODEL_HEAD_SIZE)
+        entries = np.frombuffer(data, dtype, offset=start)
         model.counts = _checked_counts(entries, alphabet,
                                        alphabet * model.alpha_fp)
     model._hash = _digest(data)

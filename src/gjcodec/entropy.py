@@ -17,10 +17,11 @@ alphabet; encoder and decoder share this rule exactly.
 
 One causal walk serves static and adaptive coding alike.  It prices each
 symbol in the history of the symbols before it through a pricer with
-code(history, symbol) and decode(history, target): StaticCounts for a
-frozen model, AdaptiveCounts for a pass that counts each symbol after
-coding it, on top of the model's counts.  Neither changes the model.  Both
-price from sparse_pmf tables, so no step builds an alphabet-wide array.
+code(history, symbol) and decode(history, target): the model itself for
+static coding (it memoises each history's table), AdaptiveCounts for a
+pass that counts each symbol after coding it, on top of the model's counts.
+Neither changes the model's counts.  Both price from sparse_pmf tables, so
+no step builds an alphabet-wide array.
 ac_decode runs the same walk in reverse.  The encoder keeps each symbol's
 width and returns the ideal cost sum(-log2 p) on the Bitstream
 (`cost_bits`, neither serialised nor compared), so a caller that needs the
@@ -39,13 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import AdaptiveCounts, CausalContextModel, StaticCounts
-from .errors import CorruptStreamError, FormatError, ModelMismatchError, ParameterError
+from .context import AdaptiveCounts, CausalContextModel
+from .errors import (CorruptStreamError, ModelMismatchError, ParameterError,
+                     read_header)
 
 STREAM_MAGIC = b"GJS1"
 STREAM_VERSION = 1
 _HEADER_FMT = "<BHIQ"
-_HEADER_SIZE = 4 + struct.calcsize(_HEADER_FMT)
 
 _TWO64 = 1 << 64
 _TWO48 = 1 << 48
@@ -76,15 +77,10 @@ class Bitstream:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
-        if data[:4] != STREAM_MAGIC:
-            raise FormatError(f"stream: bad magic {data[:4]!r}")
-        if len(data) < _HEADER_SIZE:
-            raise CorruptStreamError("stream: truncated header")
-        version, alphabet, n, model_hash = struct.unpack_from(_HEADER_FMT, data, 4)
-        if version != STREAM_VERSION:
-            raise FormatError(f"stream: unsupported version {version}")
+        (alphabet, n, model_hash), start = read_header(
+            data, STREAM_MAGIC, _HEADER_FMT, STREAM_VERSION, "stream")
         return cls(alphabet=alphabet, n_symbols=n, model_hash=model_hash,
-                   payload=data[_HEADER_SIZE:])
+                   payload=data[start:])
 
 
 def _propagate_carry(buf: bytearray) -> None:
@@ -103,7 +99,7 @@ def _propagate_carry(buf: bytearray) -> None:
 def _pricer(model, adaptive: bool):
     if not isinstance(model, CausalContextModel):
         raise ParameterError("entropy coding requires a CausalContextModel")
-    return AdaptiveCounts(model) if adaptive else StaticCounts(model)
+    return AdaptiveCounts(model) if adaptive else model
 
 
 def _checked_symbols(symbols, alphabet: int) -> list[int]:
@@ -114,16 +110,17 @@ def _checked_symbols(symbols, alphabet: int) -> list[int]:
     return syms
 
 
-def _encode(syms: list[int], pricer) -> tuple[bytes, list[int]]:
+def _encode(syms: list[int], model: CausalContextModel,
+            pricer) -> tuple[bytes, list[int]]:
     """The coding walk: the payload of `syms`, each priced by `pricer` in
-    the history of the model-order symbols before it, and each symbol's
+    the history of the `model.order` symbols before it, and each symbol's
     width."""
     out = bytearray()
     widths: list[int] = []
     low = 0
     range_ = _TWO64
-    top = pricer.model.alphabet - 1
-    order = pricer.model.order
+    top = model.alphabet - 1
+    order = model.order
     hist: tuple = ()
     for s in syms:
         lo, width = pricer.code(hist, s)
@@ -180,7 +177,7 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
     pricer = _pricer(model, adaptive)
     syms = _checked_symbols(symbols, model.alphabet)
     model_hash = model.state_hash()
-    payload, widths = _encode(syms, pricer)
+    payload, widths = _encode(syms, model, pricer)
     return Bitstream(alphabet=model.alphabet, n_symbols=len(syms),
                      model_hash=model_hash, payload=payload,
                      cost_bits=_ideal_cost(widths))
@@ -285,4 +282,4 @@ def sequence_cost_bits(model: CausalContextModel, symbols,
     """
     pricer = _pricer(model, adaptive)
     syms = _checked_symbols(symbols, model.alphabet)
-    return _ideal_cost(_encode(syms, pricer)[1])
+    return _ideal_cost(_encode(syms, model, pricer)[1])

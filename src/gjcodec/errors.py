@@ -6,6 +6,7 @@ the most specific class that applies rather than bare ValueError.
 
 import contextlib
 import os
+import struct
 import uuid
 
 
@@ -39,6 +40,22 @@ class FecDecodeError(GjcError):
     This is a *signal*, not a crash: pipelines catch it and record a failed
     transmission.
     """
+
+
+def read_header(data: bytes, magic: bytes, fmt: str, version: int, what: str):
+    """(the fields of `fmt` after its leading version field, the offset after
+    the header) of a binary artifact that starts with `magic`, then `fmt`.
+    A wrong magic, a short header or another version raises FormatError
+    naming `what`."""
+    if data[:len(magic)] != magic:
+        raise FormatError(f"{what}: bad magic {data[:len(magic)]!r}")
+    end = len(magic) + struct.calcsize(fmt)
+    if len(data) < end:
+        raise FormatError(f"{what}: truncated header")
+    got, *fields = struct.unpack_from(fmt, data, len(magic))
+    if got != version:
+        raise FormatError(f"{what}: unsupported version {got}")
+    return fields, end
 
 
 def existing_input(path, field: str | None = None):

@@ -25,15 +25,15 @@ artifact depends on, how the artifact is built, and its runners.
 `validate_scenario` applies one field checker to every section.
 
 `build_context` does all work that does not depend on a record's channel
-draw, once, and keeps it in the context's one memo, under tagged keys: each
-artifact (digital stream and decoded image; weak-JSCC codebook, models and
-packets, each packet decoded and verified once; analog code) under
-("artifact", scheme, its artifact fields); the FEC block of each digital
-payload, encoded once with as many parity packets as any loss scheme sending
-it can ask for, under ("fec", scheme, its artifact fields); and every record
+draw, once, and keeps it in the context's one memo, under two tags: each
+artifact under ("artifact", scheme, its artifact fields), and every record
 whose runner draws no randomness (digital and weak JSCC under snr_db) under
 ("record", scheme index, condition index), repeated for each trial with its
-own `seed`.  After the build, the context and its models are only read: a
+own `seed`.  An artifact is a digital stream, its decoded image and, under
+loss conditions, its FEC block, encoded once with as many parity packets as
+any loss scheme sending that payload can ask for; a weak-JSCC codebook,
+models and packets, each packet decoded and verified once; or an analog
+code.  After the build, the context and its models are only read: a
 record looks its shared work up and builds none of it.  `sweep` runs one
 share of the records in its own process and forks a child for each other
 share, so the children inherit everything.  With `jobs` = 1 there is one
@@ -62,9 +62,9 @@ from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
 from .metrics import compute_metrics
 from .sources import MAX_SIDE, ImageGrid, ar1_field, load_pgm
-from .transform import (dct2, idct2, merge_blocks, split_blocks, sq_dequantize,
-                        sq_quantize, symbol_to_signed, signed_to_symbol,
-                        zigzag_scan, zigzag_unscan)
+from .transform import (BLOCK, dct2, idct2, merge_blocks, split_blocks,
+                        sq_dequantize, sq_quantize, symbol_to_signed,
+                        signed_to_symbol, zigzag_scan, zigzag_unscan)
 from .vq import (MAX_CODEWORDS, Codebook, assemble_patches, extract_patches,
                  vq_decode, vq_encode, vq_train)
 
@@ -125,6 +125,13 @@ def _describe(f: _Field) -> str:
         f" in {left}{lo}, {hi}{right}" if bounded else "")
 
 
+def _quote(v) -> str:
+    """`v` as JSON, clipped to its first 60 characters, so an error quoting
+    it stays one short line."""
+    text = json.dumps(v)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _check(v, f: _Field, path: str, optional: frozenset):
     """`v` checked against `f`; raises ConfigError naming `path`.  An object
     has its unknown keys rejected, its fields required and its defaults
@@ -139,7 +146,7 @@ def _check(v, f: _Field, path: str, optional: frozenset):
             name = v.get(f.tag)
             if not isinstance(name, str) or name not in spec:
                 raise ConfigError(f"{path}.{f.tag} must be one of: "
-                                  f"{', '.join(spec)}, got {json.dumps(name)}")
+                                  f"{', '.join(spec)}, got {_quote(name)}")
             spec = spec[name]
         extra = sorted(set(v) - set(spec) - {f.tag})
         if extra:
@@ -169,7 +176,7 @@ def _check(v, f: _Field, path: str, optional: frozenset):
         ok = (isinstance(v, f.type) and (f.type is not list or len(v) > 0)
               and (not f.choices or v in f.choices))
     if not ok:
-        raise ConfigError(f"{path} must be {_describe(f)}, got {json.dumps(v)}")
+        raise ConfigError(f"{path} must be {_describe(f)}, got {_quote(v)}")
     if f.type is list:
         return [_check(x, f.item, f"{path}[{i}]", optional)
                 for i, x in enumerate(v)]
@@ -310,7 +317,7 @@ def digital_symbols(image: ImageGrid, step: float, alphabet: int) -> np.ndarray:
     long runs of zero ACs."""
     blocks = split_blocks(image.samples.astype(np.float64) - 128.0)
     q = sq_quantize(zigzag_scan(dct2(blocks)), step)
-    shape = (image.height // 8, image.width // 8)
+    shape = (image.height // BLOCK, image.width // BLOCK)
     dc = q[:, 0].reshape(shape)
     q[:, 0] = (dc - _dc_predict(dc)).ravel()
     folded = signed_to_symbol(q, alphabet)
@@ -319,13 +326,13 @@ def digital_symbols(image: ImageGrid, step: float, alphabet: int) -> np.ndarray:
 
 def digital_image(symbols: np.ndarray, height: int, width: int, step: float,
                   alphabet: int) -> ImageGrid:
-    num_blocks = (height // 8) * (width // 8)
+    rows, cols = height // BLOCK, width // BLOCK
+    num_blocks = rows * cols
     flat = np.asarray(symbols)
-    folded = np.empty((num_blocks, 64), dtype=flat.dtype)
+    folded = np.empty((num_blocks, BLOCK * BLOCK), dtype=flat.dtype)
     folded[:, 0] = flat[:num_blocks]
-    folded[:, 1:] = flat[num_blocks:].reshape(num_blocks, 63)
+    folded[:, 1:] = flat[num_blocks:].reshape(num_blocks, BLOCK * BLOCK - 1)
     q = symbol_to_signed(folded)
-    rows, cols = height // 8, width // 8
     res = q[:, 0].reshape(rows, cols)
     dc = np.zeros_like(res)
     diagonal = np.add.outer(np.arange(rows), np.arange(cols))
@@ -349,13 +356,16 @@ def _verified_stream(symbols: np.ndarray, model: CausalContextModel,
 
 
 def _build_digital(ctx: SweepContext, sp: dict):
-    """(adaptive stream of the source, the image it decodes to)."""
+    """(adaptive stream of the source, the image it decodes to, the FEC
+    block of its payload under loss conditions or else None)."""
     step, alphabet = sp["sq_step"], sp["sq_alphabet"]
     model = CausalContextModel(alphabet, order=sp["context_order"])
     syms = digital_symbols(ctx.image, step, alphabet)
     stream = _verified_stream(syms, model, "the digital payload")
+    block = (_fec_block(ctx, sp, stream.payload)
+             if ctx.scenario["conditions"]["kind"] == "loss" else None)
     return stream, digital_image(syms, ctx.image.height, ctx.image.width,
-                                 step, alphabet)
+                                 step, alphabet), block
 
 
 def _fallback_image(image: ImageGrid) -> ImageGrid:
@@ -466,7 +476,7 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
         raise ConfigError(
             f"est_snr_db {sp['est_snr_db']} is below every mcs_table threshold")
     eff, min_snr = table[idx]
-    stream, decoded = _artifact(ctx, sp)
+    stream, decoded, _ = _artifact(ctx, sp)
     bits = stream.payload_bits
     capacity = int(math.floor(ctx.budget_symbols * eff))
     ok = snr_db >= min_snr and bits <= capacity
@@ -520,9 +530,9 @@ def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
                                     p_bg, 0.0, 1.0, rng).lost
 
 
-def _build_fec(ctx: SweepContext, sp: dict):
-    """(packets, packet length) of the digital payload of `sp` split into k
-    data packets plus the most parity packets, min(MAX_BLOCK - k,
+def _fec_block(ctx: SweepContext, sp: dict, payload: bytes):
+    """(packets, packet length) of the digital `payload` of `sp` split into
+    k data packets plus the most parity packets, min(MAX_BLOCK - k,
     multiplier * k), that any loss scheme sending that payload can ask
     for.  The parity rows for r are a prefix of those for any larger r, so
     a record sends the first k + r packets and each payload is encoded
@@ -532,7 +542,6 @@ def _build_fec(ctx: SweepContext, sp: dict):
     r = max(min(_fec.MAX_BLOCK - k, other["fec_multiplier"] * k)
             for other in ctx.scenario["schemes"]
             if _artifact_key(other) == key)
-    payload = _artifact(ctx, sp)[0].payload
     plen = max(1, -(-len(payload) // k))
     padded = payload.ljust(k * plen, b"\x00")
     data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
@@ -548,9 +557,8 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     r = -(-sp["fec_multiplier"] * lost_in_window * k // window)
     r = min(r, _fec.MAX_BLOCK - k)
 
-    stream, decoded = _artifact(ctx, sp)
+    stream, decoded, (packets, plen) = _artifact(ctx, sp)
     payload = stream.payload
-    packets, plen = ctx.memo["fec", *_artifact_key(sp)]
 
     slots = lost[window:window + k + r]
     received = [pkt for pkt, gone in zip(packets[:k + r], slots) if not gone]
@@ -699,7 +707,7 @@ def load_scenario_file(path) -> dict:
 
 
 def build_context(scn: dict) -> SweepContext:
-    """The validated scenario's context, with every artifact, FEC block and
+    """The validated scenario's context, with every artifact and every
     record that draws no randomness built, so running any record builds
     nothing."""
     scn = validate_scenario(scn)
@@ -714,8 +722,6 @@ def build_context(scn: dict) -> SweepContext:
         scheme, key = _SCHEMES[sp["scheme"]], _artifact_key(sp)
         if ("artifact", *key) not in memo:
             memo["artifact", *key] = scheme.build(ctx, sp)
-            if kind == "loss" and sp["scheme"] == "digital_separate":
-                memo["fec", *key] = _build_fec(ctx, sp)
         _, runner, draws = scheme.runs[kind]
         if not draws:
             for ci, value in enumerate(scn["conditions"]["values"]):

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ParameterError, output_file
+from .errors import (ConfigError, FormatError, ParameterError, output_file,
+                     read_header)
 
 CODEBOOK_MAGIC = b"GJCB"
 CODEBOOK_VERSION = 1
 _HEAD_FMT = "<BHHQ"
-_HEAD_SIZE = 4 + struct.calcsize(_HEAD_FMT)
 MAX_CODEWORDS = 1024
 
 
@@ -284,18 +284,13 @@ def save_codebook(codebook: Codebook, path) -> None:
 def load_codebook(path) -> Codebook:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CODEBOOK_MAGIC:
-        raise FormatError(f"codebook: bad magic {data[:4]!r}")
-    if len(data) < _HEAD_SIZE:
-        raise FormatError("codebook: truncated header")
-    version, k, dim, seed = struct.unpack_from(_HEAD_FMT, data, 4)
-    if version != CODEBOOK_VERSION:
-        raise FormatError(f"codebook: unsupported version {version}")
+    (k, dim, seed), start = read_header(data, CODEBOOK_MAGIC, _HEAD_FMT,
+                                        CODEBOOK_VERSION, "codebook")
     need = k * dim * 4
-    if len(data) - _HEAD_SIZE != need:
+    if len(data) - start != need:
         raise FormatError(
-            f"codebook: payload holds {len(data) - _HEAD_SIZE} bytes, expected {need}")
-    vec = np.frombuffer(data, dtype="<f4", count=k * dim, offset=_HEAD_SIZE)
+            f"codebook: payload holds {len(data) - start} bytes, expected {need}")
+    vec = np.frombuffer(data, dtype="<f4", count=k * dim, offset=start)
     try:
         return Codebook(vectors=vec.reshape(k, dim).copy(), train_seed=seed)
     except (ConfigError, ParameterError) as exc:

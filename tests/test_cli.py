@@ -747,3 +747,179 @@ def test_weak_loss_packets_fit_the_loss_trace(tmp_path, packets, expected):
         assert "packets" in err
     else:
         assert len(out.splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("value", ["[" * 900 + "]" * 900, "x" * 10_000],
+                         ids=["nested-list", "long-string"])
+def test_scenario_error_quotes_a_short_value(value):
+    """A wrong value is quoted clipped, so its error stays one short line."""
+    code, out, err = run_cli("sweep", "--scenario", "fig5",
+                             "--set", f"seed={value}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "seed" in err
+
+
+# Byte offset of the stream header inside a container.
+_STREAM_AT = struct.calcsize("<4sBHHdHBB")
+_MODEL_HEAD = struct.Struct("<4sBBHBIQ")
+_CODEBOOK_HEAD = struct.Struct("<4sBHHQ")
+_CODEWORDS = np.arange(4 * 16, dtype="<f4").tobytes()
+
+
+def _decompress(mutate):
+    def argv(tmp_path, pgm):
+        comp = tmp_path / "img.gjc"
+        assert run_cli("compress", "--input", str(pgm),
+                       "--output", str(comp))[0] == 0
+        comp.write_bytes(mutate(comp.read_bytes()))
+        return ["decompress", "--input", str(comp),
+                "--output", str(tmp_path / "out.pgm")]
+    return argv
+
+
+def _compress_with_model(blob):
+    def argv(tmp_path, pgm):
+        (tmp_path / "m.model").write_bytes(blob)
+        return ["compress", "--input", str(pgm), "--output",
+                str(tmp_path / "o.gjc"), "--model", str(tmp_path / "m.model")]
+    return argv
+
+
+def _train_with_codebook(blob):
+    def argv(tmp_path, pgm):
+        (tmp_path / "cb.bin").write_bytes(blob)
+        return ["train-model", str(pgm), "--codebook", str(tmp_path / "cb.bin"),
+                "--output", str(tmp_path / "m.model")]
+    return argv
+
+
+def _compress_pgm(blob):
+    def argv(tmp_path, pgm):
+        (tmp_path / "in.pgm").write_bytes(blob)
+        return ["compress", "--input", str(tmp_path / "in.pgm"),
+                "--output", str(tmp_path / "o.gjc")]
+    return argv
+
+
+def _sweep_fig5(path, value):
+    def argv(tmp_path, pgm):
+        return ["sweep", "--scenario", "fig5",
+                "--set", f"{path}={json.dumps(value)}"]
+    return argv
+
+
+def _fig5_schemes(i, **fields):
+    """The bundled fig5 schemes, with `fields` set on the i-th."""
+    schemes = _bundled_scenario("fig5")["schemes"]
+    schemes[i].update(fields)
+    return schemes
+
+
+@pytest.mark.parametrize("code, prefix, argv", [
+    (4, "container: bad magic b'GJXX'",
+     _decompress(lambda b: b"GJXX" + b[4:])),
+    (4, "container: truncated header", _decompress(lambda b: b[:10])),
+    (4, "container: unsupported version 2",
+     _decompress(lambda b: b[:4] + b"\x02" + b[5:])),
+    (4, "stream: bad magic b'GJXX'",
+     _decompress(lambda b: b[:_STREAM_AT] + b"GJXX" + b[_STREAM_AT + 4:])),
+    (4, "stream: truncated header",
+     _decompress(lambda b: b[:_STREAM_AT + 6])),
+    (4, "stream: unsupported version 2",
+     _decompress(lambda b: b[:_STREAM_AT + 4] + b"\x02"
+                 + b[_STREAM_AT + 5:])),
+    (4, "model: bad magic b'GJXX'", _compress_with_model(
+        _MODEL_HEAD.pack(b"GJXX", 1, 0, 256, 1, 1 << 16, 0))),
+    (4, "model: truncated header", _compress_with_model(
+        _MODEL_HEAD.pack(b"GJCM", 1, 0, 256, 1, 1 << 16, 0)[:-1])),
+    (4, "model: unsupported version 2", _compress_with_model(
+        _MODEL_HEAD.pack(b"GJCM", 2, 0, 256, 1, 1 << 16, 0))),
+    (4, "model: bad neighborhood arity 3", _compress_with_model(
+        _MODEL_HEAD.pack(b"GJCM", 1, 1, 256, 3, 1 << 16, 0))),
+    (4, "codebook: bad magic b'GJXX'", _train_with_codebook(
+        _CODEBOOK_HEAD.pack(b"GJXX", 1, 4, 16, 0) + _CODEWORDS)),
+    (4, "codebook: truncated header", _train_with_codebook(
+        _CODEBOOK_HEAD.pack(b"GJCB", 1, 4, 16, 0)[:-1])),
+    (4, "codebook: unsupported version 2", _train_with_codebook(
+        _CODEBOOK_HEAD.pack(b"GJCB", 2, 4, 16, 0) + _CODEWORDS)),
+    (4, "codebook: payload holds 252 bytes, expected 256", _train_with_codebook(
+        _CODEBOOK_HEAD.pack(b"GJCB", 1, 4, 16, 0) + _CODEWORDS[:-4])),
+    (4, "pgm: truncated header", _compress_pgm(b"P5\n8 8")),
+    (4, "pgm: field width is not an integer",
+     _compress_pgm(b"P5\n8.5 8\n255\n" + bytes(64))),
+    (4, "pgm: bad dimensions 0x8", _compress_pgm(b"P5\n0 8\n255\n")),
+    (4, "pgm: maxval must be 255, got 65535",
+     _compress_pgm(b"P5\n8 8\n65535\n" + bytes(128))),
+    (4, "pgm: payload holds 63 bytes, expected 64",
+     _compress_pgm(b"P5\n8 8\n255\n" + bytes(63))),
+    (2, "est_snr_db -50",
+     _sweep_fig5("schemes", _fig5_schemes(0, est_snr_db=-50))),
+    (2, "mcs_table must list",
+     _sweep_fig5("mcs_table", _bundled_scenario("fig5")["mcs_table"][::-1])),
+    (2, "source.upsample must divide", _sweep_fig5("source.upsample", 3)),
+    (2, "schemes[1].conceal_schedule must be one of: confidence, raster",
+     _sweep_fig5("schemes", _fig5_schemes(1, conceal_schedule="spiral"))),
+], ids=["container-magic", "container-truncated", "container-version",
+        "stream-magic", "stream-truncated", "stream-version", "model-magic",
+        "model-truncated", "model-version", "model-arity", "codebook-magic",
+        "codebook-truncated", "codebook-version", "codebook-payload",
+        "pgm-no-maxval", "pgm-width", "pgm-zero-width", "pgm-maxval",
+        "pgm-payload", "est-snr-below-table", "mcs-table-descending",
+        "upsample-divides", "conceal-schedule"])
+def test_every_error_exit_names_what_failed(tmp_path, sample_pgm, code,
+                                            prefix, argv):
+    """Each malformed artifact or scenario exits with its documented code
+    and one stderr line that starts by naming what is wrong."""
+    got, out, err = run_cli(*argv(tmp_path, sample_pgm))
+    assert got == code, err
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"gjcodec: error: {prefix}"), err
+
+
+def test_train_model_on_codebook_tokens(tmp_path, sample_pgm):
+    """train-model --codebook counts each image's VQ token grid."""
+    from gjcodec.context import CausalContextModel, load_model, train
+    from gjcodec.pipelines import _ar1_textured
+    from gjcodec.vq import extract_patches, load_codebook, vq_encode
+    other = tmp_path / "other.pgm"
+    save_pgm(_ar1_textured(32, 32, {"rho": 0.5, "sigma": 20.0,
+                                    "mean": 100.0}, 5), other)
+    images = [str(sample_pgm), str(other)]
+    cb_path, model_path = tmp_path / "cb.bin", tmp_path / "tok.model"
+    assert run_cli("train-codebook", *images, "--output", str(cb_path),
+                   "--size", "16", "--iters", "5")[0] == 0
+    code, _, err = run_cli("train-model", *images, "--codebook", str(cb_path),
+                           "--order", "1", "--output", str(model_path))
+    assert code == 0, err
+    cb = load_codebook(cb_path)
+    grids = [vq_encode(cb, extract_patches(load_pgm(p).samples, 4))
+             .reshape(8, 8) for p in images]
+    model = load_model(model_path)
+    assert isinstance(model, CausalContextModel)
+    assert model.alphabet == cb.size == 16 and model.order == 1
+    assert model.counts == train(CausalContextModel(16, order=1), grids).counts
+
+
+def test_train_model_neighborhood(tmp_path, sample_pgm):
+    from gjcodec.context import NeighborhoodModel, load_model, train
+    path = tmp_path / "nb.model"
+    code, _, err = run_cli("train-model", str(sample_pgm), "--kind",
+                           "neighborhood", "--output", str(path))
+    assert code == 0, err
+    model = load_model(path)
+    assert isinstance(model, NeighborhoodModel)
+    grid = load_pgm(sample_pgm).samples.astype(np.int64)
+    assert model.counts == train(NeighborhoodModel(256), [grid]).counts
+
+
+def test_train_model_rejects_a_codebook_of_non_square_patches(tmp_path,
+                                                               sample_pgm):
+    from gjcodec.vq import Codebook, save_codebook
+    cb = tmp_path / "cb.bin"
+    save_codebook(Codebook(np.arange(12, dtype=np.float32).reshape(4, 3)), cb)
+    code, _, err = run_cli("train-model", str(sample_pgm), "--codebook",
+                           str(cb), "--output", str(tmp_path / "m.model"))
+    assert code == 2
+    assert "not a square patch" in err
+    assert not (tmp_path / "m.model").exists()

@@ -879,10 +879,12 @@ def _frozen_checked_counts(entries, alphabet, scaled_alpha):
 
 
 def _file_entries(path, context_len):
-    from gjcodec.context import _MODEL_HEAD_SIZE
+    import struct
+    from gjcodec.context import _MODEL_HEAD_FMT, MODEL_MAGIC
+    head = len(MODEL_MAGIC) + struct.calcsize(_MODEL_HEAD_FMT)
     dtype = np.dtype([("context", "<i2", (context_len,)), ("symbol", "<u2"),
                       ("count", "<u8")])
-    return np.frombuffer(path.read_bytes()[_MODEL_HEAD_SIZE:], dtype)
+    return np.frombuffer(path.read_bytes()[head:], dtype)
 
 
 def _assert_each_pair_stored_once(model):

@@ -283,7 +283,13 @@ def test_built_context_is_complete(kind):
     assert ctx.memo.keys() == built.keys()
     # every record at loss draws its channel; at snr_db only analog does
     assert {key[0] for key in built} == (
-        {"artifact", "fec"} if kind == "loss" else {"artifact", "record"})
+        {"artifact"} if kind == "loss" else {"artifact", "record"})
+    # under loss every digital artifact carries its FEC block
+    digital = [value for key, value in built.items()
+               if key[:2] == ("artifact", "digital_separate")]
+    assert digital
+    assert all((block is not None) == (kind == "loss")
+               for _, _, block in digital)
 
 
 def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
