@@ -216,9 +216,8 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.trial < scn["num_seeds"]:
         raise ConfigError(
             f"trial must be in 0..{scn['num_seeds'] - 1}, got {args.trial}")
-    # Only this scheme is built; seeds hash no scheme index, and FEC parity
-    # rows for r are a prefix of those for any larger r, so the record is
-    # the one the whole scenario's sweep gives.
+    # Only this scheme is built; seeds hash no scheme index and no artifact
+    # reads another scheme entry, so the record is the sweep's.
     sp = scn["schemes"][labels.index(args.scheme)]
     ctx = build_context(dict(scn, schemes=[sp]))
     row = run_record(ctx, 0, values.index(args.condition), args.trial)

@@ -91,16 +91,6 @@ def _parity_matrix(k: int) -> np.ndarray:
     return _GF_EXP[255 - _GF_LOG[rows]]
 
 
-@lru_cache(maxsize=128)
-def _recovery_matrix(k: int, lost: tuple, parity: tuple) -> np.ndarray:
-    """inv(C[parity, lost]) for the lost data columns and as many received
-    parity rows (block indices), read-only; erasure patterns repeat across
-    a sweep."""
-    inv = _gf_mat_inv(_parity_matrix(k)[np.ix_(np.subtract(parity, k), lost)])
-    inv.setflags(write=False)
-    return inv
-
-
 @dataclass
 class Packet:
     """One transmitted unit: block-local index (k and above for parity)
@@ -156,11 +146,11 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
     if len(lengths) > 1:
         raise ParameterError("received payloads must have equal length")
 
-    lost = tuple(i for i in range(k) if i not in seen)
+    lost = [i for i in range(k) if i not in seen]
     if not lost:
         return [seen[i] for i in range(k)]
 
-    parity = tuple(sorted(i for i in seen if i >= k)[:len(lost)])
+    parity = sorted(i for i in seen if i >= k)[:len(lost)]
     known = [i for i in range(k) if i in seen]
     width = lengths.pop()
 
@@ -170,6 +160,6 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
 
     rows = _parity_matrix(k)[np.subtract(parity, k)]
     syndrome = block(parity) ^ _gf_mul_mat(rows[:, known], block(known))
-    found = _gf_mul_mat(_recovery_matrix(k, lost, parity), syndrome)
+    found = _gf_mul_mat(_gf_mat_inv(rows[:, lost]), syndrome)
     seen.update(zip(lost, (row.tobytes() for row in found)))
     return [seen[i] for i in range(k)]

@@ -30,14 +30,14 @@ artifact under ("artifact", scheme, its artifact fields), and every record
 whose runner draws no randomness (digital and weak JSCC under snr_db) under
 ("record", scheme index, condition index), repeated for each trial with its
 own `seed`.  An artifact is a digital stream, its decoded image and, under
-loss conditions, its FEC block, encoded once with as many parity packets as
-any loss scheme sending that payload can ask for; a weak-JSCC codebook,
-models and packets, each packet decoded and verified once; or an analog
-code.  After the build, the context and its models are only read: a
-record looks its shared work up and builds none of it.  `sweep` runs one
-share of the records in its own process and forks a child for each other
-share, so the children inherit everything.  With `jobs` = 1 there is one
-share and no child.
+loss conditions, its FEC block, encoded once with every parity packet a
+block can hold; a weak-JSCC codebook, models and packets, each packet
+decoded and verified once; or an analog code.  No artifact reads another
+scheme entry than its own.  After the build, the context and its models
+are only read: a record looks its shared work up and builds none of it.
+`sweep` runs one share of the records in its own process and forks a
+child for each other share, so the children inherit everything.  With
+`jobs` = 1 there is one share and no child.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def _build_digital(ctx: SweepContext, sp: dict):
     model = CausalContextModel(alphabet, order=sp["context_order"])
     syms = digital_symbols(ctx.image, step, alphabet)
     stream = _verified_stream(syms, model, "the digital payload")
-    block = (_fec_block(ctx, sp, stream.payload)
+    block = (_fec_block(stream.payload, ctx.scenario["fec"]["k"])
              if ctx.scenario["conditions"]["kind"] == "loss" else None)
     return stream, digital_image(syms, ctx.image.height, ctx.image.width,
                                  step, alphabet), block
@@ -472,9 +472,6 @@ def _row(label: str, condition, metrics, mcs_index=None, fec_r=None,
 def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     table = ctx.scenario["mcs_table"]
     idx = mcs_pick(table, sp["est_snr_db"])
-    if idx is None:
-        raise ConfigError(
-            f"est_snr_db {sp['est_snr_db']} is below every mcs_table threshold")
     eff, min_snr = table[idx]
     stream, decoded, _ = _artifact(ctx, sp)
     bits = stream.payload_bits
@@ -519,33 +516,30 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
     return _row(sp["label"], snr_db, m)
 
 
+def _transitions(loss: float, burst_mean: float) -> tuple[float, float]:
+    """(p_gb, p_bg) of a Gilbert-Elliott channel with mean burst length
+    `burst_mean` and stationary loss rate `loss`."""
+    p_bg = 1.0 / burst_mean
+    return p_bg * loss / (1.0 - loss), p_bg
+
+
 def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
     """Lost flags of `window` monitoring slots, then fec.MAX_BLOCK (one
     block) transmission slots, from a Gilbert-Elliott channel with the
     scenario's mean burst length and a stationary loss rate of `loss`."""
     cond = ctx.scenario["conditions"]
-    p_bg = 1.0 / cond["burst_mean"]
-    p_gb = p_bg * loss / (1.0 - loss)
+    p_gb, p_bg = _transitions(loss, cond["burst_mean"])
     return _channel.gilbert_elliott(cond["window"] + _fec.MAX_BLOCK, p_gb,
                                     p_bg, 0.0, 1.0, rng).lost
 
 
-def _fec_block(ctx: SweepContext, sp: dict, payload: bytes):
-    """(packets, packet length) of the digital `payload` of `sp` split into
-    k data packets plus the most parity packets, min(MAX_BLOCK - k,
-    multiplier * k), that any loss scheme sending that payload can ask
-    for.  The parity rows for r are a prefix of those for any larger r, so
-    a record sends the first k + r packets and each payload is encoded
-    once."""
-    key = _artifact_key(sp)
-    k = ctx.scenario["fec"]["k"]
-    r = max(min(_fec.MAX_BLOCK - k, other["fec_multiplier"] * k)
-            for other in ctx.scenario["schemes"]
-            if _artifact_key(other) == key)
+def _fec_block(payload: bytes, k: int):
+    """(packets, packet length) of `payload` in k data packets and all
+    MAX_BLOCK - k parity packets; a record sends the first k + r."""
     plen = max(1, -(-len(payload) // k))
     padded = payload.ljust(k * plen, b"\x00")
     data = [padded[i * plen:(i + 1) * plen] for i in range(k)]
-    return _fec.fec_encode(data, r), plen
+    return _fec.fec_encode(data, _fec.MAX_BLOCK - k), plen
 
 
 def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
@@ -558,15 +552,13 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     r = min(r, _fec.MAX_BLOCK - k)
 
     stream, decoded, (packets, plen) = _artifact(ctx, sp)
-    payload = stream.payload
-
     slots = lost[window:window + k + r]
     received = [pkt for pkt, gone in zip(packets[:k + r], slots) if not gone]
     realized = float(np.mean(slots))
     bits = (k + r) * plen * 8
     try:
-        recovered = b"".join(_fec.fec_decode(received, k, k + r))[:len(payload)]
-        ok = recovered == payload
+        recovered = b"".join(_fec.fec_decode(received, k, k + r))
+        ok = recovered[:len(stream.payload)] == stream.payload
     except FecDecodeError:
         ok = False
     recon = decoded if ok else _fallback_image(ctx.image)
@@ -679,14 +671,25 @@ def validate_scenario(scn: dict) -> dict:
         labels.add(sp["label"])
         needed.update(runs[kind][0])
     _check(out, _SCENARIO, "", _CONDITIONAL - needed)
+    cond = out["conditions"]
     if kind == "loss":
-        out["conditions"].setdefault(
-            "window", out["fec"]["k"] if "fec" in needed else 50)
+        cond.setdefault("window", out["fec"]["k"] if "fec" in needed else 50)
+        b = cond["burst_mean"]
+        for i, loss in enumerate(cond["values"]):
+            if _transitions(loss, b)[0] > 1.0:
+                raise ConfigError(f"conditions.values[{i}] = {_quote(loss)} is "
+                                  f"above {b / (b + 1):g}, the most loss "
+                                  f"conditions.burst_mean = {_quote(b)} allows")
     table = out.get("mcs_table", [])
     if (any(len(e) != 2 or e[0] <= 0 for e in table)
             or [e[1] for e in table] != sorted(e[1] for e in table)):
         raise ConfigError("mcs_table must list [efficiency > 0, min_snr_db] "
                           "pairs in ascending min_snr_db")
+    for sp in out["schemes"]:
+        if kind == "snr_db" and "est_snr_db" in sp \
+                and mcs_pick(table, sp["est_snr_db"]) is None:
+            raise ConfigError(f"est_snr_db {sp['est_snr_db']} is below every "
+                              f"mcs_table threshold")
     if out["source"]["type"] == "ar1":
         _check_layers(out["source"], "source")
     if "train" in out:
@@ -834,10 +837,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
     return str(value)
 
 

@@ -170,22 +170,22 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
         raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     _check_finite(x)
 
-    uniq = np.unique(x, axis=0)
-    if uniq.shape[0] < k:
-        raise ParameterError(
-            f"training set has only {uniq.shape[0]} distinct vectors, need {k}")
-
     rng = np.random.default_rng(seed)
-    # Walk a random permutation, keeping the first k pairwise-distinct vectors.
+    # Walk a random permutation, keeping the first k pairwise-distinct
+    # vectors; adding 0.0 turns -0.0 into 0.0, so rows that compare equal
+    # share a key.
     centers = []
     seen = set()
     for idx in rng.permutation(x.shape[0]):
-        key = x[idx].tobytes()
+        key = (x[idx] + 0.0).tobytes()
         if key not in seen:
             seen.add(key)
             centers.append(x[idx])
             if len(centers) == k:
                 break
+    if len(centers) < k:
+        raise ParameterError(
+            f"training set has only {len(centers)} distinct vectors, need {k}")
     c = np.array(centers)
 
     history = []

@@ -877,6 +877,36 @@ def test_every_error_exit_names_what_failed(tmp_path, sample_pgm, code,
     assert err.startswith(f"gjcodec: error: {prefix}"), err
 
 
+def _weak_first_fig5():
+    digital, weak, analog = _fig5_schemes(0, est_snr_db=-50)
+    return ["--set", f"schemes={json.dumps([weak, digital, analog])}"]
+
+
+@pytest.mark.parametrize("scenario, sets, message", [
+    ("fig6", ["--set", "conditions.burst_mean=1",
+              "--set", "conditions.values=[0.3, 0.6]"],
+     "conditions.values[1] = 0.6 is above 0.5, the most loss "
+     "conditions.burst_mean = 1 allows"),
+    ("fig5", _weak_first_fig5(),
+     "est_snr_db -50 is below every mcs_table threshold"),
+], ids=["loss-beyond-burst-model", "est-snr-below-table"])
+def test_scenario_errors_stop_the_sweep_before_any_build(monkeypatch, scenario,
+                                                         sets, message):
+    """A loss rate the burst model cannot reach, or an SNR estimate no
+    mcs_table entry accepts, exits 2 with one line naming the field before
+    any scheme's artifact is built."""
+    import gjcodec.pipelines as pipelines
+
+    def build(ctx, sp):
+        raise AssertionError(f"built {sp['label']}")
+
+    for name, scheme in list(pipelines._SCHEMES.items()):
+        monkeypatch.setitem(pipelines._SCHEMES, name,
+                            scheme._replace(build=build))
+    got, out, err = run_cli("sweep", "--scenario", scenario, *sets)
+    assert (got, out, err) == (2, "", f"gjcodec: error: {message}\n")
+
+
 def test_train_model_on_codebook_tokens(tmp_path, sample_pgm):
     """train-model --codebook counts each image's VQ token grid."""
     from gjcodec.context import CausalContextModel, load_model, train

@@ -318,3 +318,62 @@ def test_carry_ripples_through_ff_bytes():
     buf = bytearray(b"\x12\xff\xff")
     _propagate_carry(buf)
     assert buf == b"\x13\x00\x00"
+
+
+def _steered_symbols(model, n, target_bits):
+    """n symbols, each the one whose code interval holds the point
+    T = 1/2 + 2**-target_bits, by a full-precision copy of the coder's
+    arithmetic: the code bits of T are 0111... below 1/2 and cross it only
+    late, which is where carries come from.  `low` is the interval's start
+    in units of 2**-(64 + emitted bits), so it never overflows."""
+    low, range_, emitted = 0, 1 << 64, 0
+    top = model.alphabet - 1
+    syms = []
+    for _ in range(n):
+        # T in the same units, times 2**target_bits to stay an integer
+        t = (1 << (emitted + 63 + target_bits)) + (1 << (emitted + 64))
+        r = range_ >> 16
+        for s in range(model.alphabet):
+            lo, width = model.code((), s)
+            base = r * lo
+            new = range_ - base if s == top else r * width
+            if (low + base) << target_bits <= t \
+                    < (low + base + new) << target_bits:
+                break
+        syms.append(s)
+        low, range_ = low + base, new
+        while range_ < 1 << 32:
+            low, range_, emitted = low << 16, range_ << 16, emitted + 16
+    return syms
+
+
+@pytest.mark.parametrize("alphabet, n, target_bits, sites", [
+    (3, 60, 60, [0]), (5, 60, 60, [0]), (7, 60, 60, [0]),
+    (3, 60, 130, [1]), (3, 200, 60, [0, 1]),
+])
+def test_steered_streams_carry_and_round_trip(monkeypatch, alphabet, n,
+                                              target_bits, sites):
+    """Seeded random streams practically never carry, so these steer the
+    code interval onto a point just above 1/2: the carry inside the coding
+    loop (site 0), the one in the final flush (site 1) or both run, and
+    the stream still decodes to its symbols."""
+    import inspect
+    import sys
+
+    import gjcodec.entropy as entropy
+    source, first = inspect.getsourcelines(entropy._encode)
+    lines = [first + i for i, text in enumerate(source)
+             if "_propagate_carry(out)" in text]
+    assert len(lines) == 2
+    real, ran = entropy._propagate_carry, []
+
+    def propagate_carry(buf):
+        ran.append(lines.index(sys._getframe(1).f_lineno))
+        real(buf)
+
+    monkeypatch.setattr(entropy, "_propagate_carry", propagate_carry)
+    model = CausalContextModel(alphabet, order=0)
+    syms = _steered_symbols(model, n, target_bits)
+    stream = ac_encode(syms, model)
+    assert ran == sites
+    np.testing.assert_array_equal(ac_decode(stream, model), syms)

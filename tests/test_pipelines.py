@@ -324,10 +324,10 @@ def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
     # each weak packet once, plus the one check decode of the digital stream
     assert sorted(decoded_alphabets) == [16] * 4 + [32]
     assert trained_hashes == [16]
-    # one block for the payload both digital schemes send, with the parity
-    # of the larger multiplier: min(255 - k, 4 * k) for k = 10
+    # one block for the payload both digital schemes send, with every
+    # parity row a block holds: 255 - k for k = 10
     used_r = {r["fec_r"] for r in recs if r["fec_r"] is not None}
-    assert fec_blocks == [40] and max(used_r) <= 40
+    assert fec_blocks == [245] and max(used_r) <= 40
 
 
 def test_corrupted_digital_check_decode_raises(monkeypatch):
@@ -349,8 +349,8 @@ def test_corrupted_digital_check_decode_raises(monkeypatch):
 
 
 def test_loss_sweep_encodes_parity_once_per_payload(monkeypatch):
-    """Each distinct digital payload is FEC-encoded once, with the parity of
-    the largest multiplier among the schemes that send it."""
+    """Each distinct digital payload is FEC-encoded once, with every parity
+    row a block can hold, whatever multiplier the schemes sending it use."""
     import gjcodec.pipelines as pipelines
     scn = _mixed_scenario("loss")
     coarse = dict(scn["schemes"][1], label="coarse_30x", sq_step=40.0,
@@ -366,10 +366,41 @@ def test_loss_sweep_encodes_parity_once_per_payload(monkeypatch):
     monkeypatch.setattr(pipelines._fec, "fec_encode", fec_encode)
     recs = sweep(scn, jobs=1)
     assert len({data for data, _ in blocks}) == len(blocks) == 2
-    # k = 10: the 1x/4x payload gets 4 * k parity packets, the 30x one
-    # 255 - k, the most a block can hold
-    assert sorted(r for _, r in blocks) == [40, 245]
+    # k = 10: each payload gets 255 - k parity packets, the most a block
+    # can hold
+    assert sorted(r for _, r in blocks) == [245, 245]
     assert max(r["fec_r"] for r in recs if r["scheme"] == "coarse_30x") > 40
+
+
+def test_fec_block_depends_on_its_own_scheme_entry():
+    """A digital payload's FEC block is the same whether or not another
+    scheme sending that payload asks for more parity."""
+    scn = _mixed_scenario("loss")
+    alone = dict(scn, schemes=[scn["schemes"][1]])
+
+    def block(ctx):
+        (_, _, (packets, plen)), = (value for key, value in ctx.memo.items()
+                                    if key[:2] == ("artifact",
+                                                   "digital_separate"))
+        return [(p.index, p.payload) for p in packets], plen
+
+    assert block(build_context(scn)) == block(build_context(alone))
+
+
+def test_loss_rate_beyond_the_burst_model_is_a_scenario_error():
+    """p_gb = loss / ((1 - loss) * burst_mean) must not exceed 1: loss 0.5
+    at burst_mean 1 (p_gb = 1, every good slot turns bad) sweeps, and any
+    loss above it is rejected naming both fields."""
+    scn = _mixed_scenario("loss")
+    scn["conditions"].update(burst_mean=1, values=[0.5])
+    recs = sweep(scn)
+    assert {r["condition"] for r in recs} == {0.5}
+    for loss in (0.6, 0.5000001):
+        scn["conditions"]["values"] = [0.1, loss]
+        with pytest.raises(ConfigError,
+                           match=r"^conditions\.values\[1\] = .* "
+                                 r"conditions\.burst_mean = 1 allows$"):
+            validate_scenario(scn)
 
 
 def _fail_in_share(monkeypatch, where):

@@ -32,7 +32,7 @@ def _reference_vq_train(vectors, k, iters, seed):
     rng = np.random.default_rng(seed)
     centers, seen = [], set()
     for idx in rng.permutation(x.shape[0]):
-        key = x[idx].tobytes()
+        key = (x[idx] + 0.0).tobytes()  # -0.0 and 0.0 are one row
         if key not in seen:
             seen.add(key)
             centers.append(x[idx])
@@ -128,13 +128,14 @@ def _fixed_point_corpus(name):
         return rng.integers(0, 5, (500, 3)).astype(np.float64), 20, 4
     if name == "one_dim":
         return rng.normal(0, 10, (500, 1)), 20, 5
-    # -0.0 and 0.0 are distinct starting centres at distance 0 from each
-    # other: one cluster stays empty while the assignment repeats, so the
-    # fixed point is not reached there (found by a seeded search)
-    x = np.array([-0.0, -7.0, 4.0, -0.0, -3.0, 37.0, -3.0, 0.0, -1.0, 1.0,
-                  0.0, 0.0, 2.0, -0.0, -1.0, 0.0, 0.0, 1.0, -0.0, 4.0, -0.0,
-                  0.0]).reshape(11, 2)
-    return x, 7, 219
+    # 2e-300 and 0.0 are distinct starting centres whose squared distance
+    # underflows to 0: one cluster stays empty while the assignment
+    # repeats, so the fixed point is not reached there (found by a seeded
+    # search)
+    t = 2e-300
+    x = np.array([1, 4, 1, 0, 1, 0, -2, -4, 4, -4, 1, t, t, 2, 3, 2, -4, t,
+                  -2, 3, 4, 3, t, t, 3, 2, t, -2, -3, 1]).reshape(15, 2)
+    return x, 7, 383
 
 
 @pytest.mark.parametrize("name, stops, reseeds", [
@@ -189,6 +190,18 @@ def test_non_finite_vectors_and_codewords_rejected():
     cb = Codebook(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ParameterError):
         vq_encode(cb, np.array([[0.0, -np.inf]]))
+
+
+def test_negative_zero_is_not_a_distinct_vector():
+    """-0.0 and 0.0 compare equal, so they are one training vector: too few
+    for k = 3, and never both seeded for k = 2."""
+    x = np.array([[0.0], [-0.0], [1.0]])
+    with pytest.raises(ParameterError, match="only 2 distinct vectors, need 3"):
+        vq_train(x, k=3, iters=1, seed=0)
+    for seed in range(64):
+        cb = vq_train(x, k=2, iters=1, seed=seed)
+        assert sorted(cb.vectors.ravel().tolist()) == [0.0, 1.0]
+        assert cb.distortion_history == [0.0]
 
 
 def test_k_distinct_points_are_a_fixed_point():
