@@ -17,19 +17,16 @@ import numpy as np
 
 from .errors import ParameterError
 from .sources import ImageGrid
-from .transform import (BLOCK, dct2, idct2, merge_blocks, split_blocks,
-                        zigzag_scan, zigzag_unscan)
+from .transform import BLOCK, block_coefficients, block_pixels
 
 
 def jscc_fit(images: list[ImageGrid]) -> np.ndarray:
     """Per-zigzag-position coefficient variances over all 8x8 blocks."""
     if not images:
         raise ParameterError("jscc_fit needs at least one training image")
-    coeff_rows = []
-    for img in images:
-        blocks = split_blocks(img.samples.astype(np.float64))
-        coeff_rows.append(zigzag_scan(dct2(blocks)))
-    all_coeffs = np.concatenate(coeff_rows, axis=0)
+    all_coeffs = np.concatenate(
+        [block_coefficients(img.samples.astype(np.float64)) for img in images],
+        axis=0)
     return np.var(all_coeffs, axis=0)
 
 
@@ -61,20 +58,18 @@ def jscc_encode(image: ImageGrid, bandwidth_ratio: float,
         raise ParameterError(f"bandwidth_ratio must be positive, got {bandwidth_ratio}")
     budget = int(math.floor(bandwidth_ratio * image.pixels))
     pix = image.samples.astype(np.float64)
-    blocks = split_blocks(pix)
-    m = budget // len(blocks)
+    mean_offset = float(pix.mean())
+    coeffs = block_coefficients(pix - mean_offset)
+    m = budget // len(coeffs)
     if m < 1:
         raise ParameterError(
             f"symbol budget {budget} cannot cover one position for each of "
-            f"{len(blocks)} blocks")
+            f"{len(coeffs)} blocks")
     m = min(m, BLOCK * BLOCK)
 
     # Highest variance first; ties broken toward the lower zigzag rank.
     order = np.lexsort((np.arange(variances.size), -variances))
     positions = np.sort(order[:m])
-
-    mean_offset = float(pix.mean())
-    coeffs = zigzag_scan(dct2(blocks - mean_offset))
     selected = coeffs[:, positions]
 
     energy = float(np.mean(selected * selected))
@@ -113,6 +108,6 @@ def jscc_decode(code: AnalogCode, snr_db: float,
     num_blocks = (code.height // BLOCK) * (code.width // BLOCK)
     ranked = np.zeros((num_blocks, BLOCK * BLOCK), dtype=np.float64)
     ranked[:, code.positions] = estimates
-    blocks = idct2(zigzag_unscan(ranked)) + code.mean_offset
-    return ImageGrid.from_float(merge_blocks(blocks, code.height, code.width))
+    pix = block_pixels(ranked, code.height, code.width) + code.mean_offset
+    return ImageGrid.from_float(pix)
 

@@ -23,11 +23,10 @@ from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import (ConfigError, FormatError, GjcError, ParameterError,
                      existing_input, output_file, read_header)
 from .pipelines import (build_context, digital_image, digital_symbols,
-                        load_scenario_file, records_to_csv, run_record, sweep,
-                        validate_scenario)
+                        records_to_csv, run_record, sweep, validate_scenario)
 from .sources import MAX_SIDE, load_pgm, save_pgm
 from .transform import BLOCK
-from .vq import extract_patches, load_codebook, save_codebook, vq_encode, vq_train
+from .vq import extract_patches, load_codebook, save_codebook, tokenize, vq_train
 
 _CONTAINER_MAGIC = b"GJCF"
 _CONTAINER_VERSION = 1
@@ -39,16 +38,35 @@ def _err(msg: str) -> None:
     print(f"gjcodec: error: {msg}", file=sys.stderr)
 
 
-def _resolve_scenario(name_or_path: str) -> dict:
+def _resolve_scenario(name_or_path: str):
+    """The scenario's JSON, not yet validated."""
     if name_or_path in _BUNDLED:
         from importlib import resources
         ref = resources.files("gjcodec") / "scenarios" / f"{name_or_path}.json"
-        return validate_scenario(json.loads(ref.read_text(encoding="utf-8")))
-    return load_scenario_file(existing_input(name_or_path))
+        return json.loads(ref.read_text(encoding="utf-8"))
+    with open(existing_input(name_or_path), "rb") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
+        # digit limit; RecursionError, nesting beyond the parser's depth
+        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
 
 
-def _apply_sets(scn: dict, assignments: list[str]) -> dict:
-    """--set dotted.path=json_value overrides on the scenario dict."""
+def _slot(node, part: str):
+    """The key of dict `node`, or the index into list `node`, that one part
+    of a --set path names; KeyError when it names neither."""
+    if isinstance(node, dict):
+        return part
+    if isinstance(node, list) and part in map(str, range(len(node))):
+        return int(part)
+    raise KeyError(part)
+
+
+def _apply_sets(scn, assignments: list[str]):
+    """--set dotted.path=json_value overrides on the scenario's JSON; a
+    part that is the index of a list entry names that entry."""
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -59,14 +77,15 @@ def _apply_sets(scn: dict, assignments: list[str]) -> dict:
             value = raw
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--set {path}: value is not usable: {exc}") from None
+        *parents, last = path.split(".")
         node = scn
-        parts = path.split(".")
-        for p in parts[:-1]:
-            if not isinstance(node.get(p), dict):
-                raise ConfigError(f"--set path {path!r} does not exist")
-            node = node[p]
-        node[parts[-1]] = value
-    return validate_scenario(scn)
+        try:
+            for p in parents:
+                node = node[_slot(node, p)]
+            node[_slot(node, last)] = value
+        except KeyError:
+            raise ConfigError(f"--set path {path!r} does not exist") from None
+    return scn
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +200,8 @@ def _cmd_train_model(args) -> int:
             raise ConfigError("codebook dimension is not a square patch")
         alphabet = cb.size
         for path in args.images:
-            img = load_pgm(existing_input(path))
-            toks = vq_encode(cb, extract_patches(img.samples, patch))
-            grids.append(toks.reshape(img.height // patch, img.width // patch))
+            grids.append(tokenize(cb, load_pgm(existing_input(path)).samples,
+                                  patch))
     else:
         alphabet = 256
         for path in args.images:
@@ -204,7 +222,8 @@ def _cmd_train_model(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scn = _apply_sets(_resolve_scenario(args.scenario), args.set or [])
+    scn = validate_scenario(
+        _apply_sets(_resolve_scenario(args.scenario), args.set or []))
     labels = [sp["label"] for sp in scn["schemes"]]
     if args.scheme not in labels:
         raise ConfigError(

@@ -38,7 +38,7 @@ MAX_ALPHABET = 0xFFFF
 MAX_ORDER = 0xFF
 # Context symbols are i16 fields of the model file, so a model with context
 # positions has an alphabet of at most 2**15.
-_MAX_CONTEXT_ALPHABET = 0x8000
+MAX_CONTEXT_ALPHABET = 0x8000
 ABSENT = -1
 
 MODEL_MAGIC = b"GJCM"
@@ -312,7 +312,7 @@ class _CountModel:
     offsets: tuple  # (row, column) offset of each context position
 
     def __init__(self, alphabet: int, alpha: float, context_len: int):
-        limit = _MAX_CONTEXT_ALPHABET if context_len else MAX_ALPHABET
+        limit = MAX_CONTEXT_ALPHABET if context_len else MAX_ALPHABET
         if alphabet < 2 or alphabet > limit:
             raise ParameterError(
                 f"alphabet size must be in [2, {limit}] for a model of "
@@ -333,6 +333,14 @@ class _CountModel:
             raise ParameterError(
                 f"symbol {symbol} outside alphabet [0, {self.alphabet})")
         self._merge({key: ((int(symbol),), (1,))})
+
+    def _checked(self, key: tuple) -> tuple:
+        """`key`, once every symbol in it is ABSENT or in the alphabet."""
+        for s in key:
+            if s != ABSENT and not 0 <= s < self.alphabet:
+                raise ParameterError(
+                    f"context symbol {s} outside alphabet [0, {self.alphabet})")
+        return key
 
     def _merge(self, fresh: dict) -> None:
         """Add `fresh` (context -> entry, as in `counts`) to the counts; a
@@ -446,11 +454,7 @@ class CausalContextModel(_CountModel):
         if len(hist) > self.order:
             raise ParameterError(
                 f"context of length {len(hist)} exceeds model order {self.order}")
-        for s in hist:
-            if s != ABSENT and not 0 <= s < self.alphabet:
-                raise ParameterError(
-                    f"context symbol {s} outside alphabet [0, {self.alphabet})")
-        return (ABSENT,) * (self.order - len(hist)) + hist
+        return self._checked((ABSENT,) * (self.order - len(hist)) + hist)
 
     # -- static pricing: the entropy coder's view of the frozen counts ------
 
@@ -542,11 +546,7 @@ class NeighborhoodModel(_CountModel):
         if len(key) != self.arity:
             raise ParameterError(
                 f"neighborhood context must have {self.arity} entries, got {len(key)}")
-        for s in key:
-            if s != ABSENT and not 0 <= s < self.alphabet:
-                raise ParameterError(
-                    f"context symbol {s} outside alphabet [0, {self.alphabet})")
-        return key
+        return self._checked(key)
 
     def _resolve_key(self, key: tuple) -> tuple:
         while key not in self.counts:

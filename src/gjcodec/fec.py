@@ -116,8 +116,6 @@ def fec_encode(data: list[bytes], r: int) -> list[Packet]:
     if k and any(len(p) != len(data[0]) for p in data):
         raise ParameterError("all data payloads must have equal length")
     packets = [Packet(i, bytes(p)) for i, p in enumerate(data)]
-    if r == 0:
-        return packets
     block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
     parity = _gf_mul_mat(_parity_matrix(k)[:r], block)
     packets.extend(Packet(k + i, row.tobytes())

@@ -55,18 +55,18 @@ from . import analog as _analog
 from . import channel as _channel
 from . import concealment as _conceal
 from . import fec as _fec
-from .context import (MAX_ALPHABET, MAX_ORDER, CausalContextModel,
-                      NeighborhoodModel, train)
+from .context import (MAX_ALPHABET, MAX_CONTEXT_ALPHABET, MAX_ORDER,
+                      CausalContextModel, NeighborhoodModel, train)
 from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
 from .metrics import compute_metrics
 from .sources import MAX_SIDE, ImageGrid, ar1_field, load_pgm
-from .transform import (BLOCK, dct2, idct2, merge_blocks, split_blocks,
-                        sq_dequantize, sq_quantize, symbol_to_signed,
-                        signed_to_symbol, zigzag_scan, zigzag_unscan)
+from .transform import (BLOCK, block_coefficients, block_pixels,
+                        merge_blocks, split_blocks, sq_dequantize, sq_quantize,
+                        symbol_to_signed, signed_to_symbol)
 from .vq import (MAX_CODEWORDS, Codebook, assemble_patches, extract_patches,
-                 vq_decode, vq_encode, vq_train)
+                 tokenize, vq_decode, vq_train)
 
 CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "psnr", "decode_failed", "mcs_index", "fec_r",
@@ -199,9 +199,7 @@ _SOURCES = {"ar1": {"seed": _Field(int, lo=0), **_AR1},
 _CONDITIONS = {
     # beyond +-1000 dB no channel is physical, and near +-3000 dB the noise
     # power 10 ** (-snr / 10) leaves the float range
-    "snr_db": {"values": _Field(list, item=_Field(float, lo=-1000, hi=1000)),
-               "burst_mean": _Field(float, None, lo=1),
-               "window": _Field(int, None, lo=1, hi=_MAX_WINDOW)},
+    "snr_db": {"values": _Field(list, item=_Field(float, lo=-1000, hi=1000))},
     "loss": {"values": _Field(list, item=_Field(float, lo=0, hi=1, open=True)),
              "burst_mean": _Field(float, 2.0, lo=1),
              # default: see validate_scenario
@@ -216,6 +214,16 @@ def _check_layers(d: dict, path: str) -> None:
         if block is not None and (d["width"] % block["upsample"]
                                   or d["height"] % block["upsample"]):
             raise ConfigError(f"{where}.upsample must divide both dimensions")
+
+
+def _check_tile(sp: dict, where: str, height: int, width: int) -> None:
+    """The tile a scheme entry cuts images into, its patch or else the DCT
+    block, divides both sides of the `where` image."""
+    tile = sp.get("patch", BLOCK)
+    if height % tile or width % tile:
+        what = "patch" if "patch" in sp else "block side"
+        raise ConfigError(f"{what} {tile} of scheme {sp['label']!r} does not "
+                          f"divide the {where} sides {width}x{height}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +323,8 @@ def digital_symbols(image: ImageGrid, step: float, alphabet: int) -> np.ndarray:
     plane is sent ahead of the AC coefficients: DC residuals then share
     contexts with other DC residuals instead of sitting isolated inside
     long runs of zero ACs."""
-    blocks = split_blocks(image.samples.astype(np.float64) - 128.0)
-    q = sq_quantize(zigzag_scan(dct2(blocks)), step)
+    q = sq_quantize(
+        block_coefficients(image.samples.astype(np.float64) - 128.0), step)
     shape = (image.height // BLOCK, image.width // BLOCK)
     dc = q[:, 0].reshape(shape)
     q[:, 0] = (dc - _dc_predict(dc)).ravel()
@@ -341,8 +349,8 @@ def digital_image(symbols: np.ndarray, height: int, width: int, step: float,
         on = diagonal == d
         dc[on] = res[on] + _dc_predict(dc)[on]
     q[:, 0] = dc.ravel()
-    blocks = idct2(zigzag_unscan(sq_dequantize(q, step))) + 128.0
-    return ImageGrid.from_float(merge_blocks(blocks, height, width))
+    pix = block_pixels(sq_dequantize(q, step), height, width) + 128.0
+    return ImageGrid.from_float(pix)
 
 
 def _verified_stream(symbols: np.ndarray, model: CausalContextModel,
@@ -388,18 +396,14 @@ def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
         [extract_patches(img.samples, patch) for img in corpus_imgs], axis=0)
     codebook = vq_train(corpus_patches, ksize, iters=25,
                         seed=derive_seed(tr["seed"], "codebook"))
-
-    def tokens_of(img: ImageGrid) -> np.ndarray:
-        shape = (img.height // patch, img.width // patch)
-        return vq_encode(codebook, extract_patches(img.samples, patch)).reshape(shape)
-
-    corpus_tokens = [tokens_of(img) for img in corpus_imgs]
+    corpus_tokens = [tokenize(codebook, img.samples, patch)
+                     for img in corpus_imgs]
     causal = CausalContextModel(ksize, order=sp["context_order"])
     neighbor = NeighborhoodModel(ksize)
     train(causal, corpus_tokens)
     train(neighbor, corpus_tokens)
 
-    tokens = tokens_of(ctx.image)
+    tokens = tokenize(codebook, ctx.image.samples, patch)
     assignment = _conceal.strided_assignment(tokens.shape[0], tokens.shape[1],
                                              scn["packets"])
     streams = [_verified_stream(tokens[assignment == p], causal, f"packet {p}")
@@ -685,11 +689,20 @@ def validate_scenario(scn: dict) -> dict:
             or [e[1] for e in table] != sorted(e[1] for e in table)):
         raise ConfigError("mcs_table must list [efficiency > 0, min_snr_db] "
                           "pairs in ascending min_snr_db")
-    for sp in out["schemes"]:
+    for i, sp in enumerate(out["schemes"]):
         if kind == "snr_db" and "est_snr_db" in sp \
                 and mcs_pick(table, sp["est_snr_db"]) is None:
             raise ConfigError(f"est_snr_db {sp['est_snr_db']} is below every "
                               f"mcs_table threshold")
+        if sp.get("sq_alphabet", 0) > MAX_CONTEXT_ALPHABET \
+                and sp["context_order"]:
+            raise ConfigError(
+                f"schemes[{i}].sq_alphabet must be at most "
+                f"{MAX_CONTEXT_ALPHABET} when context_order is above 0, "
+                f"got {sp['sq_alphabet']}")
+        if "patch" in sp:
+            _check_tile(sp, "train", out["train"]["height"],
+                        out["train"]["width"])
     if out["source"]["type"] == "ar1":
         _check_layers(out["source"], "source")
     if "train" in out:
@@ -697,28 +710,25 @@ def validate_scenario(scn: dict) -> dict:
     return out
 
 
-def load_scenario_file(path) -> dict:
-    with open(path, "rb") as fh:
-        text = fh.read()
-    try:
-        scn = json.loads(text.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
-        # digit limit; RecursionError, nesting beyond the parser's depth
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
-    return validate_scenario(scn)
-
-
 def build_context(scn: dict) -> SweepContext:
     """The validated scenario's context, with every artifact and every
     record that draws no randomness built, so running any record builds
-    nothing."""
+    nothing.  The rules that tie a scheme to the source image are checked
+    before anything is built."""
     scn = validate_scenario(scn)
     src = scn["source"]
     image = (load_pgm(existing_input(src["path"], "source.path"))
              if src["type"] == "pgm"
              else _ar1_textured(src["height"], src["width"], src, src["seed"]))
     budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
+    blocks = (image.height // BLOCK) * (image.width // BLOCK)
+    for sp in scn["schemes"]:
+        _check_tile(sp, "source", image.height, image.width)
+        if sp["scheme"] == "analog_jscc" and budget < blocks:
+            raise ConfigError(
+                f"bandwidth_ratio {scn['bandwidth_ratio']} gives scheme "
+                f"{sp['label']!r} {budget} symbols, less than one for each "
+                f"of its {blocks} {BLOCK}x{BLOCK} blocks")
     ctx = SweepContext(scenario=scn, image=image, budget_symbols=budget)
     memo, kind = ctx.memo, scn["conditions"]["kind"]
     for si, sp in enumerate(scn["schemes"]):

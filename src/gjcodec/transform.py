@@ -22,19 +22,20 @@ ZIGZAG = _zigzag_order()
 UNZIGZAG = np.argsort(ZIGZAG)
 
 
-def split_blocks(samples: np.ndarray) -> np.ndarray:
-    """(H, W) -> (H//8 * W//8, 8, 8) in block raster order."""
+def split_blocks(samples: np.ndarray, size: int = BLOCK) -> np.ndarray:
+    """(H, W) -> (H//size * W//size, size, size) in block raster order."""
     h, w = samples.shape
-    if h % BLOCK or w % BLOCK:
-        raise ParameterError(f"image dimensions {w}x{h} are not multiples of {BLOCK}")
-    a = samples.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK)
-    return a.transpose(0, 2, 1, 3).reshape(-1, BLOCK, BLOCK)
+    if h % size or w % size:
+        raise ParameterError(f"image dimensions {w}x{h} are not multiples of {size}")
+    a = samples.reshape(h // size, size, w // size, size)
+    return a.transpose(0, 2, 1, 3).reshape(-1, size, size)
 
 
 def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    nbr, nbc = height // BLOCK, width // BLOCK
-    a = blocks.reshape(nbr, nbc, BLOCK, BLOCK).transpose(0, 2, 1, 3)
-    return a.reshape(height, width)
+    """Inverse of :func:`split_blocks`: (N, s, s) -> (height, width)."""
+    size = blocks.shape[-1]
+    a = blocks.reshape(height // size, width // size, size, size)
+    return a.transpose(0, 2, 1, 3).reshape(height, width)
 
 
 def dct2(blocks: np.ndarray) -> np.ndarray:
@@ -57,6 +58,16 @@ def zigzag_scan(block_coeffs: np.ndarray) -> np.ndarray:
 def zigzag_unscan(ranked: np.ndarray) -> np.ndarray:
     flat = ranked[..., UNZIGZAG]
     return flat.reshape(*ranked.shape[:-1], BLOCK, BLOCK)
+
+
+def block_coefficients(samples: np.ndarray) -> np.ndarray:
+    """(H, W) -> (H//8 * W//8, 64): each block's DCT in zigzag rank order."""
+    return zigzag_scan(dct2(split_blocks(samples)))
+
+
+def block_pixels(ranked: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`block_coefficients`."""
+    return merge_blocks(idct2(zigzag_unscan(ranked)), height, width)
 
 
 def _check_step(step: float) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (ConfigError, FormatError, ParameterError, output_file,
                      read_header)
+from .transform import merge_blocks, split_blocks
 
 CODEBOOK_MAGIC = b"GJCB"
 CODEBOOK_VERSION = 1
@@ -218,14 +219,7 @@ def vq_train(vectors: np.ndarray, k: int, iters: int, seed: int) -> Codebook:
         empties = np.nonzero(counts == 0)[0]
         if len(empties):
             worst = np.argsort(-per_point, kind="stable")
-            taken = 0
-            used = set()
-            for j in empties:
-                while worst[taken] in used:
-                    taken += 1
-                new_c[j] = x[worst[taken]]
-                used.add(worst[taken])
-                taken += 1
+            new_c[empties] = x[worst[:len(empties)]]
         c = new_c
 
     cb = Codebook(vectors=c.astype(np.float32), train_seed=seed,
@@ -258,17 +252,19 @@ def extract_patches(samples: np.ndarray, patch: int) -> np.ndarray:
     """(H, W) -> (H//p * W//p, p*p) non-overlapping patches, raster order."""
     if patch < 1:
         raise ParameterError(f"patch size must be >= 1, got {patch}")
-    h, w = samples.shape
-    if h % patch or w % patch:
-        raise ParameterError(f"image dimensions {w}x{h} are not multiples of {patch}")
-    a = samples.reshape(h // patch, patch, w // patch, patch)
-    return a.transpose(0, 2, 1, 3).reshape(-1, patch * patch).astype(np.float64)
+    tiles = split_blocks(samples, patch)
+    return tiles.reshape(-1, patch * patch).astype(np.float64)
 
 
 def assemble_patches(patches: np.ndarray, height: int, width: int, patch: int) -> np.ndarray:
-    pr, pc = height // patch, width // patch
-    a = patches.reshape(pr, pc, patch, patch).transpose(0, 2, 1, 3)
-    return a.reshape(height, width)
+    return merge_blocks(patches.reshape(-1, patch, patch), height, width)
+
+
+def tokenize(codebook: Codebook, samples: np.ndarray, patch: int) -> np.ndarray:
+    """(H//p, W//p) grid of the nearest codeword to each p x p patch."""
+    h, w = samples.shape
+    tokens = vq_encode(codebook, extract_patches(samples, patch))
+    return tokens.reshape(h // patch, w // patch)
 
 
 def save_codebook(codebook: Codebook, path) -> None:

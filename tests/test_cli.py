@@ -713,7 +713,8 @@ def _bundled_scenario(name):
     ("fig6", "train.height", 10 ** 9, "train.height"),
     ("fig6", "train.images", 10 ** 9, "train.images"),
     ("fig6", "conditions.window", 10 ** 9, "conditions.window"),
-    ("fig5", "conditions.window", 10 ** 9, "conditions.window"),
+    # under snr_db no window is read, so none is taken
+    ("fig5", "conditions.window", 10 ** 9, "unknown conditions keys: window"),
 ])
 def test_malformed_scenario_is_usage_error(tmp_path, name, path, value, field):
     """A malformed scenario file exits 2, naming the field, before any work
@@ -877,8 +878,8 @@ def test_every_error_exit_names_what_failed(tmp_path, sample_pgm, code,
     assert err.startswith(f"gjcodec: error: {prefix}"), err
 
 
-def _weak_first_fig5():
-    digital, weak, analog = _fig5_schemes(0, est_snr_db=-50)
+def _weak_first_fig5(**digital_fields):
+    digital, weak, analog = _fig5_schemes(0, **digital_fields)
     return ["--set", f"schemes={json.dumps([weak, digital, analog])}"]
 
 
@@ -887,14 +888,41 @@ def _weak_first_fig5():
               "--set", "conditions.values=[0.3, 0.6]"],
      "conditions.values[1] = 0.6 is above 0.5, the most loss "
      "conditions.burst_mean = 1 allows"),
-    ("fig5", _weak_first_fig5(),
+    ("fig5", _weak_first_fig5(est_snr_db=-50),
      "est_snr_db -50 is below every mcs_table threshold"),
-], ids=["loss-beyond-burst-model", "est-snr-below-table"])
-def test_scenario_errors_stop_the_sweep_before_any_build(monkeypatch, scenario,
-                                                         sets, message):
-    """A loss rate the burst model cannot reach, or an SNR estimate no
-    mcs_table entry accepts, exits 2 with one line naming the field before
-    any scheme's artifact is built."""
+    ("fig5", _weak_first_fig5(sq_alphabet=40000),
+     "schemes[1].sq_alphabet must be at most 32768 when context_order is "
+     "above 0, got 40000"),
+    ("fig5", ["--set", f"schemes={json.dumps(_fig5_schemes(1, patch=3))}"],
+     "patch 3 of scheme 'weak_jscc' does not divide the train sides "
+     "160x160"),
+    ("fig6", ["--set", "train.width=126"],
+     "patch 4 of scheme 'weak_jscc' does not divide the train sides "
+     "126x128"),
+    ("fig6", ["--set", "source.width=126"],
+     "patch 4 of scheme 'weak_jscc' does not divide the source sides "
+     "126x128"),
+    ("fig6", ["--set", "source.width=124"],
+     "block side 8 of scheme 'digital_fec_1x' does not divide the source "
+     "sides 124x128"),
+    ("fig5", ["--set", 'source={"type": "pgm", "path": "side12.pgm"}'],
+     "block side 8 of scheme 'digital_separate' does not divide the source "
+     "sides 16x12"),
+    ("fig5", ["--set", "bandwidth_ratio=0.001"],
+     "bandwidth_ratio 0.001 gives scheme 'analog_jscc' 25 symbols, less "
+     "than one for each of its 400 8x8 blocks"),
+], ids=["loss-beyond-burst-model", "est-snr-below-table",
+        "alphabet-beyond-context-symbols", "patch-3", "patch-train-side",
+        "patch-source-side", "block-source-side", "block-pgm-side",
+        "analog-budget"])
+def test_scenario_errors_stop_the_sweep_before_any_build(
+        monkeypatch, tmp_path, scenario, sets, message):
+    """A scenario rule that ties a field to another field or to the source
+    image (a loss rate the burst model can reach, an SNR estimate some
+    mcs_table entry accepts, an alphabet the context symbols can hold, a
+    patch or DCT block that tiles the training and source images, an analog
+    budget of a symbol per block) exits 2 with one line naming the field
+    before any scheme's artifact is built."""
     import gjcodec.pipelines as pipelines
 
     def build(ctx, sp):
@@ -903,8 +931,56 @@ def test_scenario_errors_stop_the_sweep_before_any_build(monkeypatch, scenario,
     for name, scheme in list(pipelines._SCHEMES.items()):
         monkeypatch.setitem(pipelines._SCHEMES, name,
                             scheme._replace(build=build))
+    monkeypatch.chdir(tmp_path)
+    save_pgm(ImageGrid(np.full((12, 16), 90, dtype=np.uint8)), "side12.pgm")
     got, out, err = run_cli("sweep", "--scenario", scenario, *sets)
     assert (got, out, err) == (2, "", f"gjcodec: error: {message}\n")
+
+
+@pytest.mark.parametrize("command, calls", [
+    (["sweep", "--set", "num_seeds=1"], 1),
+    (["simulate", "--scheme", "analog_jscc", "--condition", "6.0"], 2),
+], ids=["sweep", "simulate"])
+def test_scenario_is_validated_once_per_build(monkeypatch, command, calls):
+    """sweep validates its scenario once, as it builds; simulate once
+    before it looks the scheme up, and once as it builds that scheme."""
+    import gjcodec.cli as cli
+    import gjcodec.pipelines as pipelines
+    real, seen = pipelines.validate_scenario, []
+
+    def validate(scn):
+        seen.append(scn)
+        return real(scn)
+
+    monkeypatch.setattr(cli, "validate_scenario", validate)
+    monkeypatch.setattr(pipelines, "validate_scenario", validate)
+    analog = _fig5_schemes(0)[2:]
+    code, _, err = run_cli(command[0], "--scenario", "fig5",
+                           "--set", f"schemes={json.dumps(analog)}",
+                           *command[1:])
+    assert code == 0, err
+    assert len(seen) == calls
+
+
+def test_set_reaches_list_entries(tmp_path):
+    """A --set path part that indexes a list names that entry, as the same
+    edit made in the scenario file does; an index past the end, or a
+    negative one, names no entry."""
+    small = ["--set", "num_seeds=1", "--set", "train.images=1"]
+    scn = _bundled_scenario("fig5")
+    scn["schemes"][0]["sq_step"] = 32
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(scn))
+    code, by_file, err = run_cli("sweep", "--scenario", str(edited), *small)
+    assert code == 0, err
+    code, by_set, err = run_cli("sweep", "--scenario", "fig5", *small,
+                                "--set", "schemes.0.sq_step=32")
+    assert code == 0, err
+    assert by_set == by_file
+    for path in ("schemes.3.sq_step", "schemes.-1.sq_step"):
+        assert run_cli("sweep", "--scenario", "fig5", "--set",
+                       f"{path}=32") == (
+            2, "", f"gjcodec: error: --set path {path!r} does not exist\n")
 
 
 def test_train_model_on_codebook_tokens(tmp_path, sample_pgm):
