@@ -88,12 +88,22 @@ def _apply_sets(scn, assignments: list[str]):
     return scn
 
 
+def _load_tiled(path: str, tile: int, name: str):
+    """The PGM at `path`, whose sides `tile` must divide; a ConfigError
+    names the path and `name`, what sets the tile, when it does not."""
+    image = load_pgm(existing_input(path))
+    if image.height % tile or image.width % tile:
+        raise ConfigError(f"{path}: sides {image.width}x{image.height} are "
+                          f"not multiples of {name} {tile}")
+    return image
+
+
 # ---------------------------------------------------------------------------
 # compress / decompress
 
 
 def _cmd_compress(args) -> int:
-    image = load_pgm(existing_input(args.input))
+    image = _load_tiled(args.input, BLOCK, "the DCT block")
     if args.model:
         model = load_model(existing_input(args.model))
         if not isinstance(model, CausalContextModel):
@@ -179,10 +189,10 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_train_codebook(args) -> int:
-    patches = []
-    for path in args.images:
-        img = load_pgm(existing_input(path))
-        patches.append(extract_patches(img.samples, args.patch))
+    if args.patch < 1:
+        raise ConfigError(f"--patch must be >= 1, got {args.patch}")
+    images = [_load_tiled(path, args.patch, "--patch") for path in args.images]
+    patches = [extract_patches(img.samples, args.patch) for img in images]
     cb = vq_train(np.concatenate(patches, axis=0), args.size, iters=args.iters,
                   seed=args.seed)
     save_codebook(cb, args.output)
@@ -192,20 +202,19 @@ def _cmd_train_codebook(args) -> int:
 
 
 def _cmd_train_model(args) -> int:
-    grids = []
     if args.codebook:
         cb = load_codebook(existing_input(args.codebook))
         patch = int(round(cb.dim ** 0.5))
         if patch * patch != cb.dim:
             raise ConfigError("codebook dimension is not a square patch")
         alphabet = cb.size
-        for path in args.images:
-            grids.append(tokenize(cb, load_pgm(existing_input(path)).samples,
-                                  patch))
+        images = [_load_tiled(path, patch, "the codebook's patch side")
+                  for path in args.images]
+        grids = [tokenize(cb, img.samples, patch) for img in images]
     else:
         alphabet = 256
-        for path in args.images:
-            grids.append(load_pgm(existing_input(path)).samples.astype(np.int64))
+        grids = [load_pgm(existing_input(path)).samples.astype(np.int64)
+                 for path in args.images]
     if args.kind == "causal":
         model = CausalContextModel(alphabet, order=args.order, alpha=args.alpha)
     else:

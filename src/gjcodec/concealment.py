@@ -42,9 +42,6 @@ class TokenGrid:
     def shape(self):
         return self.tokens.shape
 
-    def copy(self) -> "TokenGrid":
-        return TokenGrid(self.tokens.copy(), self.missing.copy(), self.alphabet)
-
 
 def strided_assignment(rows: int, cols: int, num_packets: int) -> np.ndarray:
     """Map cell (r, c) to packet (r + c) % P.
@@ -66,10 +63,9 @@ def marginal_fill(grid: TokenGrid, model: NeighborhoodModel) -> TokenGrid:
     """Context-free baseline: every hole gets the global modal token."""
     if model.alphabet != grid.alphabet:
         raise ParameterError("model and grid alphabets differ")
-    out = grid.copy()
-    out.tokens[out.missing] = model.predict((ABSENT,) * model.arity)[0]
-    out.missing[:] = False
-    return out
+    tokens = np.where(grid.missing, model.predict((ABSENT,) * model.arity)[0],
+                      grid.tokens)
+    return TokenGrid(tokens, np.zeros(grid.shape, dtype=bool), grid.alphabet)
 
 
 def conceal(grid: TokenGrid, model: NeighborhoodModel,
@@ -86,15 +82,14 @@ def conceal(grid: TokenGrid, model: NeighborhoodModel,
     if schedule not in ("confidence", "raster"):
         raise ParameterError(f"unknown schedule {schedule!r}")
 
-    out = grid.copy()
-    rows, cols = out.shape
+    rows, cols = grid.shape
     # The grid in a one-cell ABSENT frame, flattened: cell (r, c) is
     # (r + 1) * width + c + 1, its neighbors lie a fixed step away in
     # context order, and a frame or missing cell reads as ABSENT.  The
     # padded index orders cells as the raster index does.
     width = cols + 2
-    missing = np.pad(out.missing, 1)
-    known = np.pad(np.where(out.missing, ABSENT, out.tokens), 1,
+    missing = np.pad(grid.missing, 1)
+    known = np.pad(np.where(grid.missing, ABSENT, grid.tokens), 1,
                    constant_values=ABSENT).ravel().tolist()
     up, left, right, down = (dr * width + dc for dr, dc in NEIGHBOR_OFFSETS)
     holes = np.flatnonzero(missing).tolist()
@@ -129,6 +124,5 @@ def conceal(grid: TokenGrid, model: NeighborhoodModel,
                     tok, weight = predict(n)
                     heapq.heappush(heap, (-weight, n, version[n], tok))
 
-    out.tokens[:] = np.reshape(known, (rows + 2, width))[1:-1, 1:-1]
-    out.missing[:] = False
-    return out
+    return TokenGrid(np.reshape(known, (rows + 2, width))[1:-1, 1:-1],
+                     np.zeros(grid.shape, dtype=bool), grid.alphabet)

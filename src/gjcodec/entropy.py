@@ -25,7 +25,7 @@ no step builds an alphabet-wide array.
 ac_decode runs the same walk in reverse.  The encoder keeps each symbol's
 width and returns the ideal cost sum(-log2 p) on the Bitstream
 (`cost_bits`, neither serialised nor compared), so a caller that needs the
-cost prices each symbol once; sequence_cost_bits is that cost alone.
+cost prices each symbol once; sequence_cost_bits returns ac_encode's cost.
 
 Stream layout (little-endian header): magic "GJS1", u8 version=1,
 u16 alphabet, u32 symbol count, u64 model state hash, then the payload as
@@ -275,11 +275,9 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
 def sequence_cost_bits(model: CausalContextModel, symbols,
                        adaptive: bool = False) -> float:
     """Ideal model cost sum(-log2 p) in bits, from quantized PMFs: the
-    `cost_bits` ac_encode reports, without building a payload.
+    `cost_bits` of ac_encode(symbols, model, adaptive).
 
     With adaptive=True each symbol is priced with the counts of every symbol
-    before it, mirroring ac_encode.
+    before it, as ac_encode prices it.
     """
-    pricer = _pricer(model, adaptive)
-    syms = _checked_symbols(symbols, model.alphabet)
-    return _ideal_cost(_encode(syms, model, pricer)[1])
+    return ac_encode(symbols, model, adaptive).cost_bits

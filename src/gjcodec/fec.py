@@ -14,7 +14,6 @@ payloads and multiply by inv(C[P, E]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,15 +79,12 @@ def _gf_mat_inv(m: np.ndarray) -> np.ndarray:
     return a[:, k:]
 
 
-@lru_cache(maxsize=32)
-def _parity_matrix(k: int) -> np.ndarray:
-    """Rows k..MAX_BLOCK-1 of the generator, (MAX_BLOCK - k, k) uint8.
-
-    An entry depends on its row and column only, so every block size
-    k + r <= MAX_BLOCK with the same k uses a prefix of these rows.
-    """
-    rows = np.arange(k, MAX_BLOCK)[:, None] ^ np.arange(k)[None, :]
-    return _GF_EXP[255 - _GF_LOG[rows]]
+def _cauchy(rows, cols) -> np.ndarray:
+    """The generator entries C[i, j] = 1 / (i xor j) for parity rows i and
+    data columns j, as a (len(rows), len(cols)) uint8 block."""
+    i = np.asarray(rows, dtype=np.intp)[:, None]
+    j = np.asarray(cols, dtype=np.intp)[None, :]
+    return _GF_EXP[255 - _GF_LOG[i ^ j]]
 
 
 @dataclass
@@ -117,7 +113,7 @@ def fec_encode(data: list[bytes], r: int) -> list[Packet]:
         raise ParameterError("all data payloads must have equal length")
     packets = [Packet(i, bytes(p)) for i, p in enumerate(data)]
     block = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(k, -1)
-    parity = _gf_mul_mat(_parity_matrix(k)[:r], block)
+    parity = _gf_mul_mat(_cauchy(range(k, k + r), range(k)), block)
     packets.extend(Packet(k + i, row.tobytes())
                    for i, row in enumerate(parity))
     return packets
@@ -145,9 +141,6 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
         raise ParameterError("received payloads must have equal length")
 
     lost = [i for i in range(k) if i not in seen]
-    if not lost:
-        return [seen[i] for i in range(k)]
-
     parity = sorted(i for i in seen if i >= k)[:len(lost)]
     known = [i for i in range(k) if i in seen]
     width = lengths.pop()
@@ -156,8 +149,7 @@ def fec_decode(received: list[Packet], k: int, total: int) -> list[bytes]:
         return np.frombuffer(b"".join(seen[i] for i in idx),
                              dtype=np.uint8).reshape(len(idx), width)
 
-    rows = _parity_matrix(k)[np.subtract(parity, k)]
-    syndrome = block(parity) ^ _gf_mul_mat(rows[:, known], block(known))
-    found = _gf_mul_mat(_gf_mat_inv(rows[:, lost]), syndrome)
+    syndrome = block(parity) ^ _gf_mul_mat(_cauchy(parity, known), block(known))
+    found = _gf_mul_mat(_gf_mat_inv(_cauchy(parity, lost)), syndrome)
     seen.update(zip(lost, (row.tobytes() for row in found)))
     return [seen[i] for i in range(k)]

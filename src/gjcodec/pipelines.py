@@ -24,12 +24,13 @@ scenario entries, what it needs under each condition kind, the fields its
 artifact depends on, how the artifact is built, and its runners.
 `validate_scenario` applies one field checker to every section.
 
-`build_context` does all work that does not depend on a record's channel
-draw, once, and keeps it in the context's one memo, under two tags: each
-artifact under ("artifact", scheme, its artifact fields), and every record
-whose runner draws no randomness (digital and weak JSCC under snr_db) under
-("record", scheme index, condition index), repeated for each trial with its
-own `seed`.  An artifact is a digital stream, its decoded image and, under
+`build_context` takes a scenario that `validate_scenario` returned and does
+all work that does not depend on a record's channel draw, once, and keeps
+it in the context's one memo, under two tags: each artifact under
+("artifact", scheme, its artifact fields), and every record whose runner
+draws no randomness (digital and weak JSCC under snr_db) under ("record",
+scheme index, condition index), repeated for each trial with its own
+`seed`.  An artifact is a digital stream, its decoded image and, under
 loss conditions, its FEC block, encoded once with every parity packet a
 block can hold; a weak-JSCC codebook, models and packets, each packet
 decoded and verified once; or an analog code.  No artifact reads another
@@ -711,11 +712,10 @@ def validate_scenario(scn: dict) -> dict:
 
 
 def build_context(scn: dict) -> SweepContext:
-    """The validated scenario's context, with every artifact and every
-    record that draws no randomness built, so running any record builds
-    nothing.  The rules that tie a scheme to the source image are checked
-    before anything is built."""
-    scn = validate_scenario(scn)
+    """The context of `scn`, a scenario that validate_scenario returned,
+    with every artifact and every record that draws no randomness built, so
+    running any record builds nothing.  The rules that tie a scheme to the
+    source image are checked before anything is built."""
     src = scn["source"]
     image = (load_pgm(existing_input(src["path"], "source.path"))
              if src["type"] == "pgm"
@@ -824,8 +824,8 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
     processes, from a context built before any record runs."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    scn = validate_scenario(scn)
     ctx = build_context(scn)
-    scn = ctx.scenario
     tasks = [(si, ci, ti)
              for si in range(len(scn["schemes"]))
              for ci in range(len(scn["conditions"]["values"]))

@@ -878,6 +878,121 @@ def test_every_error_exit_names_what_failed(tmp_path, sample_pgm, code,
     assert err.startswith(f"gjcodec: error: {prefix}"), err
 
 
+@pytest.mark.parametrize("argv, tile", [
+    (["train-codebook", "a.pgm", "b.pgm", "--patch", "4", "--size", "4"],
+     "--patch 4"),
+    (["train-model", "a.pgm", "b.pgm", "--codebook", "cb.bin"],
+     "the codebook's patch side 4"),
+    (["compress", "--input", "b.pgm"], "the DCT block 8"),
+], ids=["train-codebook", "train-model", "compress"])
+def test_pgm_sides_off_the_tile_name_the_file_and_the_tile(
+        tmp_path, monkeypatch, argv, tile):
+    """An input PGM whose sides the command's tile does not divide exits 2
+    before any training or coding, with one line naming the file, its
+    sides and what sets the tile, and writes no output."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    for name, side in (("a.pgm", 32), ("b.pgm", 30)):
+        save_pgm(ImageGrid(rng.integers(0, 256, (side, side), dtype=np.uint8)),
+                 name)
+    (tmp_path / "cb.bin").write_bytes(
+        _CODEBOOK_HEAD.pack(b"GJCB", 1, 4, 16, 0) + _CODEWORDS)
+    got, out, err = run_cli(*argv, "--output", "out.bin")
+    assert (got, out) == (2, "")
+    assert err == (f"gjcodec: error: b.pgm: sides 30x30 are not multiples "
+                   f"of {tile}\n")
+    assert not (tmp_path / "out.bin").exists()
+
+
+def _mutations(blob: bytes, seed: int, truncations: int):
+    """Seeded hostile copies of `blob`: each truncation, then four copies
+    with one bit flipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(truncations):
+        yield blob[:int(rng.integers(len(blob)))]
+        for _ in range(4):
+            bit = int(rng.integers(8 * len(blob)))
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << bit % 8
+            yield bytes(flipped)
+
+
+# Run in a bounded child: argv[1] is a JSON list of command lines; prints
+# [exit code, stderr lines] for each.
+_HOSTILE_CHILD = """
+import contextlib, io, json, sys
+from gjcodec.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        runs.append([main(argv), err.getvalue().count("\\n")])
+print(json.dumps(runs))
+"""
+
+
+def test_hostile_files_and_scenarios_fail_cleanly(tmp_path, sample_pgm,
+                                                  run_bounded):
+    """40 seeded truncations and bit flips of each artifact of a 32x32
+    image (adaptive and static containers, model, codebook, PGM) each exit
+    0, 2 or 4 with at most one stderr line, in a child bounded in memory
+    and time; 100 of each bundled scenario's JSON text each resolve and
+    validate to a scenario or stop with a ConfigError."""
+    from importlib import resources
+
+    from gjcodec.cli import _resolve_scenario
+    from gjcodec.errors import ConfigError
+    from gjcodec.pipelines import validate_scenario
+
+    img, out = str(sample_pgm), str(tmp_path / "out")
+    art = {name: str(tmp_path / name)
+           for name in ("a.gjc", "s.gjc", "m.model", "cb.bin")}
+    for argv in (["compress", "--input", img, "--output", art["a.gjc"]],
+                 ["train-model", img, "--output", art["m.model"]],
+                 ["compress", "--input", img, "--model", art["m.model"],
+                  "--output", art["s.gjc"]],
+                 ["train-codebook", img, "--patch", "4", "--size", "16",
+                  "--iters", "2", "--output", art["cb.bin"]]):
+        assert run_cli(*argv)[0] == 0
+    formats = [
+        (art["a.gjc"], ["decompress", "--input", "HOSTILE", "--output", out]),
+        (art["s.gjc"], ["decompress", "--input", "HOSTILE",
+                        "--model", art["m.model"], "--output", out]),
+        (art["m.model"], ["compress", "--input", img, "--model", "HOSTILE",
+                          "--output", out]),
+        (art["cb.bin"], ["train-model", img, "--codebook", "HOSTILE",
+                         "--output", out]),
+        (img, ["compress", "--input", "HOSTILE", "--output", out]),
+    ]
+    cases = []
+    for seed, (artifact, argv) in enumerate(formats):
+        with open(artifact, "rb") as fh:
+            blob = fh.read()
+        for i, bad in enumerate(_mutations(blob, seed, 8)):
+            hostile = tmp_path / f"hostile-{seed}-{i}"
+            hostile.write_bytes(bad)
+            cases.append([str(hostile) if a == "HOSTILE" else a for a in argv])
+    r = run_bounded("-c", _HOSTILE_CHILD, json.dumps(cases))
+    assert r.returncode == 0, r.stderr
+    runs = json.loads(r.stdout)
+    assert len(runs) == 5 * 40
+    for argv, (code, lines) in zip(cases, runs):
+        assert code in (0, 2, 4) and lines <= 1, (argv, code, lines)
+
+    for seed, name in enumerate(("fig5", "fig6")):
+        text = (resources.files("gjcodec") / "scenarios"
+                / f"{name}.json").read_bytes()
+        for i, bad in enumerate(_mutations(text, 100 + seed, 20)):
+            path = tmp_path / f"{name}-{i}.json"
+            path.write_bytes(bad)
+            try:
+                scn = validate_scenario(_resolve_scenario(str(path)))
+            except ConfigError:
+                continue
+            assert isinstance(scn, dict)
+
+
 def _weak_first_fig5(**digital_fields):
     digital, weak, analog = _fig5_schemes(0, **digital_fields)
     return ["--set", f"schemes={json.dumps([weak, digital, analog])}"]
@@ -939,11 +1054,11 @@ def test_scenario_errors_stop_the_sweep_before_any_build(
 
 @pytest.mark.parametrize("command, calls", [
     (["sweep", "--set", "num_seeds=1"], 1),
-    (["simulate", "--scheme", "analog_jscc", "--condition", "6.0"], 2),
+    (["simulate", "--scheme", "analog_jscc", "--condition", "6.0"], 1),
 ], ids=["sweep", "simulate"])
 def test_scenario_is_validated_once_per_build(monkeypatch, command, calls):
-    """sweep validates its scenario once, as it builds; simulate once
-    before it looks the scheme up, and once as it builds that scheme."""
+    """sweep validates its scenario once, before it builds; simulate once,
+    before it looks the scheme up, and builds that scheme from that copy."""
     import gjcodec.cli as cli
     import gjcodec.pipelines as pipelines
     real, seen = pipelines.validate_scenario, []

@@ -99,6 +99,25 @@ def test_marginal_fill_uses_global_mode():
     assert (out.tokens == fill).all()
 
 
+@pytest.mark.parametrize("fill", [
+    lambda g, m: conceal(g, m, schedule="confidence"),
+    lambda g, m: conceal(g, m, schedule="raster"),
+    marginal_fill,
+], ids=["confidence", "raster", "marginal"])
+def test_filling_leaves_the_input_grid_unchanged(fill):
+    """A fill builds a new grid with no missing cell and only reads its
+    input: the input's tokens, holes' placeholders included, and its
+    missing mask keep every byte."""
+    tokens = _ar1_tokens(11)
+    g = _lose(tokens, {1, 2}, strided_assignment(16, 16, 4))
+    g.tokens[g.missing] = 99  # a placeholder no fill would write
+    before = (g.tokens.tobytes(), g.missing.tobytes())
+    out = fill(g, _trained_model())
+    assert (g.tokens.tobytes(), g.missing.tobytes()) == before
+    assert not out.missing.any()
+    assert out.tokens is not g.tokens and out.missing is not g.missing
+
+
 def test_alphabet_mismatch_rejected():
     model = NeighborhoodModel(4)
     with pytest.raises(ParameterError):
@@ -136,7 +155,7 @@ def test_neighborhood_beats_marginal_on_correlated_grids():
 def _reference_conceal(grid, model, schedule="confidence"):
     """conceal as a numpy cell walk that prices each context with its
     dense coding_table, kept frozen as the oracle for the list walk."""
-    out = grid.copy()
+    out = TokenGrid(grid.tokens.copy(), grid.missing.copy(), grid.alphabet)
     tokens, missing = out.tokens, out.missing
     rows, cols = tokens.shape
     avail = ~missing

@@ -112,7 +112,7 @@ def test_digital_symbol_stream_round_trips(step, alphabet, rng):
 
 
 def test_build_context_budget_floor():
-    ctx = build_context(_base_scenario())
+    ctx = build_context(validate_scenario(_base_scenario()))
     assert ctx.budget_symbols == int(0.05 * 32 * 32)
     assert ctx.image.pixels == 1024
 
@@ -318,7 +318,8 @@ def test_bandpass_texture_keeps_block_means_at_the_source_mean():
                                        "label": "analog"}])
         scn["source"].update(sigma=0.0, mean=100.0, texture={
             "rho": 0.9, "sigma": 10.0, "bandpass": bandpass})
-        image = build_context(scn).image.samples.astype(np.float64)
+        image = build_context(validate_scenario(scn)).image.samples.astype(
+            np.float64)
         means = split_blocks(image).mean(axis=(1, 2))
         spread[bandpass] = np.abs(means - 100.0).max()
     assert spread[True] <= 0.5
@@ -330,7 +331,7 @@ def test_built_context_is_complete(kind):
     """Every task runs on a built context, which holds all it reads (a
     missing key would be a KeyError), and adds nothing to its memo, so no
     record of any share builds anything."""
-    ctx = build_context(_mixed_scenario(kind))
+    ctx = build_context(validate_scenario(_mixed_scenario(kind)))
     built = dict(ctx.memo)
     scn = ctx.scenario
     for si in range(len(scn["schemes"])):
@@ -402,7 +403,7 @@ def test_corrupted_digital_check_decode_raises(monkeypatch):
     monkeypatch.setattr(pipelines, "ac_decode", corrupt)
     scn = _base_scenario(schemes=_base_scenario()["schemes"][:1])
     with pytest.raises(CorruptStreamError, match="digital payload"):
-        build_context(scn)
+        build_context(validate_scenario(scn))
 
 
 def test_loss_sweep_encodes_parity_once_per_payload(monkeypatch):
@@ -441,7 +442,8 @@ def test_fec_block_depends_on_its_own_scheme_entry():
                                                    "digital_separate"))
         return [(p.index, p.payload) for p in packets], plen
 
-    assert block(build_context(scn)) == block(build_context(alone))
+    assert (block(build_context(validate_scenario(scn)))
+            == block(build_context(validate_scenario(alone))))
 
 
 def test_loss_rate_beyond_the_burst_model_is_a_scenario_error():
