@@ -40,7 +40,6 @@ class AnalogCode:
     scale: float            # power-normalisation multiplier applied at TX
     mean_offset: float      # per-image mean removed before the transform
     symbols: np.ndarray     # (num_blocks, m) channel symbols, unit mean power
-    budget: int             # symbol budget the encoder was given
 
 
 def jscc_encode(image: ImageGrid, bandwidth_ratio: float,
@@ -81,7 +80,7 @@ def jscc_encode(image: ImageGrid, bandwidth_ratio: float,
         symbols = selected * scale
     return AnalogCode(height=image.height, width=image.width,
                       positions=positions, scale=scale,
-                      mean_offset=mean_offset, symbols=symbols, budget=budget)
+                      mean_offset=mean_offset, symbols=symbols)
 
 
 def jscc_decode(code: AnalogCode, snr_db: float,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import struct
 import sys
 
@@ -25,7 +24,7 @@ from .errors import (ConfigError, FormatError, GjcError, ParameterError,
 from .pipelines import (build_context, digital_image, digital_symbols,
                         records_to_csv, run_record, sweep, validate_scenario)
 from .sources import MAX_SIDE, load_pgm, save_pgm
-from .transform import BLOCK
+from .transform import BLOCK, MAX_STEP, MIN_STEP
 from .vq import extract_patches, load_codebook, save_codebook, tokenize, vq_train
 
 _CONTAINER_MAGIC = b"GJCF"
@@ -38,22 +37,6 @@ def _err(msg: str) -> None:
     print(f"gjcodec: error: {msg}", file=sys.stderr)
 
 
-def _resolve_scenario(name_or_path: str):
-    """The scenario's JSON, not yet validated."""
-    if name_or_path in _BUNDLED:
-        from importlib import resources
-        ref = resources.files("gjcodec") / "scenarios" / f"{name_or_path}.json"
-        return json.loads(ref.read_text(encoding="utf-8"))
-    with open(existing_input(name_or_path), "rb") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
-        # digit limit; RecursionError, nesting beyond the parser's depth
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
-
-
 def _slot(node, part: str):
     """The key of dict `node`, or the index into list `node`, that one part
     of a --set path names; KeyError when it names neither."""
@@ -64,9 +47,23 @@ def _slot(node, part: str):
     raise KeyError(part)
 
 
-def _apply_sets(scn, assignments: list[str]):
-    """--set dotted.path=json_value overrides on the scenario's JSON; a
-    part that is the index of a list entry names that entry."""
+def load_scenario(name_or_path: str, assignments: list[str]):
+    """The JSON of a bundled scenario or a scenario file, with the --set
+    dotted.path=json_value overrides applied, not yet validated; a part
+    that is the index of a list entry names that entry."""
+    if name_or_path in _BUNDLED:
+        from importlib import resources
+        ref = resources.files("gjcodec") / "scenarios" / f"{name_or_path}.json"
+        text = ref.read_bytes()
+    else:
+        with open(existing_input(name_or_path), "rb") as fh:
+            text = fh.read()
+    try:
+        scn = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
+        # digit limit; RecursionError, nesting beyond the parser's depth
+        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -108,18 +105,14 @@ def _cmd_compress(args) -> int:
         model = load_model(existing_input(args.model))
         if not isinstance(model, CausalContextModel):
             raise ConfigError("compress needs a causal context model")
-        if model.alphabet != args.alphabet:
-            raise ConfigError(
-                f"model alphabet {model.alphabet} != --alphabet {args.alphabet}")
-        adaptive, order = False, model.order
     else:
         model = CausalContextModel(args.alphabet, order=args.order)
-        adaptive, order = True, args.order
-    syms = digital_symbols(image, args.step, args.alphabet)
+    adaptive = not args.model
+    syms = digital_symbols(image, args.step, model.alphabet)
     stream = ac_encode(syms, model, adaptive=adaptive)
     header = _CONTAINER_MAGIC + struct.pack(
         _CONTAINER_HEADER, _CONTAINER_VERSION, image.height, image.width,
-        args.step, args.alphabet, order, 0 if adaptive else 1)
+        args.step, model.alphabet, model.order, 0 if adaptive else 1)
     blob = header + stream.to_bytes()
     with output_file(args.output) as fh:
         fh.write(blob)
@@ -144,8 +137,9 @@ def _cmd_decompress(args) -> int:
     if max(height, width) > MAX_SIDE:
         raise FormatError(f"image size {height}x{width}: a container cannot "
                           f"hold a side above {MAX_SIDE}")
-    if not (math.isfinite(step) and step > 0):
-        raise FormatError(f"quantizer step {step} is not a positive number")
+    if not MIN_STEP <= step <= MAX_STEP:
+        raise FormatError(f"quantizer step {step} is outside "
+                          f"[{MIN_STEP:g}, {MAX_STEP:g}]")
     if alphabet < 2:
         raise FormatError(f"alphabet {alphabet} is below 2")
     if modeled not in (0, 1):
@@ -231,8 +225,7 @@ def _cmd_train_model(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scn = validate_scenario(
-        _apply_sets(_resolve_scenario(args.scenario), args.set or []))
+    scn = validate_scenario(load_scenario(args.scenario, args.set or []))
     labels = [sp["label"] for sp in scn["schemes"]]
     if args.scheme not in labels:
         raise ConfigError(
@@ -255,7 +248,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scn = _apply_sets(_resolve_scenario(args.scenario), args.set or [])
+    scn = load_scenario(args.scenario, args.set or [])
     if args.output == "-":
         sys.stdout.write(records_to_csv(sweep(scn, jobs=args.jobs)))
         return 0
@@ -283,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=16.0,
                    help="quantizer step size (default 16)")
     p.add_argument("--alphabet", type=int, default=256,
-                   help="symbol alphabet size (default 256)")
+                   help="symbol alphabet size for adaptive coding "
+                        "(default 256); --model sets its own")
     p.add_argument("--order", type=int, default=2,
-                   help="context order for adaptive coding (default 2)")
+                   help="context order for adaptive coding (default 2); "
+                        "--model sets its own")
     p.add_argument("--model", help="trained causal model (static coding)")
     p.set_defaults(func=_cmd_compress)
 
@@ -341,9 +336,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
-        _err(str(exc))
-        return 2
     except FormatError as exc:
         _err(str(exc))
         return 4

@@ -63,9 +63,10 @@ from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
 from .metrics import compute_metrics
 from .sources import MAX_SIDE, ImageGrid, ar1_field, load_pgm
-from .transform import (BLOCK, block_coefficients, block_pixels,
-                        merge_blocks, split_blocks, sq_dequantize, sq_quantize,
-                        symbol_to_signed, signed_to_symbol)
+from .transform import (BLOCK, MAX_STEP, MIN_STEP, block_coefficients,
+                        block_pixels, merge_blocks, split_blocks,
+                        sq_dequantize, sq_quantize, symbol_to_signed,
+                        signed_to_symbol)
 from .vq import (MAX_CODEWORDS, Codebook, assemble_patches, extract_patches,
                  tokenize, vq_decode, vq_train)
 
@@ -184,15 +185,20 @@ def _check(v, f: _Field, path: str, optional: frozenset):
     return v
 
 
-_TEXTURE = {"rho": _Field(float), "sigma": _Field(float),
-            "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
 # Size bounds: see "Scenario files" in README.md.
 _MAX_TRAIN_IMAGES = 64
 _MAX_SEEDS = 10_000
 _MAX_WINDOW = 10 ** 6
+# Every pixel saturates long before an AR field of this deviation.
+_SIGMA = _Field(float, lo=-1e4, hi=1e4)
+# Channel symbols per pixel and coded bits per channel symbol: a channel
+# budget in bits, their product times the pixels, stays a finite integer.
+_MAX_RATIO = _MAX_EFFICIENCY = 64
+_TEXTURE = {"rho": _Field(float), "sigma": _SIGMA,
+            "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
 _AR1 = {"width": _Field(int, lo=1, hi=MAX_SIDE),
         "height": _Field(int, lo=1, hi=MAX_SIDE),
-        "rho": _Field(float), "sigma": _Field(float), "mean": _Field(float),
+        "rho": _Field(float), "sigma": _SIGMA, "mean": _Field(float),
         "upsample": _Field(int, 1, lo=1),
         "texture": _Field(dict, None, item=_TEXTURE)}
 _SOURCES = {"ar1": {"seed": _Field(int, lo=0), **_AR1},
@@ -517,7 +523,7 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
                                 snr_db, fitted_vars)
     # Channel accounting charges the provisioned budget, not the m*blocks
     # symbols actually modulated, so the ratio matches the other schemes.
-    m = compute_metrics(ctx.image, recon, 0, code.budget)
+    m = compute_metrics(ctx.image, recon, 0, ctx.budget_symbols)
     return _row(sp["label"], snr_db, m)
 
 
@@ -602,7 +608,7 @@ class _Scheme(NamedTuple):
 _SCHEMES = {
     "digital_separate": _Scheme(
         fields={"label": _Field(str),
-                "sq_step": _Field(float, 16.0, lo=0, open=True),
+                "sq_step": _Field(float, 16.0, lo=MIN_STEP, hi=MAX_STEP),
                 "sq_alphabet": _Field(int, 256, lo=2, hi=MAX_ALPHABET),
                 "context_order": _ORDER, "est_snr_db": _Field(float),
                 "fec_multiplier": _Field(int, lo=1)},
@@ -632,7 +638,7 @@ _SCHEMES = {
 _SCENARIO = _Field(dict, item={
     "name": _Field(str), "seed": _Field(int),
     "num_seeds": _Field(int, lo=1, hi=_MAX_SEEDS),
-    "bandwidth_ratio": _Field(float, lo=0, open=True),
+    "bandwidth_ratio": _Field(float, lo=0, hi=_MAX_RATIO, open=True),
     "source": _Field(dict, item=_SOURCES, tag="type"),
     "conditions": _Field(dict, item=_CONDITIONS, tag="kind"),
     "schemes": _Field(list, item=_Field(dict, tag="scheme", item={
@@ -686,10 +692,11 @@ def validate_scenario(scn: dict) -> dict:
                                   f"above {b / (b + 1):g}, the most loss "
                                   f"conditions.burst_mean = {_quote(b)} allows")
     table = out.get("mcs_table", [])
-    if (any(len(e) != 2 or e[0] <= 0 for e in table)
+    if (any(len(e) != 2 or not 0 < e[0] <= _MAX_EFFICIENCY for e in table)
             or [e[1] for e in table] != sorted(e[1] for e in table)):
-        raise ConfigError("mcs_table must list [efficiency > 0, min_snr_db] "
-                          "pairs in ascending min_snr_db")
+        raise ConfigError(f"mcs_table must list [efficiency in (0, "
+                          f"{_MAX_EFFICIENCY}], min_snr_db] pairs in "
+                          f"ascending min_snr_db")
     for i, sp in enumerate(out["schemes"]):
         if kind == "snr_db" and "est_snr_db" in sp \
                 and mcs_pick(table, sp["est_snr_db"]) is None:

@@ -8,6 +8,10 @@ from scipy.fft import dctn, idctn
 from .errors import ParameterError
 
 BLOCK = 8
+# The quantizer step range: a DCT coefficient of an 8-bit block (at most
+# 1,024 in magnitude) over MIN_STEP fits an int64 many times over, and a
+# folded value (at most 32,768) times MAX_STEP stays finite.
+MIN_STEP, MAX_STEP = 1e-4, 1e4
 
 
 def _zigzag_order(n: int = BLOCK) -> np.ndarray:
@@ -71,8 +75,9 @@ def block_pixels(ranked: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def _check_step(step: float) -> None:
-    if not (np.isfinite(step) and step > 0):
-        raise ParameterError(f"step must be a finite number > 0, got {step}")
+    if not MIN_STEP <= step <= MAX_STEP:
+        raise ParameterError(f"step must be a number in [{MIN_STEP:g}, "
+                             f"{MAX_STEP:g}], got {step}")
 
 
 def sq_quantize(values: np.ndarray, step: float) -> np.ndarray:

@@ -93,22 +93,37 @@ def test_color_pgm_is_format_error(tmp_path):
 
 
 def test_static_model_workflow(tmp_path, sample_pgm, rng):
-    """train-model -> compress --model -> decompress --model round trip."""
+    """train-model -> compress --model -> decompress --model round trip.
+    compress takes the alphabet and the order from the model: a 64-symbol
+    model needs no --alphabet, and overrides the default of 256."""
+    from gjcodec.context import CausalContextModel, train
+    from gjcodec.pipelines import digital_image, digital_symbols
+
     model = tmp_path / "px.model"
     code, _, err = run_cli("train-model", str(sample_pgm),
                            "--output", str(model), "--order", "1")
     assert code == 0, err
-    comp = tmp_path / "s.gjc"
-    code, out, err = run_cli("compress", "--input", str(sample_pgm),
-                             "--output", str(comp), "--step", "8",
-                             "--alphabet", "256", "--model", str(model))
-    assert code == 0, err
-    rest = tmp_path / "s.pgm"
-    assert run_cli("decompress", "--input", str(comp), "--output", str(rest),
-                   "--model", str(model))[0] == 0
-    # decompressing a model-coded stream without the model is a usage error
-    assert run_cli("decompress", "--input", str(comp),
-                   "--output", str(rest))[0] == 2
+    small = CausalContextModel(64, order=3)
+    train(small, [load_pgm(sample_pgm).samples.astype(np.int64) // 4])
+    small.save(tmp_path / "small.model")
+    img = load_pgm(sample_pgm)
+    for model, size, extra in ((model, 256, ["--alphabet", "256"]),
+                               (tmp_path / "small.model", 64, [])):
+        comp = tmp_path / "s.gjc"
+        code, out, err = run_cli("compress", "--input", str(sample_pgm),
+                                 "--output", str(comp), "--step", "8",
+                                 *extra, "--model", str(model))
+        assert code == 0, err
+        rest = tmp_path / "s.pgm"
+        assert run_cli("decompress", "--input", str(comp), "--output",
+                       str(rest), "--model", str(model))[0] == 0
+        expected = digital_image(digital_symbols(img, 8, size), img.height,
+                                 img.width, 8, size)
+        assert np.array_equal(load_pgm(rest).samples, expected.samples)
+        # decompressing a model-coded stream without the model is a usage
+        # error
+        assert run_cli("decompress", "--input", str(comp),
+                       "--output", str(rest))[0] == 2
 
 
 def test_mismatched_model_is_format_error(tmp_path, sample_pgm):
@@ -309,6 +324,9 @@ _FIELDS = ("magic", "version", "height", "width", "step", "alphabet", "order",
     ("step", float("inf"), "step"),
     ("step", 0.0, "step"),
     ("step", -16.0, "step"),
+    # a step whose products overflow, or whose quotients leave int64
+    ("step", 1e308, "step"),
+    ("step", 1e-300, "step"),
     ("alphabet", 1, "alphabet"),
     ("stream_alphabet", 128, "alphabet"),
     # no model of context length 2 has an alphabet above 2**15
@@ -596,7 +614,7 @@ def test_adaptive_compress_prices_each_symbol_once(tmp_path, sample_pgm,
     assert len(calls) == 32 * 32
 
 
-@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "1e-300", "1e308"])
 def test_compress_rejects_step_that_is_not_finite_and_positive(
         tmp_path, sample_pgm, step):
     comp = tmp_path / "img.gjc"
@@ -715,6 +733,12 @@ def _bundled_scenario(name):
     ("fig6", "conditions.window", 10 ** 9, "conditions.window"),
     # under snr_db no window is read, so none is taken
     ("fig5", "conditions.window", 10 ** 9, "unknown conditions keys: window"),
+    # values that overflowed a float, or warned and went on with garbage
+    ("fig5", "bandwidth_ratio", 1e305, "bandwidth_ratio"),
+    ("fig5", "mcs_table", [[1e308, -2.0]], "mcs_table"),
+    ("fig5", "source.texture.sigma", 1e308, "source.texture.sigma"),
+    ("fig5", "train.sigma", 1e308, "train.sigma"),
+    ("fig5", "schemes.0.sq_step", 1e-300, "schemes[0].sq_step"),
 ])
 def test_malformed_scenario_is_usage_error(tmp_path, name, path, value, field):
     """A malformed scenario file exits 2, naming the field, before any work
@@ -941,7 +965,7 @@ def test_hostile_files_and_scenarios_fail_cleanly(tmp_path, sample_pgm,
     validate to a scenario or stop with a ConfigError."""
     from importlib import resources
 
-    from gjcodec.cli import _resolve_scenario
+    from gjcodec.cli import load_scenario
     from gjcodec.errors import ConfigError
     from gjcodec.pipelines import validate_scenario
 
@@ -987,7 +1011,7 @@ def test_hostile_files_and_scenarios_fail_cleanly(tmp_path, sample_pgm,
             path = tmp_path / f"{name}-{i}.json"
             path.write_bytes(bad)
             try:
-                scn = validate_scenario(_resolve_scenario(str(path)))
+                scn = validate_scenario(load_scenario(str(path), []))
             except ConfigError:
                 continue
             assert isinstance(scn, dict)
