@@ -18,7 +18,8 @@ from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      FormatError, GjcError, ModelMismatchError, ParameterError)
 from .fec import Packet, fec_decode, fec_encode
 from .metrics import MetricsRow, compute_metrics, detect_cliff, psnr_from_mse
-from .pipelines import records_to_csv, sweep, validate_scenario
+from .pipelines import records_to_csv, sweep
+from .scenario import validate_scenario
 from .sources import ImageGrid, ar1_field, load_pgm, save_pgm
 from .transform import (dct2, idct2, sq_dequantize, sq_quantize,
                         zigzag_scan, zigzag_unscan)

@@ -1,4 +1,4 @@
-"""Channel abstractions: AWGN and Gilbert-Elliott packet loss."""
+"""Channels: AWGN, Gilbert-Elliott packet loss, and the MCS choice."""
 
 from __future__ import annotations
 
@@ -34,8 +34,12 @@ class ChannelTrace:
     states: np.ndarray
     lost: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.lost)
+
+def burst_transitions(loss: float, burst_mean: float) -> tuple[float, float]:
+    """(p_gb, p_bg) of a Gilbert-Elliott channel with mean burst length
+    `burst_mean` and stationary loss rate `loss`."""
+    p_bg = 1.0 / burst_mean
+    return p_bg * loss / (1.0 - loss), p_bg
 
 
 def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
@@ -98,3 +102,12 @@ def gilbert_elliott(n: int, p_gb: float, p_bg: float, loss_g: float,
     loss_p = np.where(states == 0, loss_g, loss_b)
     lost = u < loss_p
     return ChannelTrace(states=states, lost=lost)
+
+
+def mcs_pick(table: list, snr_db: float):
+    """Index of the most efficient entry usable at snr_db, or None."""
+    best = None
+    for i, (_eff, min_snr) in enumerate(table):
+        if snr_db >= min_snr:
+            best = i
+    return best

@@ -22,7 +22,8 @@ from .entropy import Bitstream, ac_decode, ac_encode
 from .errors import (ConfigError, FormatError, GjcError, ParameterError,
                      existing_input, output_file, read_header)
 from .pipelines import (build_context, digital_image, digital_symbols,
-                        records_to_csv, run_record, sweep, validate_scenario)
+                        records_to_csv, run_record, sweep)
+from .scenario import load_scenario, validate_scenario
 from .sources import MAX_SIDE, load_pgm, save_pgm
 from .transform import BLOCK, MAX_STEP, MIN_STEP
 from .vq import extract_patches, load_codebook, save_codebook, tokenize, vq_train
@@ -30,59 +31,10 @@ from .vq import extract_patches, load_codebook, save_codebook, tokenize, vq_trai
 _CONTAINER_MAGIC = b"GJCF"
 _CONTAINER_VERSION = 1
 _CONTAINER_HEADER = "<BHHdHBB"
-_BUNDLED = ("fig5", "fig6")
 
 
 def _err(msg: str) -> None:
     print(f"gjcodec: error: {msg}", file=sys.stderr)
-
-
-def _slot(node, part: str):
-    """The key of dict `node`, or the index into list `node`, that one part
-    of a --set path names; KeyError when it names neither."""
-    if isinstance(node, dict):
-        return part
-    if isinstance(node, list) and part in map(str, range(len(node))):
-        return int(part)
-    raise KeyError(part)
-
-
-def load_scenario(name_or_path: str, assignments: list[str]):
-    """The JSON of a bundled scenario or a scenario file, with the --set
-    dotted.path=json_value overrides applied, not yet validated; a part
-    that is the index of a list entry names that entry."""
-    if name_or_path in _BUNDLED:
-        from importlib import resources
-        ref = resources.files("gjcodec") / "scenarios" / f"{name_or_path}.json"
-        text = ref.read_bytes()
-    else:
-        with open(existing_input(name_or_path), "rb") as fh:
-            text = fh.read()
-    try:
-        scn = json.loads(text.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and integers beyond Python's
-        # digit limit; RecursionError, nesting beyond the parser's depth
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from None
-    for item in assignments:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        path, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"--set {path}: value is not usable: {exc}") from None
-        *parents, last = path.split(".")
-        node = scn
-        try:
-            for p in parents:
-                node = node[_slot(node, p)]
-            node[_slot(node, last)] = value
-        except KeyError:
-            raise ConfigError(f"--set path {path!r} does not exist") from None
-    return scn
 
 
 def _load_tiled(path: str, tile: int, name: str):

@@ -19,11 +19,6 @@ set.  All randomness is drawn from per-record seeds derived by hashing
 (scenario seed, condition index, trial index), so results are reproducible
 record by record regardless of execution order.
 
-Each scheme's rules live in its entry of `_SCHEMES`: the field spec of its
-scenario entries, what it needs under each condition kind, the fields its
-artifact depends on, how the artifact is built, and its runners.
-`validate_scenario` applies one field checker to every section.
-
 `build_context` takes a scenario that `validate_scenario` returned and does
 all work that does not depend on a record's channel draw, once, and keeps
 it in the context's one memo, under two tags: each artifact under
@@ -45,9 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -56,19 +49,18 @@ from . import analog as _analog
 from . import channel as _channel
 from . import concealment as _conceal
 from . import fec as _fec
-from .context import (MAX_ALPHABET, MAX_CONTEXT_ALPHABET, MAX_ORDER,
-                      CausalContextModel, NeighborhoodModel, train)
+from .context import CausalContextModel, NeighborhoodModel, train
 from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
 from .metrics import compute_metrics
-from .sources import MAX_SIDE, ImageGrid, ar1_field, load_pgm
-from .transform import (BLOCK, MAX_STEP, MIN_STEP, block_coefficients,
-                        block_pixels, merge_blocks, split_blocks,
-                        sq_dequantize, sq_quantize, symbol_to_signed,
-                        signed_to_symbol)
-from .vq import (MAX_CODEWORDS, Codebook, assemble_patches, extract_patches,
-                 tokenize, vq_decode, vq_train)
+from .scenario import check_tile, validate_scenario
+from .sources import ImageGrid, ar1_field, load_pgm
+from .transform import (BLOCK, block_coefficients, block_pixels, merge_blocks,
+                        split_blocks, sq_dequantize, sq_quantize,
+                        symbol_to_signed, signed_to_symbol)
+from .vq import (Codebook, assemble_patches, extract_patches, tokenize,
+                 vq_decode, vq_train)
 
 CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "psnr", "decode_failed", "mcs_index", "fec_r",
@@ -84,153 +76,6 @@ def derive_seed(*parts) -> int:
     """
     tag = "|".join(str(p) for p in parts).encode("ascii")
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "little")
-
-
-# ---------------------------------------------------------------------------
-# Field specs
-
-
-_REQUIRED = object()
-
-
-class _Field(NamedTuple):
-    """One scenario field.  `type` is its JSON type: int, float (any finite
-    number), str, bool, list (non-empty, each element checked against the
-    _Field `item`) or dict (checked against the spec `item`, a dict of
-    fields; with `tag`, against `item[v[tag]]`, which leaves the tag out).
-    `default` is _REQUIRED, None (optional, not filled in) or the value
-    filled in when the field is absent.  Numbers lie in [lo, hi], or
-    (lo, hi) when `open`; strings among `choices`."""
-
-    type: type
-    default: object = _REQUIRED
-    lo: float = -math.inf
-    hi: float = math.inf
-    open: bool = False
-    choices: tuple = ()
-    item: object = None
-    tag: str = ""
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "a boolean", list: "a non-empty list"}
-
-
-def _describe(f: _Field) -> str:
-    if f.choices:
-        return f"one of: {', '.join(f.choices)}"
-    left, right = "()" if f.open else "[]"
-    lo, hi = (str(int(x)) if f.type is int and math.isfinite(x) else f"{x:g}"
-              for x in (f.lo, f.hi))
-    bounded = f.lo > -math.inf or f.hi < math.inf
-    return _TYPE_NAMES[f.type] + (
-        f" in {left}{lo}, {hi}{right}" if bounded else "")
-
-
-def _quote(v) -> str:
-    """`v` as JSON, clipped to its first 60 characters, so an error quoting
-    it stays one short line."""
-    text = json.dumps(v)
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
-def _check(v, f: _Field, path: str, optional: frozenset):
-    """`v` checked against `f`; raises ConfigError naming `path`.  An object
-    has its unknown keys rejected, its fields required and its defaults
-    filled in, except for names in `optional`, which are neither required
-    nor filled in.  An int field stores an integral number as an int."""
-    where = path or "scenario"
-    if f.type is dict:
-        if not isinstance(v, dict):
-            raise ConfigError(f"{where} must be an object")
-        spec = f.item
-        if f.tag:
-            name = v.get(f.tag)
-            if not isinstance(name, str) or name not in spec:
-                raise ConfigError(f"{path}.{f.tag} must be one of: "
-                                  f"{', '.join(spec)}, got {_quote(name)}")
-            spec = spec[name]
-        extra = sorted(set(v) - set(spec) - {f.tag})
-        if extra:
-            raise ConfigError(f"unknown {where} keys: {', '.join(extra)}")
-        missing = sorted(name for name, g in spec.items() if name not in v
-                         and g.default is _REQUIRED and name not in optional)
-        if missing:
-            raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
-        for name, g in spec.items():
-            if name in v:
-                v[name] = _check(v[name], g, f"{path}.{name}" if path else name,
-                                 optional)
-            elif g.default is not _REQUIRED and g.default is not None \
-                    and name not in optional:
-                v[name] = g.default
-        return v
-    if f.type in (int, float):
-        # bool is an int subclass but never a JSON number; the bound also
-        # rejects NaN, infinities and integers no float can hold
-        ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
-              and abs(v) <= sys.float_info.max
-              and (f.type is float or v == int(v)))
-        if ok:
-            v = int(v) if f.type is int else v
-            ok = f.lo < v < f.hi if f.open else f.lo <= v <= f.hi
-    else:
-        ok = (isinstance(v, f.type) and (f.type is not list or len(v) > 0)
-              and (not f.choices or v in f.choices))
-    if not ok:
-        raise ConfigError(f"{path} must be {_describe(f)}, got {_quote(v)}")
-    if f.type is list:
-        return [_check(x, f.item, f"{path}[{i}]", optional)
-                for i, x in enumerate(v)]
-    return v
-
-
-# Size bounds: see "Scenario files" in README.md.
-_MAX_TRAIN_IMAGES = 64
-_MAX_SEEDS = 10_000
-_MAX_WINDOW = 10 ** 6
-# Every pixel saturates long before an AR field of this deviation.
-_SIGMA = _Field(float, lo=-1e4, hi=1e4)
-# Channel symbols per pixel and coded bits per channel symbol: a channel
-# budget in bits, their product times the pixels, stays a finite integer.
-_MAX_RATIO = _MAX_EFFICIENCY = 64
-_TEXTURE = {"rho": _Field(float), "sigma": _SIGMA,
-            "upsample": _Field(int, 1, lo=1), "bandpass": _Field(bool, False)}
-_AR1 = {"width": _Field(int, lo=1, hi=MAX_SIDE),
-        "height": _Field(int, lo=1, hi=MAX_SIDE),
-        "rho": _Field(float), "sigma": _SIGMA, "mean": _Field(float),
-        "upsample": _Field(int, 1, lo=1),
-        "texture": _Field(dict, None, item=_TEXTURE)}
-_SOURCES = {"ar1": {"seed": _Field(int, lo=0), **_AR1},
-            "pgm": {"path": _Field(str)}}
-_CONDITIONS = {
-    # beyond +-1000 dB no channel is physical, and near +-3000 dB the noise
-    # power 10 ** (-snr / 10) leaves the float range
-    "snr_db": {"values": _Field(list, item=_Field(float, lo=-1000, hi=1000))},
-    "loss": {"values": _Field(list, item=_Field(float, lo=0, hi=1, open=True)),
-             "burst_mean": _Field(float, 2.0, lo=1),
-             # default: see validate_scenario
-             "window": _Field(int, None, lo=1, hi=_MAX_WINDOW)},
-}
-_ORDER = _Field(int, 2, lo=0, hi=MAX_ORDER)
-
-
-def _check_layers(d: dict, path: str) -> None:
-    """Each upsample factor of a synthetic AR field divides its dimensions."""
-    for block, where in ((d, path), (d.get("texture"), f"{path}.texture")):
-        if block is not None and (d["width"] % block["upsample"]
-                                  or d["height"] % block["upsample"]):
-            raise ConfigError(f"{where}.upsample must divide both dimensions")
-
-
-def _check_tile(sp: dict, where: str, height: int, width: int) -> None:
-    """The tile a scheme entry cuts images into, its patch or else the DCT
-    block, divides both sides of the `where` image."""
-    tile = sp.get("patch", BLOCK)
-    if height % tile or width % tile:
-        what = "patch" if "patch" in sp else "block side"
-        raise ConfigError(f"{what} {tile} of scheme {sp['label']!r} does not "
-                          f"divide the {where} sides {width}x{height}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +298,6 @@ def _build_analog(ctx: SweepContext, sp: dict):
 
 
 # ---------------------------------------------------------------------------
-# Modulation/coding selection
-
-
-def mcs_pick(table: list, snr_db: float):
-    """Index of the most efficient entry usable at snr_db, or None."""
-    best = None
-    for i, (_eff, min_snr) in enumerate(table):
-        if snr_db >= min_snr:
-            best = i
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Per-record runners: runner(ctx, scheme entry, condition value), plus the
 # record's generator for a runner that draws randomness.
 
@@ -482,7 +314,7 @@ def _row(label: str, condition, metrics, mcs_index=None, fec_r=None,
 
 def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     table = ctx.scenario["mcs_table"]
-    idx = mcs_pick(table, sp["est_snr_db"])
+    idx = _channel.mcs_pick(table, sp["est_snr_db"])
     eff, min_snr = table[idx]
     stream, decoded, _ = _artifact(ctx, sp)
     bits = stream.payload_bits
@@ -497,7 +329,7 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
 def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     code = _artifact(ctx, sp)
     table = ctx.scenario["mcs_table"]
-    idx = mcs_pick(table, snr_db)
+    idx = _channel.mcs_pick(table, snr_db)
     capacity = (int(math.floor(ctx.budget_symbols * table[idx][0]))
                 if idx is not None else 0)
     delivered: set[int] = set()
@@ -527,19 +359,12 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
     return _row(sp["label"], snr_db, m)
 
 
-def _transitions(loss: float, burst_mean: float) -> tuple[float, float]:
-    """(p_gb, p_bg) of a Gilbert-Elliott channel with mean burst length
-    `burst_mean` and stationary loss rate `loss`."""
-    p_bg = 1.0 / burst_mean
-    return p_bg * loss / (1.0 - loss), p_bg
-
-
 def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
     """Lost flags of `window` monitoring slots, then fec.MAX_BLOCK (one
     block) transmission slots, from a Gilbert-Elliott channel with the
     scenario's mean burst length and a stationary loss rate of `loss`."""
     cond = ctx.scenario["conditions"]
-    p_gb, p_bg = _transitions(loss, cond["burst_mean"])
+    p_gb, p_bg = _channel.burst_transitions(loss, cond["burst_mean"])
     return _channel.gilbert_elliott(cond["window"] + _fec.MAX_BLOCK, p_gb,
                                     p_bg, 0.0, 1.0, rng).lost
 
@@ -595,11 +420,10 @@ def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
 
 
 class _Scheme(NamedTuple):
-    """`runs` maps a condition kind to (the sections and fields the scheme
-    needs, its runner, whether the runner draws randomness).  A runner that
-    draws none gives the same record for every trial."""
+    """How a scheme of `scenario.SCHEMES` runs.  `runs` maps a condition
+    kind to (its runner, whether the runner draws randomness).  A runner
+    that draws none gives the same record for every trial."""
 
-    fields: dict     # field spec of the scheme's `schemes` entries
     artifact: tuple  # the fields its artifact depends on
     build: object    # build(ctx, scheme entry) -> the artifact
     runs: dict
@@ -607,115 +431,17 @@ class _Scheme(NamedTuple):
 
 _SCHEMES = {
     "digital_separate": _Scheme(
-        fields={"label": _Field(str),
-                "sq_step": _Field(float, 16.0, lo=MIN_STEP, hi=MAX_STEP),
-                "sq_alphabet": _Field(int, 256, lo=2, hi=MAX_ALPHABET),
-                "context_order": _ORDER, "est_snr_db": _Field(float),
-                "fec_multiplier": _Field(int, lo=1)},
         artifact=("sq_step", "sq_alphabet", "context_order"),
         build=_build_digital,
-        runs={"snr_db": (("mcs_table", "est_snr_db"), _run_digital_snr, False),
-              "loss": (("fec", "fec_multiplier"), _run_digital_loss, True)}),
+        runs={"snr_db": (_run_digital_snr, False),
+              "loss": (_run_digital_loss, True)}),
     "weak_jscc": _Scheme(
-        fields={"label": _Field(str),
-                "patch": _Field(int, 4, lo=1),
-                "codebook_size": _Field(int, 256, lo=2, hi=MAX_CODEWORDS),
-                "context_order": _ORDER,
-                "conceal_schedule": _Field(str, "confidence",
-                                           choices=("confidence", "raster")),
-                "conceal_mode": _Field(str, "neighborhood",
-                                       choices=("neighborhood", "marginal"))},
         artifact=("patch", "codebook_size", "context_order"),
         build=_build_weak,
-        runs={"snr_db": (("mcs_table", "train", "packets"), _run_weak_snr,
-                         False),
-              "loss": (("train", "packets"), _run_weak_loss, True)}),
-    "analog_jscc": _Scheme(
-        fields={"label": _Field(str)}, artifact=(),
-        build=_build_analog, runs={"snr_db": ((), _run_analog_snr, True)}),
+        runs={"snr_db": (_run_weak_snr, False), "loss": (_run_weak_loss, True)}),
+    "analog_jscc": _Scheme(artifact=(), build=_build_analog,
+                           runs={"snr_db": (_run_analog_snr, True)}),
 }
-
-_SCENARIO = _Field(dict, item={
-    "name": _Field(str), "seed": _Field(int),
-    "num_seeds": _Field(int, lo=1, hi=_MAX_SEEDS),
-    "bandwidth_ratio": _Field(float, lo=0, hi=_MAX_RATIO, open=True),
-    "source": _Field(dict, item=_SOURCES, tag="type"),
-    "conditions": _Field(dict, item=_CONDITIONS, tag="kind"),
-    "schemes": _Field(list, item=_Field(dict, tag="scheme", item={
-        name: scheme.fields for name, scheme in _SCHEMES.items()})),
-    "mcs_table": _Field(list, item=_Field(list, item=_Field(float))),
-    "train": _Field(dict, item={"images": _Field(int, lo=1,
-                                                 hi=_MAX_TRAIN_IMAGES),
-                                "seed": _Field(int), **_AR1}),
-    # A weak record reads as many slots of its loss trace's one block.
-    "packets": _Field(int, 16, lo=2, hi=_fec.MAX_BLOCK),
-    "fec": _Field(dict, item={"k": _Field(int, lo=1, hi=_fec.MAX_BLOCK - 1)}),
-})
-# Required (or filled in) only when a scheme needs them under the kind.
-_CONDITIONAL = frozenset(name for scheme in _SCHEMES.values()
-                         for needs, _, _ in scheme.runs.values()
-                         for name in needs)
-
-
-def validate_scenario(scn: dict) -> dict:
-    """Check structure, types and ranges, reject unknown keys, and fill
-    defaults.
-
-    Returns a normalised copy; raises ConfigError on any problem.
-    """
-    # The first pass checks every field given; the second, once the schemes
-    # and the condition kind are known, requires or fills in what they need.
-    try:
-        out = _check(json.loads(json.dumps(scn)), _SCENARIO, "", _CONDITIONAL)
-    except RecursionError:
-        # a value the parser took, nested too deeply to copy or quote
-        raise ConfigError("scenario is nested too deeply") from None
-    kind = out["conditions"]["kind"]
-    needed, labels = set(), set()
-    for i, sp in enumerate(out["schemes"]):
-        runs = _SCHEMES[sp["scheme"]].runs
-        if kind not in runs:
-            raise ConfigError(f"schemes[{i}]: {sp['scheme']} runs under "
-                              f"{' or '.join(runs)} conditions only")
-        if sp["label"] in labels:
-            raise ConfigError(f"duplicate scheme label {sp['label']!r}")
-        labels.add(sp["label"])
-        needed.update(runs[kind][0])
-    _check(out, _SCENARIO, "", _CONDITIONAL - needed)
-    cond = out["conditions"]
-    if kind == "loss":
-        cond.setdefault("window", out["fec"]["k"] if "fec" in needed else 50)
-        b = cond["burst_mean"]
-        for i, loss in enumerate(cond["values"]):
-            if _transitions(loss, b)[0] > 1.0:
-                raise ConfigError(f"conditions.values[{i}] = {_quote(loss)} is "
-                                  f"above {b / (b + 1):g}, the most loss "
-                                  f"conditions.burst_mean = {_quote(b)} allows")
-    table = out.get("mcs_table", [])
-    if (any(len(e) != 2 or not 0 < e[0] <= _MAX_EFFICIENCY for e in table)
-            or [e[1] for e in table] != sorted(e[1] for e in table)):
-        raise ConfigError(f"mcs_table must list [efficiency in (0, "
-                          f"{_MAX_EFFICIENCY}], min_snr_db] pairs in "
-                          f"ascending min_snr_db")
-    for i, sp in enumerate(out["schemes"]):
-        if kind == "snr_db" and "est_snr_db" in sp \
-                and mcs_pick(table, sp["est_snr_db"]) is None:
-            raise ConfigError(f"est_snr_db {sp['est_snr_db']} is below every "
-                              f"mcs_table threshold")
-        if sp.get("sq_alphabet", 0) > MAX_CONTEXT_ALPHABET \
-                and sp["context_order"]:
-            raise ConfigError(
-                f"schemes[{i}].sq_alphabet must be at most "
-                f"{MAX_CONTEXT_ALPHABET} when context_order is above 0, "
-                f"got {sp['sq_alphabet']}")
-        if "patch" in sp:
-            _check_tile(sp, "train", out["train"]["height"],
-                        out["train"]["width"])
-    if out["source"]["type"] == "ar1":
-        _check_layers(out["source"], "source")
-    if "train" in out:
-        _check_layers(out["train"], "train")
-    return out
 
 
 def build_context(scn: dict) -> SweepContext:
@@ -730,7 +456,7 @@ def build_context(scn: dict) -> SweepContext:
     budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
     blocks = (image.height // BLOCK) * (image.width // BLOCK)
     for sp in scn["schemes"]:
-        _check_tile(sp, "source", image.height, image.width)
+        check_tile(sp, "source", image.height, image.width)
         if sp["scheme"] == "analog_jscc" and budget < blocks:
             raise ConfigError(
                 f"bandwidth_ratio {scn['bandwidth_ratio']} gives scheme "
@@ -742,7 +468,7 @@ def build_context(scn: dict) -> SweepContext:
         scheme, key = _SCHEMES[sp["scheme"]], _artifact_key(sp)
         if ("artifact", *key) not in memo:
             memo["artifact", *key] = scheme.build(ctx, sp)
-        _, runner, draws = scheme.runs[kind]
+        runner, draws = scheme.runs[kind]
         if not draws:
             for ci, value in enumerate(scn["conditions"]["values"]):
                 memo["record", si, ci] = runner(ctx, sp, value)
@@ -754,7 +480,7 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
     """The record of one (scheme, condition, trial) of a built context."""
     scn = ctx.scenario
     sp = scn["schemes"][scheme_idx]
-    _, runner, draws = _SCHEMES[sp["scheme"]].runs[scn["conditions"]["kind"]]
+    runner, draws = _SCHEMES[sp["scheme"]].runs[scn["conditions"]["kind"]]
     if draws:
         rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
         row = runner(ctx, sp, scn["conditions"]["values"][cond_idx], rng)

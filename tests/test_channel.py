@@ -126,7 +126,7 @@ def test_gilbert_elliott_extreme_bursts_are_bounded(run_bounded):
         "        for seed in range(8):\n"
         "            tr = gilbert_elliott(305, p_bg * loss / (1 - loss), p_bg,\n"
         "                                 0.0, 1.0, seed)\n"
-        "            assert len(tr) == 305\n"
+        "            assert len(tr.states) == len(tr.lost) == 305\n"
         "            assert tr.lost.all() or not tr.lost.any()\n"
         "print('ok')\n")
     r = run_bounded("-c", code)

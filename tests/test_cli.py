@@ -739,6 +739,18 @@ def _bundled_scenario(name):
     ("fig5", "source.texture.sigma", 1e308, "source.texture.sigma"),
     ("fig5", "train.sigma", 1e308, "train.sigma"),
     ("fig5", "schemes.0.sq_step", 1e-300, "schemes[0].sq_step"),
+    # quoted as written, not as the integer it would be stored as
+    ("fig6", "schemes.1.fec_multiplier", -1e308,
+     "schemes[1].fec_multiplier must be an integer in [1, inf], "
+     "got -1e+308"),
+    # an AR(1) correlation outside [0, 1), and a mean outside the pixel
+    # range, which failed in the build naming no field, or ran
+    ("fig5", "train.rho", 1.5, "train.rho must be a number in [0, 1), got 1.5"),
+    ("fig5", "source.texture.rho", 1.0, "source.texture.rho"),
+    ("fig5", "source.rho", -0.5, "source.rho"),
+    ("fig6", "source.mean", 1e308,
+     "source.mean must be a number in [0, 255], got 1e+308"),
+    ("fig5", "train.mean", -1, "train.mean"),
 ])
 def test_malformed_scenario_is_usage_error(tmp_path, name, path, value, field):
     """A malformed scenario file exits 2, naming the field, before any work
@@ -965,9 +977,8 @@ def test_hostile_files_and_scenarios_fail_cleanly(tmp_path, sample_pgm,
     validate to a scenario or stop with a ConfigError."""
     from importlib import resources
 
-    from gjcodec.cli import load_scenario
     from gjcodec.errors import ConfigError
-    from gjcodec.pipelines import validate_scenario
+    from gjcodec.scenario import load_scenario, validate_scenario
 
     img, out = str(sample_pgm), str(tmp_path / "out")
     art = {name: str(tmp_path / name)
@@ -1085,7 +1096,8 @@ def test_scenario_is_validated_once_per_build(monkeypatch, command, calls):
     before it looks the scheme up, and builds that scheme from that copy."""
     import gjcodec.cli as cli
     import gjcodec.pipelines as pipelines
-    real, seen = pipelines.validate_scenario, []
+    import gjcodec.scenario as scenario
+    real, seen = scenario.validate_scenario, []
 
     def validate(scn):
         seen.append(scn)

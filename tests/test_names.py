@@ -1,6 +1,7 @@
 """Names that code reaches by name: everything in `gjcodec.__all__`, the
 functions and methods that the benchmark's tracer (gjbench/tracing.py)
-rebinds, and the names one gjcodec module imports from another."""
+rebinds, and the names one gjcodec module imports from another; and no
+import that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,25 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {node.module}.{a.name}"
                             for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A name a module imports is read somewhere in that module, so code
+    moved between modules leaves no import behind.  `__init__.py` imports
+    to re-export, and a `from __future__` import is a compiler directive."""
+    package = Path(gjcodec.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                unused += [f"{path.name}: {name}" for name in (
+                    a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read]
+    assert unused == []

@@ -6,11 +6,12 @@ import signal
 import numpy as np
 import pytest
 
+from gjcodec.channel import mcs_pick
 from gjcodec.errors import ConfigError
 from gjcodec.pipelines import (CSV_COLUMNS, build_context, derive_seed,
-                               digital_image, digital_symbols, mcs_pick,
-                               records_to_csv, run_record, sweep,
-                               validate_scenario)
+                               digital_image, digital_symbols, records_to_csv,
+                               run_record, sweep)
+from gjcodec.scenario import validate_scenario
 from gjcodec.sources import ImageGrid
 
 
@@ -86,6 +87,15 @@ def test_analog_under_loss_rejected():
     scn["schemes"] = [{"scheme": "analog_jscc", "label": "analog"}]
     with pytest.raises(ConfigError):
         validate_scenario(scn)
+
+
+def test_every_scheme_has_a_spec_and_runners_for_the_same_kinds():
+    """The scenario format and the sweep know the same schemes, and each
+    scheme runs under exactly the condition kinds its spec accepts."""
+    import gjcodec.pipelines as pipelines
+    import gjcodec.scenario as scenario
+    assert ({name: set(needs) for name, (_, needs) in scenario.SCHEMES.items()}
+            == {name: set(s.runs) for name, s in pipelines._SCHEMES.items()})
 
 
 def test_derive_seed_is_stable_and_sensitive():
