@@ -12,7 +12,9 @@ Model file layout (little-endian): magic "GJCM", u8 version=1, u8 kind
 fixed point, u64 number of (context, symbol) entries, then the entries:
 order-many i16 context symbols (-1 = ABSENT/pad), u16 symbol, u64 count.
 Entries are strictly ascending in (context, symbol) and every count is
-non-zero, so each (context, symbol) pair appears at most once.
+non-zero, so each (context, symbol) pair appears at most once.  The file
+layout is the memory layout: a model holds its counts as these entry rows,
+which load_model() keeps as read and save() and state_hash() use as held.
 """
 
 from __future__ import annotations
@@ -295,16 +297,13 @@ def _digest(serialized: bytes) -> int:
 
 
 class _CountModel:
-    """Shared storage: context tuple -> (symbols, counts), two tuples of ints.
+    """Counts as the entry rows of the model file: `_rows`, a read-only
+    record array of `_entry_dtype`, sorted, one run of rows per context
+    with counts.  Rows are replaced, never changed, so copies share them.
 
-    The symbols ascend and every count is non-zero; a context with no counts
-    has no entry.  Entries are replaced, never changed in place, so copies
-    of a model share them, and so do the contexts with equal counts after
-    train or load_model.
-
-    `_memo` holds what code, decode or predict derived from the counts, by
-    context as passed in.  Changing the counts starts a new memo, so a copy
-    shares it only while their counts agree.
+    `_runs` indexes the runs by context; `_memo` holds what code, decode or
+    predict derived from the counts, by context as passed in.  New counts
+    start a new index and memo, so copies share them while counts agree.
     """
 
     kind: int
@@ -320,7 +319,9 @@ class _CountModel:
         self.alphabet = alphabet
         self.context_len = context_len
         self.alpha_fp = _alpha_to_fp(alpha, alphabet)
-        self.counts: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._rows = np.zeros(0, _entry_dtype(context_len))
+        self._runs: dict | None = None
+        self._bounds: np.ndarray | None = None
         self._hash: int | None = None
         self._memo: dict = {}
 
@@ -332,7 +333,7 @@ class _CountModel:
         if not 0 <= symbol < self.alphabet:
             raise ParameterError(
                 f"symbol {symbol} outside alphabet [0, {self.alphabet})")
-        self._merge({key: ((int(symbol),), (1,))})
+        self._merge(np.array([(key, symbol, 1)], self._rows.dtype))
 
     def _checked(self, key: tuple) -> tuple:
         """`key`, once every symbol in it is ABSENT or in the alphabet."""
@@ -342,18 +343,19 @@ class _CountModel:
                     f"context symbol {s} outside alphabet [0, {self.alphabet})")
         return key
 
-    def _merge(self, fresh: dict) -> None:
-        """Add `fresh` (context -> entry, as in `counts`) to the counts; a
-        model with no counts yet adopts `fresh` itself."""
-        if not self.counts:
-            self.counts = fresh
-        else:
-            for key in fresh.keys() & self.counts.keys():
-                idx, cnt = map(list, self.counts[key])
-                for s, n in zip(*fresh[key]):
-                    _add_count(idx, cnt, s, n)
-                fresh[key] = tuple(idx), tuple(cnt)
-            self.counts.update(fresh)
+    def _merge(self, rows: np.ndarray) -> None:
+        """Add `rows` (entry rows, sorted as in `_rows`) to the counts; a
+        model with no counts yet adopts `rows` itself."""
+        if len(self._rows):
+            rows = np.concatenate((self._rows, rows))
+            rows = rows[np.lexsort((rows["symbol"], *rows["context"].T[::-1]))]
+            starts = _run_starts(rows["context"], rows["symbol"])
+            counts = np.add.reduceat(rows["count"], starts)
+            rows = rows[starts]
+            rows["count"] = counts
+        rows.flags.writeable = False
+        self._rows = rows
+        self._runs = None
         self._hash = None
         self._memo = {}
 
@@ -376,6 +378,29 @@ class _CountModel:
         """(keys, symbols) that train() counts for one grid."""
         return self.grid_contexts(grid), grid.ravel()
 
+    # -- lookup -----------------------------------------------------------
+
+    def _index(self) -> dict:
+        """Context -> number k of its run, rows _bounds[k] to _bounds[k + 1],
+        built by train or on first use, by zip over column lists, in C."""
+        if self._runs is None:
+            context = self._rows["context"]
+            starts = _run_starts(context)
+            columns = [column.tolist() for column in context[starts].T]
+            keys = zip(*columns) if columns else [()] * len(starts)
+            self._runs = dict(zip(keys, range(len(starts))))
+            self._bounds = np.append(starts, len(context))
+        return self._runs
+
+    def _run(self, key: tuple) -> tuple[list[int], list[int]]:
+        """(symbols, counts) of a context, empty if it has no counts, as
+        lists of Python ints: sparse_pmf forms count * 2**32."""
+        k = self._index().get(key)
+        if k is None:
+            return [], []
+        rows = self._rows[self._bounds[k]:self._bounds[k + 1]]
+        return rows["symbol"].tolist(), rows["count"].tolist()
+
     # -- probabilities ----------------------------------------------------
 
     def _resolve_key(self, key: tuple) -> tuple:
@@ -384,35 +409,26 @@ class _CountModel:
 
     def _table(self, key: tuple):
         """The sparse_pmf table of the counts under a resolved key."""
-        symbols, counts = self.counts.get(key, ((), ()))
-        return sparse_pmf(symbols, counts, self.alphabet, self.alpha_fp)
+        return sparse_pmf(*self._run(key), self.alphabet, self.alpha_fp)
 
     def coding_table(self, context) -> tuple[np.ndarray, np.ndarray]:
         """(weights, cumulative) over the whole alphabet, by quantize_pmf:
         the dense reference for the sparse tables coding and concealment
         use."""
-        symbols, counts = self.counts.get(
-            self._resolve_key(self._context_key(context)), ((), ()))
+        symbols, counts = self._run(
+            self._resolve_key(self._context_key(context)))
         vec = np.zeros(self.alphabet, dtype=np.int64)
-        vec[list(symbols)] = counts
+        vec[symbols] = counts
         w = quantize_pmf(vec, self.alpha_fp)
         return w, np.concatenate(([0], np.cumsum(w)))
 
     # -- hashing / serialization -----------------------------------------
 
     def _serialize(self) -> bytes:
-        keys = sorted(self.counts)
-        sizes = [len(self.counts[key][0]) for key in keys]
-        entries = np.zeros(sum(sizes), _entry_dtype(self.context_len))
-        entries["context"] = np.repeat(
-            np.array(keys, dtype=np.int16).reshape(len(keys), self.context_len),
-            sizes, axis=0)
-        entries["symbol"] = [s for key in keys for s in self.counts[key][0]]
-        entries["count"] = [n for key in keys for n in self.counts[key][1]]
         head = MODEL_MAGIC + struct.pack(
             _MODEL_HEAD_FMT, MODEL_VERSION, self.kind, self.alphabet,
-            self.context_len, self.alpha_fp, len(entries))
-        return head + entries.tobytes()
+            self.context_len, self.alpha_fp, len(self._rows))
+        return head + self._rows.tobytes()
 
     def state_hash(self) -> int:
         """64-bit digest of kind, parameters, and every count: two models
@@ -428,7 +444,6 @@ class _CountModel:
     def copy(self):
         dup = self.__class__.__new__(self.__class__)
         dup.__dict__.update(self.__dict__)
-        dup.counts = dict(self.counts)
         return dup
 
 
@@ -499,9 +514,8 @@ class AdaptiveCounts:
     def _view(self, context: tuple):
         view = self._views.get(context)
         if view is None:
-            symbols, counts = self.model.counts.get(
-                self.model._context_key(context), ((), ()))
-            view = self._views[context] = list(symbols), list(counts)
+            view = self._views[context] = self.model._run(
+                self.model._context_key(context))
         return view
 
     def code(self, context: tuple, symbol: int) -> tuple[int, int]:
@@ -549,7 +563,7 @@ class NeighborhoodModel(_CountModel):
         return self._checked(key)
 
     def _resolve_key(self, key: tuple) -> tuple:
-        while key not in self.counts:
+        while key not in self._index():
             present = [i for i, s in enumerate(key) if s != ABSENT]
             if not present:
                 return key  # untrained marginal: uniform after smoothing
@@ -604,42 +618,31 @@ def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
                 f"corpus tokens outside alphabet [0, {model.alphabet})")
         rows.append(model._training_rows(g.astype(np.int64, copy=False)))
     keys, symbols = (np.concatenate(part) for part in zip(*rows))
-    # Sort the rows by context, then symbol: each context is one run of
-    # rows, and each of its symbols one run within it.  Training sets the
-    # peak memory of a sweep, so no array outlives its use.
+    # Sort by context, then symbol: each run of equal rows is one entry row,
+    # its length the count.  These arrays grow with the corpus: free each.
     del rows
     order = np.lexsort((symbols, *keys.T[::-1]))
     keys, symbols = keys[order], symbols[order]
     del order
-    new_context = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
-    starts = np.flatnonzero(new_context | np.r_[True, symbols[1:] != symbols[:-1]])
-    firsts = np.flatnonzero(new_context[starts])
-    model._merge(_count_dict(keys[starts[firsts]], symbols[starts],
-                             np.diff(starts, append=len(symbols)),
-                             np.diff(firsts, append=len(starts))))
+    starts = _run_starts(keys, symbols)
+    fresh = np.empty(len(starts), _entry_dtype(model.context_len))
+    fresh["context"] = keys[starts]
+    fresh["symbol"] = symbols[starts]
+    fresh["count"] = np.diff(starts, append=len(symbols))
+    del keys, symbols, starts
+    model._merge(fresh)
+    model._index()  # before a sweep forks, so its processes share it
     return model
 
 
-def _count_dict(contexts: np.ndarray, symbols: np.ndarray, counts: np.ndarray,
-                sizes: np.ndarray) -> dict:
-    """The counts dict of (symbol, count) runs sorted by context, then
-    symbol: context i, the i-th row of `contexts`, holds the next sizes[i]
-    runs.
-
-    Key tuples come from per-column lists, with no list per row, and every
-    context with the same (symbols, counts) pair gets the same entry tuple,
-    so a model holds each distinct pair once.  Entries are never changed
-    in place, so sharing them is as safe as copy() sharing them."""
-    columns = [column.tolist() for column in contexts.T]
-    keys = zip(*columns) if columns else [()] * len(sizes)
-    symbols, counts = symbols.tolist(), counts.tolist()
-    shared, out = {}, {}
-    hi = 0
-    for key, n in zip(keys, sizes.tolist()):
-        lo, hi = hi, hi + n
-        entry = tuple(symbols[lo:hi]), tuple(counts[lo:hi])
-        out[key] = shared.setdefault(entry, entry)
-    return out
+def _run_starts(context: np.ndarray, symbols: np.ndarray | None = None):
+    """The rows of sorted (rows, context_len) `context` where a run of one
+    context starts, or of one (context, symbol) pair given `symbols`."""
+    new = np.ones(len(context), dtype=bool)
+    new[1:] = (context[1:] != context[:-1]).any(axis=1)
+    if symbols is not None:
+        new[1:] |= symbols[1:] != symbols[:-1]
+    return np.flatnonzero(new)
 
 
 def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
@@ -701,15 +704,14 @@ def load_model(path):
             f"expected {n_entries * dtype.itemsize}")
     if n_entries:
         entries = np.frombuffer(data, dtype, offset=start)
-        model.counts = _checked_counts(entries, alphabet,
-                                       alphabet * model.alpha_fp)
+        _check_entries(entries, alphabet, alphabet * model.alpha_fp)
+        model._rows = entries
     model._hash = _digest(data)
     return model
 
 
-def _checked_counts(entries: np.ndarray, alphabet: int, scaled_alpha: int):
-    """The counts dict of a model file's entries, checked as load_model
-    documents."""
+def _check_entries(entries: np.ndarray, alphabet: int, scaled_alpha: int):
+    """Check a model file's entries as load_model documents."""
     keys = entries["context"].astype(np.int64)
     symbols, counts = entries["symbol"], entries["count"]
     if symbols.max() >= alphabet:
@@ -730,8 +732,6 @@ def _checked_counts(entries: np.ndarray, alphabet: int, scaled_alpha: int):
     # Checking single counts first keeps the per-context sums (at most
     # alphabet counts each) far from uint64 overflow.
     limit = -(-(_MAX_SCALED_TOTAL - scaled_alpha) // PMF_TOTAL)
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    if counts.max() >= limit or np.add.reduceat(counts, starts).max() >= limit:
+    if (counts.max() >= limit
+            or np.add.reduceat(counts, _run_starts(keys)).max() >= limit):
         raise FormatError("model: the counts of a context total too much")
-    return _count_dict(keys[starts], symbols, counts,
-                       np.diff(starts, append=len(entries)))

@@ -11,6 +11,28 @@ from gjcodec.entropy import ac_encode
 from gjcodec.errors import ParameterError
 
 
+def _count_dict(model):
+    """{context: (symbols, counts)} of every context the model's index
+    holds, each pair read through its lookup."""
+    return {key: tuple(map(tuple, model._run(key))) for key in model._index()}
+
+
+def _with_counts(model, counts):
+    """`model`, untrained, given `counts` ({context: (symbols, counts)})."""
+    rows = [(key, s, n) for key in sorted(counts)
+            for s, n in zip(*counts[key])]
+    model._merge(np.array(rows, model._rows.dtype))
+    return model
+
+
+def _assert_counts(model, frozen):
+    """Each context of `frozen` ({context: (symbols, counts)}) looks up its
+    pair, and no other context looks up any count."""
+    for key, (symbols, counts) in frozen.items():
+        assert model._run(key) == (list(symbols), list(counts)), key
+    assert model._index().keys() == frozen.keys()
+
+
 def test_untrained_model_is_uniform():
     m = CausalContextModel(4, order=0, alpha=1.0)
     w = m.coding_table(())[0]
@@ -23,7 +45,7 @@ def test_laplace_estimate_before_quantization():
     m = CausalContextModel(4, order=0, alpha=1.0)
     for _ in range(3):
         m.update((), 2)
-    assert m.counts[()] == ((2,), (3,))
+    assert m._run(()) == ([2], [3])
     probs = m.coding_table(())[0] / PMF_TOTAL
     assert probs[2] == pytest.approx(4 / 7, abs=2 / PMF_TOTAL)
     assert probs[0] == pytest.approx(1 / 7, abs=2 / PMF_TOTAL)
@@ -52,7 +74,7 @@ def test_update_counts_accumulate():
     m = CausalContextModel(8, order=1)
     for _ in range(37):
         m.update((2,), 6)
-    assert m.counts[(2,)] == ((6,), (37,))
+    assert m._run((2,)) == ([6], [37])
 
 
 def test_updates_are_context_local():
@@ -82,8 +104,8 @@ def test_order0_training_equals_histogram(rng):
     grid = rng.integers(0, 16, (40, 40))
     m = train(CausalContextModel(16, order=0), [grid])
     hist = np.bincount(grid.ravel(), minlength=16)
-    assert m.counts[()] == (tuple(np.flatnonzero(hist).tolist()),
-                            tuple(hist[hist > 0].tolist()))
+    assert m._run(()) == (np.flatnonzero(hist).tolist(),
+                          hist[hist > 0].tolist())
 
 
 def test_cross_entropy_uniform():
@@ -163,7 +185,7 @@ def test_largest_context_symbol_saves_and_loads(tmp_path):
     model.save(tmp_path / "m.model")
     loaded = load_model(tmp_path / "m.model")
     assert loaded.state_hash() == model.state_hash()
-    assert loaded.counts == model.counts
+    assert _count_dict(loaded) == _count_dict(model)
 
 
 @pytest.mark.parametrize("kind, alphabet, ctx_len", [
@@ -214,12 +236,13 @@ def test_copy_is_independent():
     lambda: NeighborhoodModel(40),
 ], ids=["causal", "neighborhood"])
 def test_trained_copy_shares_no_mutable_state(rng, factory):
-    """Copies share the trained entries; an update on a copy, or an adaptive
+    """Copies share the trained rows; an update on a copy, or an adaptive
     pass over the model itself, leaves the original's counts and hash as
     they were."""
     m = train(factory(), [rng.integers(0, 40, (20, 20))])
     saved, digest = m._serialize(), m.state_hash()
-    key, (symbols, _) = next(iter(m.counts.items()))
+    key = next(iter(m._index()))
+    symbols = m._run(key)[0]
     dup = m.copy()
     dup.update(key, symbols[0])
     dup.update(key, 39 - symbols[0])
@@ -399,9 +422,9 @@ def test_predict_is_the_dense_argmax():
         nz = np.flatnonzero(c)
         table = sparse_pmf(nz.tolist(), c[nz].tolist(), a, alpha_fp)
         assert sparse_argmax(table, a) == (best, int(w[best]))
-        model = NeighborhoodModel(a, alpha=alpha_fp / PMF_TOTAL)
-        if nnz:
-            model.counts[ctx] = (tuple(nz.tolist()), tuple(c[nz].tolist()))
+        counts = {ctx: (nz.tolist(), c[nz].tolist())} if nnz else {}
+        model = _with_counts(NeighborhoodModel(a, alpha=alpha_fp / PMF_TOTAL),
+                             counts)
         assert model.predict(ctx) == (best, int(w[best]))
         top = w == w.max()
         num = c * PMF_TOTAL + alpha_fp
@@ -436,7 +459,7 @@ def test_predict_memo_follows_the_counts(rng):
     assert m.predict(marginal)[0] == 1
     grid = rng.integers(0, 8, (7, 7))
     train(m, [grid])
-    for ctx in m.counts:
+    for ctx in m._index():
         w = m.coding_table(ctx)[0]
         assert m.predict(ctx) == (int(np.argmax(w)), int(w.max()))
 
@@ -460,9 +483,9 @@ def test_adaptive_counts_price_like_update_then_coding_table(rng):
     assert m.state_hash() == digest
 
 
-def _model_file(path, alphabet, entries, order=1, alpha_fp=1 << 16):
+def _model_file(path, alphabet, entries, order=1, alpha_fp=1 << 16, kind=0):
     import struct
-    head = b"GJCM" + struct.pack("<BBHBIQ", 1, 0, alphabet, order, alpha_fp,
+    head = b"GJCM" + struct.pack("<BBHBIQ", 1, kind, alphabet, order, alpha_fp,
                                  len(entries))
     fmt = "<" + "h" * order + "HQ"
     path.write_bytes(head + b"".join(struct.pack(fmt, *key, sym, count)
@@ -491,14 +514,30 @@ def test_load_model_rejects_hostile_entries(tmp_path, entries, alpha_fp):
 
 def test_load_model_accepts_the_largest_total(tmp_path):
     """t * 2**16 + A * alpha_fp = 2**47 - 2**16 is the largest total kept,
-    and the sparse and dense tables agree on it."""
+    and every sparse table agrees with the dense one on it: static and
+    adaptive code and decode, and a neighborhood model's predict.  The
+    lookup hands sparse_pmf Python ints, exact at any size: here count *
+    2**32 comes within 2**36 of the int64 limit."""
     total = (2 ** 47 - 2 ** 16 - 4 * (1 << 16)) // (1 << 16)
-    path = _model_file(tmp_path / "m.model", 4,
-                       [((-1,), 0, total - 5), ((-1,), 3, 5)])
-    m = load_model(path)
+    m = load_model(_model_file(tmp_path / "m.model", 4,
+                               [((-1,), 0, total - 5), ((-1,), 3, 5)]))
+    assert m._run((-1,)) == ([0, 3], [total - 5, 5])
+    assert all(type(v) is int for v in sum(m._run((-1,)), []))
     w, cum = m.coding_table((-1,))
     for s in range(4):
-        assert AdaptiveCounts(m).code((-1,), s) == (cum[s], w[s])
+        interval = (int(cum[s]), int(w[s]))
+        assert m.code((-1,), s) == AdaptiveCounts(m).code((-1,), s) == interval
+        for target in (interval[0], sum(interval) - 1):
+            found = (s, *interval)
+            assert m.decode((-1,), target) == found
+            assert AdaptiveCounts(m).decode((-1,), target) == found
+    ctx = (ABSENT,) * 4
+    nb = load_model(_model_file(tmp_path / "nb.model", 4,
+                                [(ctx, 1, 5), (ctx, 2, total - 5)], order=4,
+                                kind=1))
+    w = nb.coding_table(ctx)[0]
+    assert nb.predict(ctx) == (int(np.argmax(w)), int(w.max()))
+    assert nb.predict(ctx)[0] == 2
 
 
 def _reference_train(model, corpus):
@@ -572,7 +611,7 @@ def test_train_matches_per_cell_reference(tmp_path, kind, alphabet):
         for batch in (corpus, more):
             train(got, batch)
             _reference_train(ref, batch)
-            assert got.counts == ref.counts
+            _assert_counts(got, _count_dict(ref))
             assert got.state_hash() == ref.state_hash()
             got.save(tmp_path / "got")
             ref.save(tmp_path / "ref")
@@ -610,7 +649,7 @@ def test_neighborhood_training_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(m.counts) > 6000
+    assert len(m._index()) > 6000
     assert peak < 6 * 2**20
 
 
@@ -672,8 +711,8 @@ def _per_entry_load_model(path):
         symbols, counts = zip(*pairs)
         if sum(counts) * PMF_TOTAL + scaled_alpha >= _MAX_SCALED_TOTAL:
             raise FormatError(f"model: counts of context {key} total too much")
-        model.counts[key] = (symbols, counts)
-    return model
+        entries[key] = (symbols, counts)
+    return _with_counts(model, entries)
 
 
 def _loader_fuzz_cases(rng, blob):
@@ -750,7 +789,7 @@ def _load_outcome(loader, path):
         model = loader(path)
     except FormatError:
         return None
-    return type(model), model.counts, model.state_hash()
+    return type(model), _count_dict(model), model.state_hash()
 
 
 def test_load_model_matches_per_entry_loader(tmp_path):
@@ -802,9 +841,9 @@ def test_save_of_loaded_model_rewrites_the_file(tmp_path, rng, factory):
     assert loaded.state_hash() == fresh.state_hash()
 
 
-# -- frozen copies of train and _checked_counts as they built the counts dict
-# before entries were shared: int64 rows, one (symbols, counts) pair of
-# tuples per context, merged into the model's own dict --
+# -- frozen copies of train and of load_model's checks as they built the
+# counts dict: int64 rows, one (symbols, counts) pair of tuples per context,
+# merged into a dict --
 
 def _frozen_rows(model, grid):
     grid = np.asarray(grid, dtype=np.int64)
@@ -828,27 +867,28 @@ def _frozen_rows(model, grid):
     return np.concatenate(parts), np.concatenate(part_symbols)
 
 
-def _frozen_train(model, corpus):
+def _frozen_train(model, corpus, counts):
+    """`counts` ({context: (symbols, counts)}) plus the counts of `corpus`
+    under the contexts of `model`."""
     rows = [_frozen_rows(model, g) for g in corpus]
     keys, symbols = (np.concatenate(part) for part in zip(*rows))
     order = np.lexsort((symbols, *keys.T[::-1]))
     keys, symbols = keys[order], symbols[order]
     new_context = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
     starts = np.flatnonzero(new_context | np.r_[True, symbols[1:] != symbols[:-1]])
-    counts = np.diff(starts, append=len(symbols)).tolist()
+    sizes = np.diff(starts, append=len(symbols)).tolist()
     symbols = symbols[starts].tolist()
     firsts = np.flatnonzero(new_context[starts]).tolist()
-    fresh = {tuple(key): (tuple(symbols[lo:hi]), tuple(counts[lo:hi]))
+    fresh = {tuple(key): (tuple(symbols[lo:hi]), tuple(sizes[lo:hi]))
              for key, lo, hi in zip(keys[starts[firsts]].tolist(), firsts,
                                     firsts[1:] + [len(starts)])}
-    for key in fresh.keys() & model.counts.keys():
-        merged = dict(zip(*model.counts[key]))
+    for key in fresh.keys() & counts.keys():
+        merged = dict(zip(*counts[key]))
         for s, n in zip(*fresh[key]):
             merged[s] = merged.get(s, 0) + n
         fresh[key] = tuple(sorted(merged)), tuple(v for _, v in sorted(merged.items()))
-    model.counts.update(fresh)
-    model._hash = None
-    return model
+    counts.update(fresh)
+    return counts
 
 
 def _frozen_checked_counts(entries, alphabet, scaled_alpha):
@@ -878,6 +918,17 @@ def _frozen_checked_counts(entries, alphabet, scaled_alpha):
             for key, lo, hi in zip(keys[starts].tolist(), bounds, bounds[1:])}
 
 
+def _frozen_resolve_key(counts, key):
+    """NeighborhoodModel._resolve_key as it walked the counts dict."""
+    while key not in counts:
+        present = [i for i, s in enumerate(key) if s != ABSENT]
+        if not present:
+            return key
+        last = present[-1]
+        key = key[:last] + (ABSENT,) + key[last + 1:]
+    return key
+
+
 def _file_entries(path, context_len):
     import struct
     from gjcodec.context import _MODEL_HEAD_FMT, MODEL_MAGIC
@@ -885,11 +936,6 @@ def _file_entries(path, context_len):
     dtype = np.dtype([("context", "<i2", (context_len,)), ("symbol", "<u2"),
                       ("count", "<u8")])
     return np.frombuffer(path.read_bytes()[head:], dtype)
-
-
-def _assert_each_pair_stored_once(model):
-    entries = list(model.counts.values())
-    assert len({id(v) for v in entries}) == len(set(entries))
 
 
 def _skewed_corpus(rng, alphabet):
@@ -906,41 +952,49 @@ def _skewed_corpus(rng, alphabet):
     *(("neighborhood", a) for a in (2, 3, 16, 256, 1024)),
 ])
 def test_train_and_load_match_the_frozen_count_dict(tmp_path, kind, alphabet):
-    """train and load_model build the counts dict of the frozen code, with
-    the same saved bytes and state_hash, alone and on top of earlier
-    training, and store each distinct (symbols, counts) pair once."""
+    """train and load_model hold the counts dict of the frozen code, each
+    context looked up through the index, with the bytes and state_hash the
+    struct writer gives that dict, alone and on top of earlier training.
+    Seeded neighborhood keys, most of them untrained, back off as the frozen
+    walk over the dict does."""
     rng = np.random.default_rng(alphabet + 7 * (kind == "neighborhood"))
     corpus, more = _skewed_corpus(rng, alphabet), _skewed_corpus(rng, alphabet)
-    got, ref = _fresh(kind, alphabet), _fresh(kind, alphabet)
-    train(got, corpus)
-    _frozen_train(ref, corpus)
-    assert got.counts == ref.counts
-    _assert_each_pair_stored_once(got)
-    if kind == "neighborhood" or (kind and alphabet == 256):
-        assert len(set(got.counts.values())) < len(got.counts)
+    got = train(_fresh(kind, alphabet), corpus)
+    ref = _frozen_train(got, corpus, {})
+    _assert_counts(got, ref)
     train(got, more)
-    _frozen_train(ref, more)
-    assert got.counts == ref.counts
-    assert got.state_hash() == ref.state_hash()
-    for model, name in ((got, "got"), (ref, "ref")):
-        model.save(tmp_path / name)
-    blob = (tmp_path / "got").read_bytes()
-    assert blob == (tmp_path / "ref").read_bytes()
+    _frozen_train(got, more, ref)
+    _assert_counts(got, ref)
+    blob = _struct_save(got, ref)
+    got.save(tmp_path / "got")
+    assert (tmp_path / "got").read_bytes() == blob
+    assert got.state_hash() == int.from_bytes(
+        hashlib.blake2b(blob, digest_size=8).digest(), "little")
     loaded = load_model(tmp_path / "got")
-    assert loaded.counts == _frozen_checked_counts(
+    _assert_counts(loaded, _frozen_checked_counts(
         _file_entries(tmp_path / "got", got.context_len), alphabet,
-        alphabet * got.alpha_fp)
-    assert loaded.counts == ref.counts
-    assert loaded.state_hash() == ref.state_hash()
-    _assert_each_pair_stored_once(loaded)
+        alphabet * got.alpha_fp))
+    _assert_counts(loaded, ref)
+    assert loaded.state_hash() == got.state_hash()
+    if kind == "neighborhood":
+        keys = [tuple(key) for key in
+                rng.integers(ABSENT, alphabet, (300, 4)).tolist()]
+        untrained = [key for key in keys if key not in ref]
+        assert len(untrained) > 100 or alphabet < 16
+        for key in keys:
+            want = _frozen_resolve_key(ref, key)
+            assert got._resolve_key(key) == loaded._resolve_key(key) == want
+        for key in untrained:
+            assert got._run(key) == loaded._run(key) == ([], [])
 
 
-def _struct_save(model) -> bytes:
-    """The model file as save() wrote it one entry at a time with struct,
-    before the entries were written through one numpy record array."""
+def _struct_save(model, counts) -> bytes:
+    """The file of `model` holding `counts` ({context: (symbols, counts)}),
+    as save() wrote it one entry at a time with struct, before the entries
+    were written through one numpy record array."""
     import struct
-    entries = [(key, sym, count) for key in sorted(model.counts)
-               for sym, count in zip(*model.counts[key])]
+    entries = [(key, sym, count) for key in sorted(counts)
+               for sym, count in zip(*counts[key])]
     head = b"GJCM" + struct.pack("<BBHBIQ", 1, model.kind, model.alphabet,
                                  model.context_len, model.alpha_fp,
                                  len(entries))
@@ -971,32 +1025,32 @@ def _writer_cases():
     yield "neighborhood alphabet 32768", m
     # The largest context totals load_model accepts under alpha = 1.
     limit = ((1 << 47) - 2 * PMF_TOTAL) // PMF_TOTAL
-    m = CausalContextModel(2, order=1)
-    m.counts = {(ABSENT,): ((0,), (limit - 1,)), (0,): ((0, 1), (1, limit - 2))}
-    yield "counts near the load bound", m
+    yield "counts near the load bound", _with_counts(
+        CausalContextModel(2, order=1),
+        {(ABSENT,): ((0,), (limit - 1,)), (0,): ((0, 1), (1, limit - 2))})
 
 
 @pytest.mark.parametrize("name, model", list(_writer_cases()),
                          ids=[name for name, _ in _writer_cases()])
 def test_save_writes_the_struct_writers_bytes(tmp_path, name, model):
     """save() writes, and state_hash() digests, the bytes a per-entry
-    struct writer gives, and load_model reads them back to the same
-    counts."""
-    want = _struct_save(model)
+    struct writer gives for the counts the lookup reads, and load_model
+    reads them back to the same counts."""
+    want = _struct_save(model, _count_dict(model))
     model.save(tmp_path / "m.gjm")
     assert (tmp_path / "m.gjm").read_bytes() == want
     assert model.state_hash() == int.from_bytes(
         hashlib.blake2b(want, digest_size=8).digest(), "little")
     loaded = load_model(tmp_path / "m.gjm")
-    assert loaded.counts == model.counts
+    assert _count_dict(loaded) == _count_dict(model)
     assert loaded.state_hash() == model.state_hash()
 
 
-def _two_contexts_sharing_an_entry(model):
-    by_entry = {}
-    for key, entry in model.counts.items():
-        by_entry.setdefault(id(entry), []).append(key)
-    return next(keys[:2] for keys in by_entry.values() if len(keys) > 1)
+def _two_contexts_with_equal_counts(counts):
+    by_pair = {}
+    for key, pair in counts.items():
+        by_pair.setdefault(pair, []).append(key)
+    return next(keys[:2] for keys in by_pair.values() if len(keys) > 1)
 
 
 @pytest.mark.parametrize("factory", [
@@ -1004,19 +1058,19 @@ def _two_contexts_sharing_an_entry(model):
     lambda: NeighborhoodModel(16, alpha=2.0),
 ], ids=["causal", "neighborhood"])
 def test_shared_entries_carry_no_change_across_contexts_or_models(factory):
-    """An update of one of two contexts that share an entry, an adaptive
-    pass over the model and training into a copy each leave the other
-    context and the original model as they were."""
+    """Copies share the trained rows.  An update of one of two contexts
+    with equal counts, an adaptive pass over the model and training into a
+    copy each leave the other context and the original model as they
+    were."""
     # order 1: contexts (3,) and (4,) both hold ((5,), (1,))
     m = train(factory(), [np.array([[3, 5, 9], [4, 5, 9], [0, 0, 1]])])
-    before, digest = dict(m.counts), m.state_hash()
-    one, other = _two_contexts_sharing_an_entry(m)
-    shared = m.counts[other]
+    before, rows, digest = _count_dict(m), m._rows, m.state_hash()
+    one, other = _two_contexts_with_equal_counts(before)
 
     dup = m.copy()
     dup.update(one, 15)
-    assert dup.counts[one] != shared
-    assert dup.counts[other] is shared and shared == before[other]
+    assert _count_dict(dup)[one] != before[other]
+    assert _count_dict(dup)[other] == before[other]
 
     if isinstance(m, CausalContextModel):
         ac_encode([3, 15, 15, 0, 15], m, adaptive=True)
@@ -1028,10 +1082,10 @@ def test_shared_entries_carry_no_change_across_contexts_or_models(factory):
     empty = factory()
     fresh = empty.copy()
     train(fresh, [np.full((3, 4), 15)])
-    assert empty.counts == {} and fresh.counts
+    assert _count_dict(empty) == {} and _count_dict(fresh)
 
-    assert m.counts == before
-    assert all(m.counts[k] is before[k] for k in before)
+    assert _count_dict(m) == before
+    assert m._rows is rows
     assert m.state_hash() == digest
     m._hash = None
     assert m.state_hash() == digest

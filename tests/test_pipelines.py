@@ -256,6 +256,33 @@ def test_bundled_sweep_golden_digest(name, digest):
     assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == digest
 
 
+# The weak artifacts of the bundled scenarios at full size: the codebook
+# file's SHA-256, the neighborhood model's state_hash, and the causal
+# model's state_hash that every packet stream carries.  A count that moves
+# in a context concealment rarely reads moves no CSV pin, but moves these.
+@pytest.mark.parametrize("name, codebook, neighbor, causal", [
+    ("fig5", "4db486e5e5577abf1c0dbca3bc8c212900bc0f5d248f1c2d047fb1ab787e48c3",
+     0xf7da90d227d8790e, 0x193061a247d5ba1c),
+    ("fig6", "418967544a6780f2202d2eeff874319868f68728f8c07a34dfc05625001cdd83",
+     0x63f3e8f934a7b3bf, 0x5ea9941248162bb0),
+], ids=["fig5", "fig6"])
+def test_bundled_trained_models_golden_digest(tmp_path, name, codebook,
+                                              neighbor, causal):
+    import hashlib
+
+    from gjcodec.pipelines import _artifact_key
+    from gjcodec.scenario import load_scenario
+    from gjcodec.vq import save_codebook
+    scn = validate_scenario(load_scenario(name, []))
+    sp = next(sp for sp in scn["schemes"] if sp["scheme"] == "weak_jscc")
+    code = build_context(dict(scn, schemes=[sp])).memo[
+        "artifact", *_artifact_key(sp)]
+    save_codebook(code.codebook, tmp_path / "cb")
+    got = (hashlib.sha256((tmp_path / "cb").read_bytes()).hexdigest(),
+           code.neighbor.state_hash(), {s.model_hash for s in code.streams})
+    assert got == (codebook, neighbor, {causal})
+
+
 def _mixed_scenario(kind):
     """weak_jscc beside digital schemes, small enough to sweep in a second."""
     scn = _base_scenario(
@@ -375,7 +402,7 @@ def test_sweep_work_counts_per_packet_not_per_record(monkeypatch):
         return real_decode(stream, model, adaptive)
 
     def serialize(model):
-        if model.counts:  # a trained model; coders start from empty ones
+        if len(model._rows):  # a trained model; coders start from empty ones
             trained_hashes.append(model.alphabet)
         return real_serialize(model)
 
