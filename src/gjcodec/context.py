@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -301,9 +302,11 @@ class _CountModel:
     record array of `_entry_dtype`, sorted, one run of rows per context
     with counts.  Rows are replaced, never changed, so copies share them.
 
-    `_runs` indexes the runs by context; `_memo` holds what code, decode or
-    predict derived from the counts, by context as passed in.  New counts
-    start a new index and memo, so copies share them while counts agree.
+    `_keys` holds each run's context packed into one integer, ascending,
+    and `_bounds` the row where each run starts, then len(_rows): 16 bytes
+    per context, built at the first lookup.  `_runs` memoises the rows of
+    each context looked up, `_memo` what code, decode or predict derived
+    from the counts.  New counts start all anew; copies share them till then.
     """
 
     kind: int
@@ -320,10 +323,7 @@ class _CountModel:
         self.context_len = context_len
         self.alpha_fp = _alpha_to_fp(alpha, alphabet)
         self._rows = np.zeros(0, _entry_dtype(context_len))
-        self._runs: dict | None = None
-        self._bounds: np.ndarray | None = None
-        self._hash: int | None = None
-        self._memo: dict = {}
+        self._merge(self._rows)  # no counts yet: sets the lookup state
 
     # -- counting ---------------------------------------------------------
 
@@ -355,9 +355,10 @@ class _CountModel:
             rows["count"] = counts
         rows.flags.writeable = False
         self._rows = rows
-        self._runs = None
-        self._hash = None
-        self._memo = {}
+        self._keys = self._bounds = None
+        self._runs: dict = {}
+        self._hash: int | None = None
+        self._memo: dict = {}
 
     def grid_contexts(self, grid) -> np.ndarray:
         """(cells, context_len) int16 keys: row i is the context of the i-th
@@ -380,25 +381,31 @@ class _CountModel:
 
     # -- lookup -----------------------------------------------------------
 
-    def _index(self) -> dict:
-        """Context -> number k of its run, rows _bounds[k] to _bounds[k + 1],
-        built by train or on first use, by zip over column lists, in C."""
-        if self._runs is None:
-            context = self._rows["context"]
-            starts = _run_starts(context)
-            columns = [column.tolist() for column in context[starts].T]
-            keys = zip(*columns) if columns else [()] * len(starts)
-            self._runs = dict(zip(keys, range(len(starts))))
-            self._bounds = np.append(starts, len(context))
-        return self._runs
+    def _find(self, key: tuple) -> range:
+        """The rows of a context key, empty if it has no counts: found by
+        bisection over `_keys` at the key's first lookup, then memoised."""
+        rows = self._runs.get(key)
+        if rows is None:
+            if self._keys is None:
+                starts = _run_starts(self._rows["context"])
+                self._keys = _packed(self._rows["context"][starts])
+                self._bounds = np.append(starts, len(self._rows))
+            packed = 0
+            for s in key:  # as _packed packs a row
+                packed = packed << 16 | s + 1
+            k = bisect_left(self._keys, packed)
+            rows = self._runs[key] = (
+                range(self._bounds[k], self._bounds[k + 1])
+                if k < len(self._keys) and self._keys[k] == packed else range(0))
+        return rows
 
     def _run(self, key: tuple) -> tuple[list[int], list[int]]:
         """(symbols, counts) of a context, empty if it has no counts, as
         lists of Python ints: sparse_pmf forms count * 2**32."""
-        k = self._index().get(key)
-        if k is None:
+        run = self._find(key)
+        if not run:
             return [], []
-        rows = self._rows[self._bounds[k]:self._bounds[k + 1]]
+        rows = self._rows[run.start:run.stop]
         return rows["symbol"].tolist(), rows["count"].tolist()
 
     # -- probabilities ----------------------------------------------------
@@ -563,7 +570,7 @@ class NeighborhoodModel(_CountModel):
         return self._checked(key)
 
     def _resolve_key(self, key: tuple) -> tuple:
-        while key not in self._index():
+        while not self._find(key):
             present = [i for i, s in enumerate(key) if s != ABSENT]
             if not present:
                 return key  # untrained marginal: uniform after smoothing
@@ -631,7 +638,6 @@ def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
     fresh["count"] = np.diff(starts, append=len(symbols))
     del keys, symbols, starts
     model._merge(fresh)
-    model._index()  # before a sweep forks, so its processes share it
     return model
 
 
@@ -643,6 +649,17 @@ def _run_starts(context: np.ndarray, symbols: np.ndarray | None = None):
     if symbols is not None:
         new[1:] |= symbols[1:] != symbols[:-1]
     return np.flatnonzero(new)
+
+
+def _packed(context: np.ndarray):
+    """Each row of (n, context_len) `context` as one integer, 16 bits per
+    symbol + 1 (ABSENT is 0), sorting as the rows do: an array('Q') up to
+    four symbols, exact Python ints in an object array beyond."""
+    wide = context.shape[1] > 4
+    packed = np.zeros(len(context), object if wide else np.uint64)
+    for column in context.T:
+        packed = packed << 16 | (column.astype(np.int64) + 1).astype(packed.dtype)
+    return packed if wide else array("Q", packed.tobytes())
 
 
 def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:

@@ -11,10 +11,15 @@ from gjcodec.entropy import ac_encode
 from gjcodec.errors import ParameterError
 
 
+def _contexts(model):
+    """Every context the model's rows hold counts for, in row order."""
+    return list(dict.fromkeys(map(tuple, model._rows["context"].tolist())))
+
+
 def _count_dict(model):
-    """{context: (symbols, counts)} of every context the model's index
-    holds, each pair read through its lookup."""
-    return {key: tuple(map(tuple, model._run(key))) for key in model._index()}
+    """{context: (symbols, counts)} of every context the model's rows
+    hold, each pair read through its lookup."""
+    return {key: tuple(map(tuple, model._run(key))) for key in _contexts(model)}
 
 
 def _with_counts(model, counts):
@@ -30,7 +35,7 @@ def _assert_counts(model, frozen):
     pair, and no other context looks up any count."""
     for key, (symbols, counts) in frozen.items():
         assert model._run(key) == (list(symbols), list(counts)), key
-    assert model._index().keys() == frozen.keys()
+    assert set(_contexts(model)) == frozen.keys()
 
 
 def test_untrained_model_is_uniform():
@@ -241,7 +246,7 @@ def test_trained_copy_shares_no_mutable_state(rng, factory):
     they were."""
     m = train(factory(), [rng.integers(0, 40, (20, 20))])
     saved, digest = m._serialize(), m.state_hash()
-    key = next(iter(m._index()))
+    key = _contexts(m)[0]
     symbols = m._run(key)[0]
     dup = m.copy()
     dup.update(key, symbols[0])
@@ -459,7 +464,7 @@ def test_predict_memo_follows_the_counts(rng):
     assert m.predict(marginal)[0] == 1
     grid = rng.integers(0, 8, (7, 7))
     train(m, [grid])
-    for ctx in m._index():
+    for ctx in _contexts(m):
         w = m.coding_table(ctx)[0]
         assert m.predict(ctx) == (int(np.argmax(w)), int(w.max()))
 
@@ -649,8 +654,33 @@ def test_neighborhood_training_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(m._index()) > 6000
+    assert len(_contexts(m)) > 6000
     assert peak < 6 * 2**20
+
+
+def test_lookup_index_is_built_at_the_first_lookup_and_stays_small():
+    """train holds the entry rows and no lookup index.  Looking up 2.5% of
+    the contexts, about the share a bundled sweep reads, then holds at most
+    24 bytes per context beyond the rows: the packed keys, the run bounds
+    and the memo (a dict index held 171)."""
+    import tracemalloc
+    corpus = [np.random.default_rng(0).integers(0, 256, (24, 24))]
+    contexts = _contexts(train(NeighborhoodModel(256), corpus))
+    probes = contexts[::40] + [(255,) * 4]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        m = train(NeighborhoodModel(256), corpus)
+        trained = tracemalloc.get_traced_memory()[0]
+        assert m._keys is None
+        for key in probes:
+            m._run(m._resolve_key(key))
+        looked_up = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(contexts) > 6000
+    assert trained - start < m._rows.nbytes + 4096
+    assert looked_up - trained <= 24 * len(contexts)
 
 
 def _per_entry_load_model(path):
@@ -986,6 +1016,60 @@ def test_train_and_load_match_the_frozen_count_dict(tmp_path, kind, alphabet):
             assert got._resolve_key(key) == loaded._resolve_key(key) == want
         for key in untrained:
             assert got._run(key) == loaded._run(key) == ([], [])
+
+
+def _absent_keys(rng, model, frozen):
+    """Seeded context keys without counts: random ones, each context with
+    its last symbol moved up by one, and the all-ABSENT and all-top keys."""
+    alphabet, n = model.alphabet, model.context_len
+    keys = [tuple(key) for key in
+            rng.integers(ABSENT, alphabet, (200, n)).tolist()]
+    keys += [key[:-1] + (key[-1] + 1,) for key in frozen
+             if n and key[-1] + 1 < alphabet]
+    keys += [(ABSENT,) * n, (alphabet - 1,) * n]
+    return [key for key in dict.fromkeys(keys) if key not in frozen]
+
+
+def _assert_lookups(model, counts, keys):
+    """_resolve_key of a neighborhood model, then _run and the membership
+    test (a non-empty _find), answer each of `keys` as a walk over the
+    frozen count dict `counts` does."""
+    if isinstance(model, NeighborhoodModel):
+        for key in keys:
+            assert model._resolve_key(key) == _frozen_resolve_key(counts, key)
+    for key in keys:
+        symbols, values = counts.get(key, ((), ()))
+        assert model._run(key) == (list(symbols), list(values)), key
+        assert bool(model._find(key)) == (key in counts), key
+
+
+@pytest.mark.parametrize("alphabet", [2, 256, 32768])
+@pytest.mark.parametrize("kind", [0, 1, 2, 5, 8, "neighborhood"])
+def test_lookup_matches_the_frozen_dict_walk(tmp_path, kind, alphabet):
+    """Lookups answer as the frozen dict walk on every context with counts
+    and on seeded absent keys, for a model untrained, trained, trained
+    again after lookups, loaded, and copied before its first lookup, after
+    it, and before it was trained again.  The corpus holds the top symbol,
+    so contexts hold it beside ABSENT; a context of five or more symbols
+    packs wider than 64 bits."""
+    rng = np.random.default_rng(alphabet + 31 * (kind == "neighborhood"))
+    corpus = _skewed_corpus(rng, alphabet) + [np.full((2, 3), alphabet - 1)]
+    more = _skewed_corpus(rng, alphabet)
+    empty = _fresh(kind, alphabet)
+    _assert_lookups(empty, {}, _absent_keys(rng, empty, {}))
+    model = train(_fresh(kind, alphabet), corpus)
+    once = _frozen_train(model, corpus, {})
+    keys = list(once) + _absent_keys(rng, model, once)
+    _assert_lookups(model, once, keys)
+    before = model.copy()
+    train(model, more)
+    twice = _frozen_train(model, more, dict(once))
+    model.save(tmp_path / "m")
+    early = model.copy()
+    keys = list(twice) + _absent_keys(rng, model, twice) + keys
+    for got in (model, load_model(tmp_path / "m"), early, model.copy()):
+        _assert_lookups(got, twice, keys)
+    _assert_lookups(before, once, keys)
 
 
 def _struct_save(model, counts) -> bytes:

@@ -66,3 +66,16 @@ def test_no_module_imports_a_name_it_never_uses():
                     a.asname or a.name.split(".")[0] for a in node.names)
                     if name not in read]
     assert unused == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """The oldest Python the project supports parses every file of the
+    package, the tests and the benchmark (syntax only: a newer standard
+    library name still passes)."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(path for part in ("src", "tests", "gjbench")
+                   for path in (root / part).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

@@ -256,31 +256,55 @@ def test_bundled_sweep_golden_digest(name, digest):
     assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == digest
 
 
-# The weak artifacts of the bundled scenarios at full size: the codebook
-# file's SHA-256, the neighborhood model's state_hash, and the causal
-# model's state_hash that every packet stream carries.  A count that moves
-# in a context concealment rarely reads moves no CSV pin, but moves these.
-@pytest.mark.parametrize("name, codebook, neighbor, causal", [
+# The artifacts of the bundled scenarios at full size that read the trained
+# counts: the codebook file's SHA-256, the neighborhood model's state_hash,
+# the causal model's state_hash that every packet stream carries, the
+# SHA-256 of the per-stream SHA-256s of the weak packet payloads, and the
+# SHA-256 of the digital stream's payload and of its FEC block's packets
+# (fig6 only: fig5 sends no FEC block) with the packet length.  A count
+# that moves in a context concealment rarely reads moves no CSV pin, but
+# moves these.
+@pytest.mark.parametrize("name, codebook, neighbor, causal, packets, digital, fec", [
     ("fig5", "4db486e5e5577abf1c0dbca3bc8c212900bc0f5d248f1c2d047fb1ab787e48c3",
-     0xf7da90d227d8790e, 0x193061a247d5ba1c),
+     0xf7da90d227d8790e, 0x193061a247d5ba1c,
+     "d46de3c89f6507089386e3777ff07fe329550c6a8a1f61fe6781484d395b9d97",
+     "80815ab03f31e693a9b4a1c9bf8ba63448e108d25da203cc926654ce5840951b",
+     None),
     ("fig6", "418967544a6780f2202d2eeff874319868f68728f8c07a34dfc05625001cdd83",
-     0x63f3e8f934a7b3bf, 0x5ea9941248162bb0),
+     0x63f3e8f934a7b3bf, 0x5ea9941248162bb0,
+     "53670eb41ca6c6b2759a6c6aac958f3d2398411610a11c54707d454e1b43ea06",
+     "9cc11a4e70e44ebc50f100959e53b849a8ebd46489472e86b6aef4c7f5cb128b",
+     ("ac215451aa22951a2378ebbfe911c8d39545866698cba86cc3e6fd521c5b24a2", 51)),
 ], ids=["fig5", "fig6"])
 def test_bundled_trained_models_golden_digest(tmp_path, name, codebook,
-                                              neighbor, causal):
+                                              neighbor, causal, packets,
+                                              digital, fec):
     import hashlib
 
     from gjcodec.pipelines import _artifact_key
     from gjcodec.scenario import load_scenario
     from gjcodec.vq import save_codebook
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
     scn = validate_scenario(load_scenario(name, []))
-    sp = next(sp for sp in scn["schemes"] if sp["scheme"] == "weak_jscc")
-    code = build_context(dict(scn, schemes=[sp])).memo[
-        "artifact", *_artifact_key(sp)]
+    weak, dig = (next(sp for sp in scn["schemes"] if sp["scheme"] == scheme)
+                 for scheme in ("weak_jscc", "digital_separate"))
+    memo = build_context(dict(scn, schemes=[weak, dig])).memo
+    code = memo["artifact", *_artifact_key(weak)]
+    stream, _, block = memo["artifact", *_artifact_key(dig)]
     save_codebook(code.codebook, tmp_path / "cb")
-    got = (hashlib.sha256((tmp_path / "cb").read_bytes()).hexdigest(),
-           code.neighbor.state_hash(), {s.model_hash for s in code.streams})
-    assert got == (codebook, neighbor, {causal})
+    got = (sha((tmp_path / "cb").read_bytes()), code.neighbor.state_hash(),
+           {s.model_hash for s in code.streams},
+           sha(b"".join(hashlib.sha256(s.payload).digest()
+                        for s in code.streams)),
+           sha(stream.payload))
+    assert got == (codebook, neighbor, {causal}, packets, digital)
+    if block is not None:
+        assert [p.index for p in block[0]] == list(range(len(block[0])))
+        block = sha(b"".join(p.payload for p in block[0])), block[1]
+    assert block == fec
 
 
 def _mixed_scenario(kind):
