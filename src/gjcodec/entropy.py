@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import AdaptiveCounts, CausalContextModel
+from .context import PMF_BITS, PMF_TOTAL, AdaptiveCounts, CausalContextModel
 from .errors import (CorruptStreamError, ModelMismatchError, ParameterError,
                      read_header)
 
@@ -121,11 +121,12 @@ def _encode(syms: list[int], model: CausalContextModel,
     range_ = _TWO64
     top = model.alphabet - 1
     order = model.order
+    bits = PMF_BITS
     hist: tuple = ()
     for s in syms:
         lo, width = pricer.code(hist, s)
         widths.append(width)
-        r = range_ >> 16
+        r = range_ >> bits
         base = r * lo
         low += base
         if low >= _TWO64:
@@ -162,7 +163,7 @@ def _ideal_cost(widths: list[int]) -> float:
     would add it (np.sum's pairwise order could differ in the last bit)."""
     if not widths:
         return 0.0
-    return float(np.add.accumulate(16.0 - np.log2(widths))[-1])
+    return float(np.add.accumulate(PMF_BITS - np.log2(widths))[-1])
 
 
 def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bitstream:
@@ -196,7 +197,7 @@ def _max_symbols(payload_bytes: int, alphabet: int) -> int:
     renormalisation multiplies it by 2**16 and emits two payload bytes, so
     n * delta <= 32 + 8 * bytes, with delta = -log2 of that factor (rounded
     down here, so float rounding cannot reject a valid stream)."""
-    shrink = (alphabet - 1) * 0xFFFF / _TWO32   # exact in a float
+    shrink = (alphabet - 1) * (PMF_TOTAL - 1) / _TWO32   # exact in a float
     delta = -math.log1p(-shrink) / math.log(2) * (1 - 2 ** -20)
     return math.floor((8 * payload_bytes + 32) / delta)
 
@@ -241,13 +242,14 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
 
     top = model.alphabet - 1
     order = model.order
+    bits, v_max = PMF_BITS, PMF_TOTAL - 1
     hist: tuple = ()
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
-        r = range_ >> 16
+        r = range_ >> bits
         v = c // r
-        if v > 0xFFFF:
-            v = 0xFFFF
+        if v > v_max:
+            v = v_max
         s, lo, width = pricer.decode(hist, v)
         base = r * lo
         c -= base

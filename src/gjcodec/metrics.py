@@ -19,7 +19,6 @@ class MetricsRow:
     bandwidth_ratio: float
     mse: float
     psnr: float
-    decode_failed: bool = False
 
 
 def psnr_from_mse(mse: float) -> float:

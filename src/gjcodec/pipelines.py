@@ -21,11 +21,11 @@ record by record regardless of execution order.
 
 `build_context` takes a scenario that `validate_scenario` returned and does
 all work that does not depend on a record's channel draw, once, and keeps
-it in the context's one memo, under two tags: each artifact under
-("artifact", scheme, its artifact fields), and every record whose runner
-draws no randomness (digital and weak JSCC under snr_db) under ("record",
-scheme index, condition index), repeated for each trial with its own
-`seed`.  An artifact is a digital stream, its decoded image and, under
+it in two maps of the context: `artifacts`, each under (scheme, its
+artifact fields), and `records`, every record whose runner draws no
+randomness (digital and weak JSCC under snr_db) under (scheme index,
+condition index), repeated for each trial with its own `seed`.  An
+artifact is a digital stream, its decoded image and, under
 loss conditions, its FEC block, encoded once with every parity packet a
 block can hold; a weak-JSCC codebook, models and packets, each packet
 decoded and verified once; or an analog code.  No artifact reads another
@@ -133,14 +133,15 @@ class WeakCode:
 
 @dataclasses.dataclass
 class SweepContext:
-    """Everything shared across the records of one scenario.  `memo` holds
-    what `build_context` built, under the tagged keys of the module
-    docstring."""
+    """Everything shared across the records of one scenario.  `artifacts`
+    and `records` hold what `build_context` built, under the keys of the
+    module docstring."""
 
     scenario: dict
     image: ImageGrid
     budget_symbols: int
-    memo: dict = dataclasses.field(default_factory=dict)
+    artifacts: dict = dataclasses.field(default_factory=dict)
+    records: dict = dataclasses.field(default_factory=dict)
 
 
 def _artifact_key(sp: dict) -> tuple:
@@ -150,7 +151,7 @@ def _artifact_key(sp: dict) -> tuple:
 
 def _artifact(ctx: SweepContext, sp: dict):
     """The scheme's artifact for `sp`."""
-    return ctx.memo["artifact", *_artifact_key(sp)]
+    return ctx.artifacts[_artifact_key(sp)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +229,6 @@ def _build_digital(ctx: SweepContext, sp: dict):
                                  step, alphabet), block
 
 
-def _fallback_image(image: ImageGrid) -> ImageGrid:
-    """Failure output: the per-image mean gray level everywhere."""
-    level = int(round(float(image.samples.mean())))
-    return ImageGrid(np.full(image.samples.shape, level, dtype=np.uint8))
-
-
 # ---------------------------------------------------------------------------
 # Weak joint coding (token domain)
 
@@ -302,13 +297,20 @@ def _build_analog(ctx: SweepContext, sp: dict):
 # record's generator for a runner that draws randomness.
 
 
-def _row(label: str, condition, metrics, mcs_index=None, fec_r=None,
+def _row(ctx: SweepContext, sp: dict, condition, recon, bits: int,
+         symbols: int, mcs_index=None, fec_r=None,
          realized_loss_rate=None) -> dict:
-    """A record without its trial; `run_record` fills in `seed`."""
-    return {"scheme": label, "condition": condition, "seed": None,
-            "bpp": metrics.bpp, "bandwidth_ratio": metrics.bandwidth_ratio,
-            "mse": metrics.mse, "psnr": metrics.psnr,
-            "decode_failed": metrics.decode_failed, "mcs_index": mcs_index,
+    """The record, without its trial (`run_record` sets `seed`), of `recon`
+    charged `bits` and `symbols` channel uses.  A failed decode (`recon`
+    None) shows the source's mean gray level everywhere."""
+    failed = recon is None
+    if failed:
+        level = round(float(ctx.image.samples.mean()))
+        recon = ImageGrid(np.full_like(ctx.image.samples, level))
+    m = compute_metrics(ctx.image, recon, bits, symbols)
+    return {"scheme": sp["label"], "condition": condition, "seed": None,
+            "bpp": m.bpp, "bandwidth_ratio": m.bandwidth_ratio, "mse": m.mse,
+            "psnr": m.psnr, "decode_failed": failed, "mcs_index": mcs_index,
             "fec_r": fec_r, "realized_loss_rate": realized_loss_rate}
 
 
@@ -320,10 +322,8 @@ def _run_digital_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
     bits = stream.payload_bits
     capacity = int(math.floor(ctx.budget_symbols * eff))
     ok = snr_db >= min_snr and bits <= capacity
-    recon = decoded if ok else _fallback_image(ctx.image)
-    m = compute_metrics(ctx.image, recon, bits, ctx.budget_symbols)
-    m.decode_failed = not ok
-    return _row(sp["label"], snr_db, m, mcs_index=idx)
+    return _row(ctx, sp, snr_db, decoded if ok else None, bits,
+                ctx.budget_symbols, mcs_index=idx)
 
 
 def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
@@ -339,9 +339,8 @@ def _run_weak_snr(ctx: SweepContext, sp: dict, snr_db: float) -> dict:
             break
         used += stream.payload_bits
         delivered.add(p)
-    recon = _weak_reconstruct(ctx, sp, code, delivered)
-    m = compute_metrics(ctx.image, recon, used, ctx.budget_symbols)
-    return _row(sp["label"], snr_db, m, mcs_index=idx)
+    return _row(ctx, sp, snr_db, _weak_reconstruct(ctx, sp, code, delivered),
+                used, ctx.budget_symbols, mcs_index=idx)
 
 
 def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
@@ -355,8 +354,7 @@ def _run_analog_snr(ctx: SweepContext, sp: dict, snr_db: float, rng) -> dict:
                                 snr_db, fitted_vars)
     # Channel accounting charges the provisioned budget, not the m*blocks
     # symbols actually modulated, so the ratio matches the other schemes.
-    m = compute_metrics(ctx.image, recon, 0, ctx.budget_symbols)
-    return _row(sp["label"], snr_db, m)
+    return _row(ctx, sp, snr_db, recon, 0, ctx.budget_symbols)
 
 
 def _loss_trace(ctx: SweepContext, loss: float, rng) -> np.ndarray:
@@ -397,10 +395,8 @@ def _run_digital_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
         ok = recovered[:len(stream.payload)] == stream.payload
     except FecDecodeError:
         ok = False
-    recon = decoded if ok else _fallback_image(ctx.image)
-    m = compute_metrics(ctx.image, recon, bits, bits)
-    m.decode_failed = not ok
-    return _row(sp["label"], loss, m, fec_r=r, realized_loss_rate=realized)
+    return _row(ctx, sp, loss, decoded if ok else None, bits, bits, fec_r=r,
+                realized_loss_rate=realized)
 
 
 def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
@@ -410,9 +406,8 @@ def _run_weak_loss(ctx: SweepContext, sp: dict, loss: float, rng) -> dict:
     delivered = {p for p, gone in enumerate(slots) if not gone}
     realized = float(np.mean(slots))
     bits = sum(s.payload_bits for s in code.streams)
-    recon = _weak_reconstruct(ctx, sp, code, delivered)
-    m = compute_metrics(ctx.image, recon, bits, bits)
-    return _row(sp["label"], loss, m, realized_loss_rate=realized)
+    return _row(ctx, sp, loss, _weak_reconstruct(ctx, sp, code, delivered),
+                bits, bits, realized_loss_rate=realized)
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +458,15 @@ def build_context(scn: dict) -> SweepContext:
                 f"{sp['label']!r} {budget} symbols, less than one for each "
                 f"of its {blocks} {BLOCK}x{BLOCK} blocks")
     ctx = SweepContext(scenario=scn, image=image, budget_symbols=budget)
-    memo, kind = ctx.memo, scn["conditions"]["kind"]
+    kind = scn["conditions"]["kind"]
     for si, sp in enumerate(scn["schemes"]):
         scheme, key = _SCHEMES[sp["scheme"]], _artifact_key(sp)
-        if ("artifact", *key) not in memo:
-            memo["artifact", *key] = scheme.build(ctx, sp)
+        if key not in ctx.artifacts:
+            ctx.artifacts[key] = scheme.build(ctx, sp)
         runner, draws = scheme.runs[kind]
         if not draws:
             for ci, value in enumerate(scn["conditions"]["values"]):
-                memo["record", si, ci] = runner(ctx, sp, value)
+                ctx.records[si, ci] = runner(ctx, sp, value)
     return ctx
 
 
@@ -485,7 +480,7 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
         rng = np.random.default_rng(derive_seed(scn["seed"], cond_idx, trial))
         row = runner(ctx, sp, scn["conditions"]["values"][cond_idx], rng)
     else:
-        row = ctx.memo["record", scheme_idx, cond_idx]
+        row = ctx.records[scheme_idx, cond_idx]
     return dict(row, seed=trial)
 
 
@@ -494,6 +489,7 @@ def run_record(ctx: SweepContext, scheme_idx: int, cond_idx: int,
 
 
 _CHUNK = 4  # one process for each started chunk of this many records
+_MAX_JOBS = 64  # and no more processes than this, whatever `jobs` asks
 
 
 def _run_share(ctx: SweepContext, share: list, conn) -> None:
@@ -563,7 +559,7 @@ def sweep(scn: dict, jobs: int = 1) -> list[dict]:
              for si in range(len(scn["schemes"]))
              for ci in range(len(scn["conditions"]["values"]))
              for ti in range(scn["num_seeds"])]
-    jobs = min(jobs, -(-len(tasks) // _CHUNK))
+    jobs = min(jobs, _MAX_JOBS, -(-len(tasks) // _CHUNK))
     if jobs > 1:
         import multiprocessing as mp
         if "fork" not in mp.get_all_start_methods():

@@ -16,7 +16,6 @@ def test_identical_images():
     m = compute_metrics(_flat(33), _flat(33), 0, 0)
     assert m.mse == 0.0
     assert math.isinf(m.psnr)
-    assert not m.decode_failed
 
 
 def test_bandwidth_ratio_definition():

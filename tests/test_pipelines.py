@@ -216,6 +216,28 @@ def test_sweep_without_fork_runs_serially(monkeypatch):
     assert records_to_csv(sweep(scn, jobs=2)) == serial
 
 
+def test_sweep_process_count_is_capped(monkeypatch):
+    """A `jobs` far beyond the records' chunks asks for no more than
+    _MAX_JOBS processes.  _fan_out is replaced by an in-process run, so no
+    process is started."""
+    import gjcodec.pipelines as pipelines
+
+    scn = _base_scenario(num_seeds=150, schemes=[{"scheme": "analog_jscc",
+                                                  "label": "analog"}])
+    serial = records_to_csv(sweep(scn))
+    asked = []
+    real_fan_out = pipelines._fan_out
+
+    def fan_out(ctx, tasks, jobs):
+        asked.append(jobs)
+        return real_fan_out(ctx, tasks, 1)
+
+    monkeypatch.setattr(pipelines, "_fan_out", fan_out)
+    assert serial.count("\n") == 1 + 300  # 75 chunks of four records
+    assert records_to_csv(sweep(scn, jobs=10 ** 6)) == serial
+    assert asked == [pipelines._MAX_JOBS] == [64]
+
+
 def test_analog_scheme_reports_budget_bandwidth():
     recs = [r for r in sweep(_base_scenario()) if r["scheme"] == "analog"]
     assert all(r["bandwidth_ratio"] == pytest.approx(51 / 1024) for r in recs)
@@ -256,55 +278,124 @@ def test_bundled_sweep_golden_digest(name, digest):
     assert hashlib.sha256(csv_text.encode("ascii")).hexdigest() == digest
 
 
-# The artifacts of the bundled scenarios at full size that read the trained
-# counts: the codebook file's SHA-256, the neighborhood model's state_hash,
-# the causal model's state_hash that every packet stream carries, the
-# SHA-256 of the per-stream SHA-256s of the weak packet payloads, and the
-# SHA-256 of the digital stream's payload and of its FEC block's packets
-# (fig6 only: fig5 sends no FEC block) with the packet length.  A count
-# that moves in a context concealment rarely reads moves no CSV pin, but
-# moves these.
-@pytest.mark.parametrize("name, codebook, neighbor, causal, packets, digital, fec", [
-    ("fig5", "4db486e5e5577abf1c0dbca3bc8c212900bc0f5d248f1c2d047fb1ab787e48c3",
-     0xf7da90d227d8790e, 0x193061a247d5ba1c,
-     "d46de3c89f6507089386e3777ff07fe329550c6a8a1f61fe6781484d395b9d97",
-     "80815ab03f31e693a9b4a1c9bf8ba63448e108d25da203cc926654ce5840951b",
-     None),
-    ("fig6", "418967544a6780f2202d2eeff874319868f68728f8c07a34dfc05625001cdd83",
-     0x63f3e8f934a7b3bf, 0x5ea9941248162bb0,
-     "53670eb41ca6c6b2759a6c6aac958f3d2398411610a11c54707d454e1b43ea06",
-     "9cc11a4e70e44ebc50f100959e53b849a8ebd46489472e86b6aef4c7f5cb128b",
-     ("ac215451aa22951a2378ebbfe911c8d39545866698cba86cc3e6fd521c5b24a2", 51)),
-], ids=["fig5", "fig6"])
-def test_bundled_trained_models_golden_digest(tmp_path, name, codebook,
-                                              neighbor, causal, packets,
-                                              digital, fec):
+# What build_context builds for the bundled scenarios at full size, stage by
+# stage in build order: the source image; per artifact, in the order of the
+# scheme entries, the digital symbols, the SHA-256 of the digital stream's
+# payload, its FEC block's packets with the packet length (fig6 only: fig5
+# sends no FEC block) and the decoded image; the codebook file's SHA-256, the
+# neighborhood model's state_hash, the causal model's state_hash that every
+# packet stream carries, the token grid and the SHA-256 of the per-stream
+# SHA-256s of the weak packet payloads; the analog fitted variances and
+# symbols; and the draw-free records as CSV lines in (scheme, condition)
+# order.  A count that moves in a context concealment rarely reads moves no
+# CSV pin, but moves these; a mismatch names the first stage that moved.
+_BUILD_STAGES = {
+    "fig5": {
+        "source image":
+            "f32e727f4bfbea55c6796770b7c3e6a3899c15e03cb83d3c2d5ec720c1892305",
+        "digital symbols":
+            "1142110a762d345584caf171cef866c669ffc06a0efc26cdc07ba3b73187c8d6",
+        "digital stream":
+            "80815ab03f31e693a9b4a1c9bf8ba63448e108d25da203cc926654ce5840951b",
+        "decoded image":
+            "18252bc905a48fb492c3a215158c56e642b0168dcadd63aade758678316ca741",
+        "codebook":
+            "4db486e5e5577abf1c0dbca3bc8c212900bc0f5d248f1c2d047fb1ab787e48c3",
+        "neighborhood model": 0xf7da90d227d8790e,
+        "causal model": {0x193061a247d5ba1c},
+        "token grid":
+            "799ad746b688c486b1f36d6e557ddd88166c885b2ea10fdc02a2badc698e19b9",
+        "packets":
+            "d46de3c89f6507089386e3777ff07fe329550c6a8a1f61fe6781484d395b9d97",
+        "analog variances":
+            "5421e83d8a0ef1b0b9386481261dada5b85b4eefe8eb9be83185bfc87fbfa36f",
+        "analog symbols":
+            "3786e5156e896d7573722512270b8f35f8688f4741dfbfe0cab5837285d7ed94",
+        "records":
+            "4bf1249b926fe4bb119f76aba178a6137561e584d97aab50179e28c4399271ec",
+    },
+    "fig6": {
+        "source image":
+            "db397f6a7fdf6082d598ae1cefe8032c6a0099322db55c5539b5f308701fb730",
+        "codebook":
+            "418967544a6780f2202d2eeff874319868f68728f8c07a34dfc05625001cdd83",
+        "neighborhood model": 0x63f3e8f934a7b3bf,
+        "causal model": {0x5ea9941248162bb0},
+        "token grid":
+            "9397d38be34f8f6dd421ea63682077322dbaea9a52359be55e48311bde95425b",
+        "packets":
+            "53670eb41ca6c6b2759a6c6aac958f3d2398411610a11c54707d454e1b43ea06",
+        "digital symbols":
+            "e9b2706cfeb753ecc4724c0dfeaba0aa604d3d11c83fcc6ec800957df6414caf",
+        "digital stream":
+            "9cc11a4e70e44ebc50f100959e53b849a8ebd46489472e86b6aef4c7f5cb128b",
+        "FEC block": (
+            "ac215451aa22951a2378ebbfe911c8d39545866698cba86cc3e6fd521c5b24a2",
+            51),
+        "decoded image":
+            "1f531a98e1054157894520d1956cffb0437058619911f12bf0de098ae5313256",
+        "records":
+            "af7504c83c08639feae2fec5206899f95dbf19a34ae9c6ed354afac8d5246366",
+    },
+}
+
+
+def _build_stages(ctx, tmp_path) -> dict:
+    """{stage: digest} of a built context, in build order."""
     import hashlib
 
     from gjcodec.pipelines import _artifact_key
-    from gjcodec.scenario import load_scenario
     from gjcodec.vq import save_codebook
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
-    scn = validate_scenario(load_scenario(name, []))
-    weak, dig = (next(sp for sp in scn["schemes"] if sp["scheme"] == scheme)
-                 for scheme in ("weak_jscc", "digital_separate"))
-    memo = build_context(dict(scn, schemes=[weak, dig])).memo
-    code = memo["artifact", *_artifact_key(weak)]
-    stream, _, block = memo["artifact", *_artifact_key(dig)]
-    save_codebook(code.codebook, tmp_path / "cb")
-    got = (sha((tmp_path / "cb").read_bytes()), code.neighbor.state_hash(),
-           {s.model_hash for s in code.streams},
-           sha(b"".join(hashlib.sha256(s.payload).digest()
-                        for s in code.streams)),
-           sha(stream.payload))
-    assert got == (codebook, neighbor, {causal}, packets, digital)
-    if block is not None:
-        assert [p.index for p in block[0]] == list(range(len(block[0])))
-        block = sha(b"".join(p.payload for p in block[0])), block[1]
-    assert block == fec
+    def array(a, dtype):
+        return sha(np.ascontiguousarray(a, dtype=dtype).tobytes())
+
+    stages = {"source image": sha(ctx.image.samples.tobytes())}
+    for sp in ctx.scenario["schemes"]:
+        built = ctx.artifacts[_artifact_key(sp)]
+        if sp["scheme"] == "digital_separate":
+            stream, decoded, block = built
+            stages["digital symbols"] = array(
+                digital_symbols(ctx.image, sp["sq_step"], sp["sq_alphabet"]),
+                "<i8")
+            stages["digital stream"] = sha(stream.payload)
+            if block is not None:
+                packets, plen = block
+                assert [p.index for p in packets] == list(range(len(packets)))
+                stages["FEC block"] = (
+                    sha(b"".join(p.payload for p in packets)), plen)
+            stages["decoded image"] = sha(decoded.samples.tobytes())
+        elif sp["scheme"] == "weak_jscc":
+            save_codebook(built.codebook, tmp_path / "cb")
+            stages["codebook"] = sha((tmp_path / "cb").read_bytes())
+            stages["neighborhood model"] = built.neighbor.state_hash()
+            stages["causal model"] = {s.model_hash for s in built.streams}
+            stages["token grid"] = array(built.tokens, "<i8")
+            stages["packets"] = sha(b"".join(hashlib.sha256(s.payload).digest()
+                                              for s in built.streams))
+        else:
+            fitted_vars, code = built
+            stages["analog variances"] = array(fitted_vars, "<f8")
+            stages["analog symbols"] = array(code.symbols, "<f8")
+    records = [row for _, row in sorted(ctx.records.items())]
+    stages["records"] = sha(records_to_csv(records).encode("ascii"))
+    return stages
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6"])
+def test_bundled_trained_models_golden_digest(tmp_path, name):
+    from gjcodec.scenario import load_scenario
+
+    want = _BUILD_STAGES[name]
+    ctx = build_context(validate_scenario(load_scenario(name, [])))
+    got = _build_stages(ctx, tmp_path)
+    moved = [stage for stage in want if got.get(stage) != want[stage]]
+    assert not moved, (f"first moved stage: {moved[0]}; "
+                       f"every moved stage: {', '.join(moved)}")
+    assert list(got) == list(want)
 
 
 def _mixed_scenario(kind):
@@ -390,22 +481,22 @@ def test_bandpass_texture_keeps_block_means_at_the_source_mean():
 @pytest.mark.parametrize("kind", ["snr_db", "loss"])
 def test_built_context_is_complete(kind):
     """Every task runs on a built context, which holds all it reads (a
-    missing key would be a KeyError), and adds nothing to its memo, so no
-    record of any share builds anything."""
+    missing key would be a KeyError), and adds nothing to its artifacts or
+    records, so no record of any share builds anything."""
     ctx = build_context(validate_scenario(_mixed_scenario(kind)))
-    built = dict(ctx.memo)
+    artifacts, records = dict(ctx.artifacts), dict(ctx.records)
     scn = ctx.scenario
     for si in range(len(scn["schemes"])):
         for ci in range(len(scn["conditions"]["values"])):
             for trial in range(scn["num_seeds"]):
                 run_record(ctx, si, ci, trial)
-    assert ctx.memo.keys() == built.keys()
+    assert ctx.artifacts.keys() == artifacts.keys()
+    assert ctx.records.keys() == records.keys()
     # every record at loss draws its channel; at snr_db only analog does
-    assert {key[0] for key in built} == (
-        {"artifact"} if kind == "loss" else {"artifact", "record"})
+    assert artifacts and bool(records) == (kind == "snr_db")
     # under loss every digital artifact carries its FEC block
-    digital = [value for key, value in built.items()
-               if key[:2] == ("artifact", "digital_separate")]
+    digital = [value for key, value in artifacts.items()
+               if key[0] == "digital_separate"]
     assert digital
     assert all((block is not None) == (kind == "loss")
                for _, _, block in digital)
@@ -498,9 +589,9 @@ def test_fec_block_depends_on_its_own_scheme_entry():
     alone = dict(scn, schemes=[scn["schemes"][1]])
 
     def block(ctx):
-        (_, _, (packets, plen)), = (value for key, value in ctx.memo.items()
-                                    if key[:2] == ("artifact",
-                                                   "digital_separate"))
+        (_, _, (packets, plen)), = (value
+                                    for key, value in ctx.artifacts.items()
+                                    if key[0] == "digital_separate")
         return [(p.index, p.payload) for p in packets], plen
 
     assert (block(build_context(validate_scenario(scn)))
@@ -652,7 +743,8 @@ def test_memoised_records_match_a_fresh_context(kind, monkeypatch):
     assert len(conceal_calls) == (len(values) if kind == "snr_db" else 0)
     for si, sp in enumerate(scn["schemes"]):
         for ci, value in enumerate(values):
-            for trial in (1, 2):  # the memo holds no trial; the sweep's rows do
+            # a built record holds no trial; the sweep's rows do
+            for trial in (1, 2):
                 row = run_record(ctx, si, ci, trial)
                 assert list(row) == list(CSV_COLUMNS)
                 assert row == next(r for r in recs
