@@ -53,6 +53,7 @@ from .context import CausalContextModel, NeighborhoodModel, train
 from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
+from .kernels import load_kernel
 from .metrics import compute_metrics
 from .scenario import check_tile, validate_scenario
 from .sources import ImageGrid, ar1_field, load_pgm
@@ -61,6 +62,8 @@ from .transform import (BLOCK, block_coefficients, block_pixels, merge_blocks,
                         symbol_to_signed, signed_to_symbol)
 from .vq import (Codebook, assemble_patches, extract_patches, tokenize,
                  vq_decode, vq_train)
+
+_nd_image = load_kernel("ndimage._nd_image")
 
 CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "psnr", "decode_failed", "mcs_index", "fec_r",
@@ -89,8 +92,14 @@ def _ar1_layer(height: int, width: int, rho: float, upsample: int,
     if upsample == 1:
         return ar1_field(height, width, rho, seed)
     base = ar1_field(height // upsample, width // upsample, rho, seed)
-    from scipy.ndimage import zoom
-    return zoom(base, upsample, order=1, mode="nearest", grid_mode=True)
+    # The call scipy.ndimage.zoom(base, upsample, order=1, mode="nearest",
+    # grid_mode=True) makes: zoom_shift(input, zoom, shift, output, order,
+    # mode ("nearest" is 0), cval, prefilter pad, grid_mode), with zoom the
+    # input over the output shape.
+    out = np.zeros((height, width))
+    zoom = np.array(base.shape) / np.array(out.shape)
+    _nd_image.zoom_shift(base, zoom, None, out, 1, 0, 0.0, 0, True)
+    return out
 
 
 def _ar1_textured(height: int, width: int, params: dict, seed: int) -> ImageGrid:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import ParameterError
+from .kernels import load_kernel
+
+_pocketfft = load_kernel("fft._pocketfft.pypocketfft")
 
 BLOCK = 8
 # The quantizer step range: a DCT coefficient of an 8-bit block (at most
@@ -42,16 +44,20 @@ def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(height, width)
 
 
+# The calls scipy.fft.dctn and idctn make for norm="ortho": pocketfft's
+# dct(a, type, axes, inorm 1, out, nthreads), the inverse of type 2 being
+# type 3.  A seventh argument (ortho, scipy >= 1.11) keeps its default,
+# which orthogonalizes at inorm 1, as scipy 1.10 always did.
 def dct2(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the trailing two axes."""
-    return dctn(np.asarray(blocks, dtype=np.float64), type=2,
-                norm="ortho", axes=(-2, -1))
+    return _pocketfft.dct(np.asarray(blocks, dtype=np.float64), 2, (-2, -1),
+                          1, None, 1)
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct2` (orthonormal DCT-III)."""
-    return idctn(np.asarray(coeffs, dtype=np.float64), type=2,
-                 norm="ortho", axes=(-2, -1))
+    return _pocketfft.dct(np.asarray(coeffs, dtype=np.float64), 3, (-2, -1),
+                          1, None, 1)
 
 
 def zigzag_scan(block_coeffs: np.ndarray) -> np.ndarray:

@@ -912,3 +912,29 @@ def test_dc_plane_decodes_like_the_per_block_loop(rows, cols, monkeypatch):
         res = symbol_to_signed(syms[:rows * cols]).reshape(rows, cols)
         np.testing.assert_array_equal(
             dequantized[-1][:, 0].reshape(rows, cols), _reference_dc_decode(res))
+
+
+def test_upsampled_ar_layer_gives_scipy_ndimage_zoom_bytes():
+    """_ar1_layer calls ndimage's zoom kernel without scipy.ndimage's
+    wrapper; it must give the bytes of the public zoom, for every factor
+    on sides the scenario accepts (multiples of the factor and the 8x8
+    block), the bundled fig5 source included."""
+    import math
+
+    from scipy.ndimage import zoom
+
+    from gjcodec.pipelines import _ar1_layer
+    from gjcodec.sources import ar1_field
+
+    cases = [(160, 160, 16, 0.9, 13)]
+    for factor in range(2, 17):
+        side = math.lcm(factor, 8)
+        cases += [(side, side, factor, 0.9, factor),
+                  (side, 3 * side, factor, 0.5, 100 + factor),
+                  (2 * side, side, factor, 0.0, 200 + factor)]
+    for height, width, factor, rho, seed in cases:
+        base = ar1_field(height // factor, width // factor, rho, seed)
+        want = zoom(base, factor, order=1, mode="nearest", grid_mode=True)
+        got = _ar1_layer(height, width, rho, factor, seed)
+        assert got.shape == want.shape == (height, width)
+        assert got.tobytes() == want.tobytes(), (height, width, factor)

@@ -110,3 +110,62 @@ def test_cli_import_does_not_load_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_KERNEL_CHILD = """
+import contextlib, io, sys
+import numpy as np
+import gjcodec.cli
+
+def heavy():
+    # every scipy name but the two kernel modules gjcodec loads itself
+    return sorted(m for m in sys.modules
+                  if (m.split(".")[0] == "scipy"
+                      and m not in ("scipy.fft._pocketfft.pypocketfft",
+                                    "scipy.ndimage._nd_image"))
+                  or m.split(".")[:2] in (["numpy", "f2py"],
+                                          ["numpy", "testing"]))
+
+def sweep():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        gjcodec.cli.main(["sweep", "--scenario", "fig5", "--set",
+                          "num_seeds=3", "--set", "train.images=2"])
+    return out.getvalue()
+
+print(heavy())
+csv = sweep()
+print(heavy())
+import scipy.fft, scipy.ndimage
+from gjcodec.pipelines import _ar1_layer
+from gjcodec.sources import ar1_field
+from gjcodec.transform import dct2, idct2
+x = np.random.default_rng(5).normal(0, 100, (30, 8, 8))
+assert dct2(x).tobytes() == scipy.fft.dctn(x, norm="ortho", axes=(-2, -1)).tobytes()
+assert idct2(x).tobytes() == scipy.fft.idctn(x, norm="ortho", axes=(-2, -1)).tobytes()
+want = scipy.ndimage.zoom(ar1_field(10, 10, 0.9, 3), 16, order=1,
+                          mode="nearest", grid_mode=True)
+assert _ar1_layer(160, 160, 0.9, 16, 3).tobytes() == want.tobytes()
+assert sweep() == csv
+print("ok")
+"""
+
+
+def test_cli_and_sweep_load_scipy_kernels_without_scipy_packages():
+    """gjcodec loads pocketfft's DCT and ndimage's zoom from their files:
+    neither importing the CLI nor a fig5 sweep (whose AR sources are
+    upsampled) imports a scipy package, numpy.f2py or numpy.testing.  A
+    later import of scipy.fft and scipy.ndimage in the same process still
+    works, and both sides give the same bytes."""
+    import subprocess
+    import sys
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _KERNEL_CHILD],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n") == ["[]", "[]", "ok", ""]
+
+
+def test_missing_kernel_file_names_the_file():
+    from gjcodec.kernels import load_kernel
+    with pytest.raises(ImportError, match=r"scipy \S+ has no extension file "
+                       r"\S*scipy\S*fft\S*no_such_kernel\{"):
+        load_kernel("fft.no_such_kernel")

@@ -94,3 +94,37 @@ def test_fold_order_puts_small_magnitudes_first():
     # 0, -1, +1, -2 ... so low symbols mean low magnitude
     np.testing.assert_array_equal(
         signed_to_symbol(np.array([0, -1, 1, -2]), 8), [0, 1, 2, 3])
+
+
+def _dct_inputs():
+    """Seeded inputs of every shape a caller hands dct2/idct2: a batch of
+    each size block_coefficients can make (one block per 8x8 tile, so any
+    count from 1 up), a bare block, a batch of batches, and views that are
+    strided, transposed or Fortran-ordered, of float, float32 and integer
+    dtype."""
+    rng = np.random.default_rng(29)
+    for n in list(range(1, 41)) + [63, 64, 65, 400, 1024]:
+        yield rng.uniform(-1024, 1024, (n, BLOCK, BLOCK))
+    yield rng.normal(0, 100, (BLOCK, BLOCK))
+    yield rng.normal(0, 100, (3, 5, BLOCK, BLOCK))
+    big = rng.normal(0, 100, (20, 2 * BLOCK, 2 * BLOCK))
+    yield big[::3, ::2, 1::2]
+    yield big[:, 3:3 + BLOCK, 5:5 + BLOCK]
+    yield big[:7, :BLOCK, :BLOCK].swapaxes(-2, -1)
+    yield np.asfortranarray(big[:9, :BLOCK, :BLOCK])
+    yield big[:6, :BLOCK, :BLOCK].astype(np.float32)
+    yield rng.integers(0, 256, (11, BLOCK, BLOCK), dtype=np.uint8)
+    yield split_blocks(rng.uniform(0, 255, (24, 40)))
+
+
+def test_dct2_and_idct2_give_scipy_fft_bytes():
+    """dct2/idct2 call pocketfft without scipy.fft's wrappers; they must
+    give the bytes of the public dctn/idctn, on every input shape."""
+    from scipy.fft import dctn, idctn
+    for x in _dct_inputs():
+        ref = np.asarray(x, dtype=np.float64)
+        for ours, theirs in ((dct2, dctn), (idct2, idctn)):
+            want = theirs(ref, type=2, norm="ortho", axes=(-2, -1))
+            got = ours(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (ours.__name__, x.shape)
