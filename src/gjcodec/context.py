@@ -305,8 +305,9 @@ class _CountModel:
     `_keys` holds each run's context packed into one integer, ascending,
     and `_bounds` the row where each run starts, then len(_rows): 16 bytes
     per context, built at the first lookup.  `_runs` memoises the rows of
-    each context looked up, `_memo` what code, decode or predict derived
-    from the counts.  New counts start all anew; copies share them till then.
+    each context looked up, `_memo` the predictions of
+    NeighborhoodModel.predict.  New counts start all anew; copies share
+    them till then.
     """
 
     kind: int
@@ -414,10 +415,6 @@ class _CountModel:
         """Hook: map a query context onto the count table that answers it."""
         return key
 
-    def _table(self, key: tuple):
-        """The sparse_pmf table of the counts under a resolved key."""
-        return sparse_pmf(*self._run(key), self.alphabet, self.alpha_fp)
-
     def coding_table(self, context) -> tuple[np.ndarray, np.ndarray]:
         """(weights, cumulative) over the whole alphabet, by quantize_pmf:
         the dense reference for the sparse tables coding and concealment
@@ -477,72 +474,6 @@ class CausalContextModel(_CountModel):
             raise ParameterError(
                 f"context of length {len(hist)} exceeds model order {self.order}")
         return self._checked((ABSENT,) * (self.order - len(hist)) + hist)
-
-    # -- static pricing: the entropy coder's view of the frozen counts ------
-
-    def _pricing(self, context: tuple):
-        """(sparse_pmf table, its sparse_starts) of `context`, validated and
-        built on first use, so a coding step is one dict lookup plus
-        sparse_interval or sparse_locate, with no alphabet-wide array."""
-        entry = self._memo.get(context)
-        if entry is None:
-            table = self._table(self._context_key(context))
-            entry = self._memo[context] = table, sparse_starts(table)
-        return entry
-
-    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
-        """(cumulative weight below `symbol`, its weight)."""
-        return sparse_interval(self._pricing(context)[0], symbol)
-
-    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
-        """(symbol, cumulative weight below it, its weight) for the symbol
-        whose interval holds `target`."""
-        table, starts = self._pricing(context)
-        return sparse_locate(table, target, starts)
-
-
-class AdaptiveCounts:
-    """The counts a causal model gathers during one adaptive coding pass.
-
-    Adaptive coding prices every symbol with its context's table and then
-    counts it, so no table is ever used twice.  Each context met in the pass
-    keeps its non-zero counts here as two short ascending lists, so a step
-    is O(non-zeros) Python-int work (sparse_pmf) with no alphabet-wide
-    array.  The pass starts from the model's counts and never changes the
-    model.  Its code() and decode() mirror CausalContextModel's own, so
-    one coding walk serves static and adaptive coding.
-    """
-
-    def __init__(self, model: "CausalContextModel"):
-        self.model = model
-        # context as passed in -> (symbols, their counts)
-        self._views: dict[tuple, tuple[list[int], list[int]]] = {}
-
-    def _view(self, context: tuple):
-        view = self._views.get(context)
-        if view is None:
-            view = self._views[context] = self.model._run(
-                self.model._context_key(context))
-        return view
-
-    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
-        """(cumulative weight below `symbol`, its weight), then count it."""
-        idx, cnt = self._view(context)
-        model = self.model
-        interval = sparse_interval(
-            sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), symbol)
-        _add_count(idx, cnt, symbol, 1)
-        return interval
-
-    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
-        """(symbol, cumulative weight below it, its weight) for the symbol
-        whose interval holds `target`, then count it."""
-        idx, cnt = self._view(context)
-        model = self.model
-        found = sparse_locate(
-            sparse_pmf(idx, cnt, model.alphabet, model.alpha_fp), target)
-        _add_count(idx, cnt, found[0], 1)
-        return found
 
 
 class NeighborhoodModel(_CountModel):
@@ -606,9 +537,65 @@ class NeighborhoodModel(_CountModel):
             key = self._resolve_key(self._context_key(context))
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = sparse_argmax(self._table(key), self.alphabet)
+                hit = memo[key] = sparse_argmax(sparse_pmf(
+                    *self._run(key), self.alphabet, self.alpha_fp), self.alphabet)
             memo[context] = hit
         return hit
+
+
+class Pricer:
+    """The coding probabilities of one pass over a model's counts: a static
+    or adaptive range-coding pass, or one cross_entropy call.  Each context
+    met, as passed in, keeps its resolved key's counts as two ascending
+    lists and their sparse_pmf table, so a step is O(non-zeros) work with
+    no alphabet-wide array.  An adaptive pass counts each symbol after
+    pricing it and drops that table; a table that a decode searches again
+    gets its sparse_starts.  No pass changes the model.
+    """
+
+    def __init__(self, model: _CountModel, adaptive: bool = False):
+        self.model = model
+        self.adaptive = adaptive
+        # context as passed in -> [symbols, counts, table, starts]; starts
+        # is None until a decode walks the table, then False till the next.
+        self._entries: dict[tuple, list] = {}
+
+    def _entry(self, context: tuple) -> list:
+        entry = self._entries.get(context)
+        if entry is None:
+            model = self.model
+            key = model._resolve_key(model._context_key(context))
+            entry = self._entries[context] = [*model._run(key), None, None]
+        if entry[2] is None:
+            entry[2] = sparse_pmf(entry[0], entry[1], self.model.alphabet,
+                                  self.model.alpha_fp)
+        return entry
+
+    def _priced(self, entry: list, symbol: int) -> None:
+        """An adaptive pass counts `symbol` once it is priced."""
+        if self.adaptive:
+            _add_count(entry[0], entry[1], symbol, 1)
+            entry[2] = entry[3] = None
+
+    def code(self, context: tuple, symbol: int) -> tuple[int, int]:
+        """(cumulative weight below `symbol`, its weight)."""
+        entry = self._entry(context)
+        interval = sparse_interval(entry[2], symbol)
+        self._priced(entry, symbol)
+        return interval
+
+    def decode(self, context: tuple, target: int) -> tuple[int, int, int]:
+        """(symbol, cumulative weight below it, its weight) for the symbol
+        whose interval holds `target`."""
+        entry = self._entry(context)
+        table, starts = entry[2], entry[3]
+        if starts is False:
+            starts = entry[3] = sparse_starts(table)
+        elif starts is None:
+            entry[3] = False
+        found = sparse_locate(table, target, starts or None)
+        self._priced(entry, found[0])
+        return found
 
 
 def train(model: _CountModel, corpus: list[np.ndarray]) -> _CountModel:
@@ -679,13 +666,11 @@ def cross_entropy(model: _CountModel, grid: np.ndarray) -> float:
         raise ParameterError("grid must be a non-empty 1-D or 2-D array")
     if g.min() < 0 or g.max() >= model.alphabet:
         raise ParameterError(f"tokens outside alphabet [0, {model.alphabet})")
-    tables = {}  # resolved key -> its sparse_pmf table
+    pricer = Pricer(model)
     total = 0.0
-    for key, sym in zip(model.grid_contexts(g).tolist(), g.ravel().tolist()):
-        key = model._resolve_key(model._context_key(key))
-        if key not in tables:
-            tables[key] = model._table(key)
-        total += PMF_BITS - np.log2(sparse_interval(tables[key], sym)[1])
+    for key, sym in zip(map(tuple, model.grid_contexts(g).tolist()),
+                        g.ravel().tolist()):
+        total += PMF_BITS - np.log2(pricer.code(key, sym)[1])
     return float(total / g.size)
 
 

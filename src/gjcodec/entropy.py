@@ -16,12 +16,11 @@ discarded.  The subdivision remainder goes to the top symbol of the
 alphabet; encoder and decoder share this rule exactly.
 
 One causal walk serves static and adaptive coding alike.  It prices each
-symbol in the history of the symbols before it through a pricer with
-code(history, symbol) and decode(history, target): the model itself for
-static coding (it memoises each history's table), AdaptiveCounts for a
-pass that counts each symbol after coding it, on top of the model's counts.
-Neither changes the model's counts.  Both price from sparse_pmf tables, so
-no step builds an alphabet-wide array.
+symbol in the history of the symbols before it through a context.Pricer,
+which owns the pass: its sparse_pmf tables hold the model's counts and, in
+an adaptive pass, a count of every symbol coded before in that history.
+No pass changes the model or builds an alphabet-wide array, and no table
+outlives its pass.
 ac_decode runs the same walk in reverse.  The encoder keeps each symbol's
 width and returns the ideal cost sum(-log2 p) on the Bitstream
 (`cost_bits`, neither serialised nor compared), so a caller that needs the
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import PMF_BITS, PMF_TOTAL, AdaptiveCounts, CausalContextModel
+from .context import PMF_BITS, PMF_TOTAL, CausalContextModel, Pricer
 from .errors import (CorruptStreamError, ModelMismatchError, ParameterError,
                      read_header)
 
@@ -96,10 +95,9 @@ def _propagate_carry(buf: bytearray) -> None:
             return
 
 
-def _pricer(model, adaptive: bool):
+def _check_causal(model) -> None:
     if not isinstance(model, CausalContextModel):
         raise ParameterError("entropy coding requires a CausalContextModel")
-    return AdaptiveCounts(model) if adaptive else model
 
 
 def _checked_symbols(symbols, alphabet: int) -> list[int]:
@@ -175,10 +173,10 @@ def ac_encode(symbols, model: CausalContextModel, adaptive: bool = False) -> Bit
     start from.  The stream carries the sequence's ideal cost in
     `cost_bits`.
     """
-    pricer = _pricer(model, adaptive)
+    _check_causal(model)
     syms = _checked_symbols(symbols, model.alphabet)
     model_hash = model.state_hash()
-    payload, widths = _encode(syms, model, pricer)
+    payload, widths = _encode(syms, model, Pricer(model, adaptive))
     return Bitstream(alphabet=model.alphabet, n_symbols=len(syms),
                      model_hash=model_hash, payload=payload,
                      cost_bits=_ideal_cost(widths))
@@ -212,7 +210,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
     decoding anything if the payload is too short to hold that many
     symbols.
     """
-    pricer = _pricer(model, adaptive)
+    _check_causal(model)
     if model.alphabet != stream.alphabet:
         raise ModelMismatchError(
             f"stream alphabet {stream.alphabet} != model alphabet {model.alphabet}")
@@ -243,6 +241,7 @@ def ac_decode(stream: Bitstream, model: CausalContextModel,
     top = model.alphabet - 1
     order = model.order
     bits, v_max = PMF_BITS, PMF_TOTAL - 1
+    pricer = Pricer(model, adaptive)
     hist: tuple = ()
     out = np.empty(n, dtype=np.int64)
     for i in range(n):

@@ -37,7 +37,10 @@ class Codebook:
                 f"{MAX_CODEWORDS}")
         if not np.isfinite(v).all():
             raise ParameterError("codebook contains NaN or infinite entries")
-        if len(np.unique(v, axis=0)) != v.shape[0]:
+        # Equal rows are adjacent once sorted (np.unique(axis=0) would do
+        # as much, but imports numpy.ma); -0.0 == 0.0, as there.
+        rows = v[np.lexsort(v.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ParameterError("codebook contains duplicate codewords")
         self.vectors = v
 

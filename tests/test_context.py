@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from conftest import neighbor_context
 
-from gjcodec.context import (ABSENT, PMF_BITS, PMF_TOTAL, AdaptiveCounts,
-                             CausalContextModel, NeighborhoodModel,
-                             cross_entropy, load_model, quantize_pmf, train)
+from gjcodec.context import (ABSENT, PMF_BITS, PMF_TOTAL, CausalContextModel,
+                             NeighborhoodModel, Pricer, cross_entropy,
+                             load_model, quantize_pmf, train)
 from gjcodec.entropy import ac_encode
 from gjcodec.errors import ParameterError
 
@@ -241,9 +241,9 @@ def test_copy_is_independent():
     lambda: NeighborhoodModel(40),
 ], ids=["causal", "neighborhood"])
 def test_trained_copy_shares_no_mutable_state(rng, factory):
-    """Copies share the trained rows; an update on a copy, or an adaptive
-    pass over the model itself, leaves the original's counts and hash as
-    they were."""
+    """Copies share the trained rows; an update on a copy, or a static or
+    an adaptive pass over the model itself, leaves the original's counts
+    and hash as they were."""
     m = train(factory(), [rng.integers(0, 40, (20, 20))])
     saved, digest = m._serialize(), m.state_hash()
     key = _contexts(m)[0]
@@ -252,10 +252,13 @@ def test_trained_copy_shares_no_mutable_state(rng, factory):
     dup.update(key, symbols[0])
     dup.update(key, 39 - symbols[0])
     assert dup.state_hash() != digest
-    if isinstance(m, CausalContextModel):
-        counts = AdaptiveCounts(m)
+    for adaptive in (False, True):
+        pricer = Pricer(m, adaptive)
         for s in (symbols[0], 39 - symbols[0], symbols[0]):
-            counts.code(key, s)
+            pricer.code(key, s)
+        assert m._serialize() == saved
+        assert m.state_hash() == digest
+        m._hash = None
     assert m._serialize() == saved
     assert m.state_hash() == digest
 
@@ -469,12 +472,13 @@ def test_predict_memo_follows_the_counts(rng):
         assert m.predict(ctx) == (int(np.argmax(w)), int(w.max()))
 
 
-def test_adaptive_counts_price_like_update_then_coding_table(rng):
-    """code() and decode() give the coding_table interval of the counts so
-    far, as one update() per symbol would leave them, and change no model."""
+def test_adaptive_pricer_prices_like_update_then_coding_table(rng):
+    """An adaptive pass's code() and decode() give the coding_table interval
+    of the counts so far, as one update() per symbol would leave them, and
+    change no model."""
     m = train(CausalContextModel(40, order=2), [rng.integers(0, 40, (30, 30))])
     digest, ref = m.state_hash(), m.copy()
-    enc, dec = AdaptiveCounts(m), AdaptiveCounts(m)
+    enc, dec = Pricer(m, adaptive=True), Pricer(m, adaptive=True)
     hist = ()
     for s in rng.integers(0, 40, 600).tolist() + [39, 39, 39]:
         w, cum = ref.coding_table(hist)
@@ -529,13 +533,15 @@ def test_load_model_accepts_the_largest_total(tmp_path):
     assert m._run((-1,)) == ([0, 3], [total - 5, 5])
     assert all(type(v) is int for v in sum(m._run((-1,)), []))
     w, cum = m.coding_table((-1,))
+    static = Pricer(m)  # walks the table at the first decode, then bisects
     for s in range(4):
         interval = (int(cum[s]), int(w[s]))
-        assert m.code((-1,), s) == AdaptiveCounts(m).code((-1,), s) == interval
+        assert Pricer(m).code((-1,), s) == interval
+        assert Pricer(m, adaptive=True).code((-1,), s) == interval
         for target in (interval[0], sum(interval) - 1):
             found = (s, *interval)
-            assert m.decode((-1,), target) == found
-            assert AdaptiveCounts(m).decode((-1,), target) == found
+            assert static.decode((-1,), target) == found
+            assert Pricer(m, adaptive=True).decode((-1,), target) == found
     ctx = (ABSENT,) * 4
     nb = load_model(_model_file(tmp_path / "nb.model", 4,
                                 [(ctx, 1, 5), (ctx, 2, total - 5)], order=4,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gjcodec.context import CausalContextModel, train
+from gjcodec.context import CausalContextModel, Pricer, train
 from gjcodec.entropy import (Bitstream, _max_symbols, ac_decode, ac_encode,
                              sequence_cost_bits)
 from gjcodec.errors import (CorruptStreamError, ModelMismatchError,
@@ -134,7 +134,7 @@ def test_symbol_count_beyond_the_payload_is_rejected_unread(monkeypatch):
         raise AssertionError("the decoder ran")
 
     monkeypatch.setattr(entropy.np, "empty", never)
-    monkeypatch.setattr(entropy.AdaptiveCounts, "decode", never)
+    monkeypatch.setattr(entropy.Pricer, "decode", never)
     for count in (limit + 1, 2 ** 32 - 1):
         stream.n_symbols = count
         with pytest.raises(CorruptStreamError, match="cannot hold"):
@@ -277,9 +277,8 @@ def _histories(syms, order):
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_coding_validates_each_history_once(rng, monkeypatch, adaptive):
     """Encode, decode and cost build no dense table and never call
-    coding_table.  Adaptive passes validate each distinct history once per
-    pass; static passes on copies of one model validate each once in all,
-    in the first pass, since the model memoises its pricing."""
+    coding_table.  Every pass, static or adaptive, validates each distinct
+    history once: its tables live as long as the pass."""
     import gjcodec.context as context
     model = _random_model(rng, 24, 2)
     syms = rng.integers(0, 24, 800).tolist()
@@ -297,18 +296,45 @@ def test_coding_validates_each_history_once(rng, monkeypatch, adaptive):
     monkeypatch.setattr(CausalContextModel, "coding_table", no_table)
     monkeypatch.setattr(context, "quantize_pmf",
                         lambda *args: dense.append(1))
-    distinct = _histories(syms, 2)
-    later = sorted(distinct) if adaptive else []
+    distinct = sorted(_histories(syms, 2))
     stream = ac_encode(syms, model.copy(), adaptive=adaptive)
-    assert sorted(validated) == sorted(distinct)
+    assert sorted(validated) == distinct
     validated.clear()
     np.testing.assert_array_equal(
         ac_decode(stream, model.copy(), adaptive=adaptive), syms)
-    assert sorted(validated) == later
+    assert sorted(validated) == distinct
     validated.clear()
     sequence_cost_bits(model, syms, adaptive=adaptive)
-    assert sorted(validated) == later
+    assert sorted(validated) == distinct
     assert dense == []
+
+
+@pytest.mark.parametrize("alphabet, order", [(24, 2), (300, 1), (7, 0)])
+def test_static_decode_builds_starts_for_reused_tables_only(
+        rng, monkeypatch, alphabet, order):
+    """A static decode walks a table at its first search and builds its
+    sparse_starts for the next, once per history it decodes twice or more
+    (bisection beats the walk on a table searched many times); an adaptive
+    pass, whose tables change at every step, never builds them."""
+    import gjcodec.context as context
+    model = _random_model(rng, alphabet, order)
+    syms = rng.integers(0, alphabet, 600).tolist()
+    built = []
+    real = context.sparse_starts
+
+    def counting(table):
+        built.append(1)
+        return real(table)
+
+    monkeypatch.setattr(context, "sparse_starts", counting)
+    seen = [tuple(syms[max(0, i - order):i]) for i in range(len(syms))]
+    reused = {h for h in seen if seen.count(h) > 1}
+    for adaptive in (False, True):
+        built.clear()
+        stream = ac_encode(syms, model, adaptive=adaptive)
+        np.testing.assert_array_equal(
+            ac_decode(stream, model, adaptive=adaptive), syms)
+        assert len(built) == (0 if adaptive else len(reused))
 
 
 def test_carry_ripples_through_ff_bytes():
@@ -328,13 +354,14 @@ def _steered_symbols(model, n, target_bits):
     in units of 2**-(64 + emitted bits), so it never overflows."""
     low, range_, emitted = 0, 1 << 64, 0
     top = model.alphabet - 1
+    pricer = Pricer(model)
     syms = []
     for _ in range(n):
         # T in the same units, times 2**target_bits to stay an integer
         t = (1 << (emitted + 63 + target_bits)) + (1 << (emitted + 64))
         r = range_ >> 16
         for s in range(model.alphabet):
-            lo, width = model.code((), s)
+            lo, width = pricer.code((), s)
             base = r * lo
             new = range_ - base if s == top else r * width
             if (low + base) << target_bits <= t \

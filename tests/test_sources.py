@@ -123,7 +123,7 @@ def heavy():
                   if (m.split(".")[0] == "scipy"
                       and m not in ("scipy.fft._pocketfft.pypocketfft",
                                     "scipy.ndimage._nd_image"))
-                  or m.split(".")[:2] in (["numpy", "f2py"],
+                  or m.split(".")[:2] in (["numpy", "f2py"], ["numpy", "ma"],
                                           ["numpy", "testing"]))
 
 def sweep():

@@ -270,7 +270,7 @@ def test_codebook_bad_magic(tmp_path):
         load_codebook(path)
 
 
-@pytest.mark.parametrize("last", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("last", [np.nan, np.inf, 0.0, -0.0])
 def test_codebook_with_bad_entries_is_format_error(tmp_path, last):
     """NaN, infinite or duplicate codewords in a file are malformed data."""
     path = tmp_path / "bad.bin"
