@@ -123,66 +123,87 @@ def sparse_pmf(idx: list[int], cnt: list[int], alphabet: int,
     of the non-zeros; a prefix of the zero-count symbols is one cut-off
     index.  An excess only arises when w0 was floored up to 1, so it is
     reclaimed from the non-zeros alone.
+
+    The integers are kept small.  quantize_pmf floors c * 2**32 + alpha_fp
+    * 2**16 over t * 2**16 + alphabet * alpha_fp, for a count c in a
+    context whose counts total t.  g = gcd(2**16, alphabet * alpha_fp)
+    divides 2**16 and alphabet * alpha_fp, so every term of each numerator
+    and of the total.  Dividing them all by g keeps every floor and divides
+    every remainder by g, which keeps the remainders' order, their ties
+    with r0 and the deficit.  At the default alpha 1, g = 2**16, and a
+    numerator is (c + 1) * 2**16 over t + alphabet: one CPython digit
+    while c < 16,383.
+
+    The pass that forms the floors gives each non-zero above r0 its unit of
+    the deficit at once: they rank ahead of every other symbol, so a deficit
+    at least their number gives each of them one.  The remainders are
+    formed again only when units are still owed to a non-zero tied at r0
+    or below it, or when fewer units were owed than given (a smaller
+    deficit, none, or an excess); then the units of all but the `deficit`
+    largest remainders above r0 are taken back.  Otherwise only the cut
+    among the zero counts is left to find.
     """
     n = len(idx)
-    total_scaled = sum(cnt) * PMF_TOTAL + alphabet * alpha_fp
-    base = alpha_fp * PMF_TOTAL
-    q0, r0 = divmod(base, total_scaled)
+    g = math.gcd(PMF_TOTAL, alphabet * alpha_fp)
+    step, base = _PMF_SQUARE // g, alpha_fp * PMF_TOTAL // g
+    total = (sum(cnt) * PMF_TOTAL + alphabet * alpha_fp) // g
+    q0, r0 = divmod(base, total)
     w0 = q0 or 1
-    w, rem, above = [], [], []
-    for k, c in enumerate(cnt):
-        q, r = divmod(c * _PMF_SQUARE + base, total_scaled)
-        w.append(q or 1)
-        rem.append(r)
+    w = []
+    above = ties = 0
+    for c in cnt:
+        q, r = divmod(c * step + base, total)
         if r > r0:
-            above.append(k)
-    s = (alphabet - n) * w0 + sum(w)
+            w.append((q or 1) + 1)
+            above += 1
+        else:
+            w.append(q or 1)
+            if r == r0:
+                ties += 1
+    # The units still owed after the early ones; below 0, too many given.
+    left = PMF_TOTAL - (alphabet - n) * w0 - sum(w)
+    tied = alphabet - n + ties
     cut = 0
-    if s < PMF_TOTAL:
-        deficit = _add_units(w, rem, above, PMF_TOTAL - s)
-        if deficit:
-            ties = [k for k, r in enumerate(rem) if r == r0]
-            tied = alphabet - n + len(ties)
-            if deficit >= tied:
-                cut = alphabet
-                deficit -= tied
-            else:
-                # The deficit-th tied symbol in symbol order is the
-                # deficit-th symbol that is not an untied non-zero.
-                cut = deficit
-                for i, r in zip(idx, rem):
-                    if i >= cut:
-                        break
-                    if r != r0:
-                        cut += 1
-                deficit = 0
-            for k in ties:
-                if idx[k] < cut:
+    if left < 0 or (left and ties) or left > tied:
+        rem = [(c * step + base) % total for c in cnt]
+    if left < 0:
+        # The deficit, if any, stays with its largest remainders above r0.
+        for k in _by_remainder(rem, lambda r: r > r0)[max(left + above, 0):]:
+            w[k] -= 1
+        excess = -left - above
+        if excess > 0:
+            for k in sorted(range(n), key=w.__getitem__, reverse=True):
+                take = min(w[k] - 1, excess)
+                w[k] -= take
+                excess -= take
+                if not excess:
+                    break
+    elif left:
+        if left >= tied:
+            cut = alphabet
+        else:
+            # The left-th tied symbol in symbol order is the left-th symbol
+            # that is not an untied non-zero.
+            cut = left
+            for i in [i for i, r in zip(idx, rem) if r != r0] if ties else idx:
+                if i >= cut:
+                    break
+                cut += 1
+        if ties:
+            for k, r in enumerate(rem):
+                if r == r0 and idx[k] < cut:
                     w[k] += 1
-        if deficit:
-            _add_units(w, rem, [k for k, r in enumerate(rem) if r < r0],
-                       deficit)
-    elif s > PMF_TOTAL:
-        excess = s - PMF_TOTAL
-        for k in sorted(range(n), key=w.__getitem__, reverse=True):
-            take = min(w[k] - 1, excess)
-            w[k] -= take
-            excess -= take
-            if not excess:
-                break
+        if left > tied:
+            for k in _by_remainder(rem, lambda r: r < r0)[:left - tied]:
+                w[k] += 1
     return idx, w, w0, cut
 
 
-def _add_units(w: list[int], rem: list[int], group: list[int],
-               units: int) -> int:
-    """One unit each to the `units` largest remainders of `group` (ties to
-    the lower symbol); returns the units left over."""
-    if units < len(group):
-        # sorted() stays stable under reverse=True: ties keep symbol order.
-        group = sorted(group, key=rem.__getitem__, reverse=True)[:units]
-    for k in group:
-        w[k] += 1
-    return units - len(group)
+def _by_remainder(rem: list[int], keep) -> list[int]:
+    """The k with keep(rem[k]), largest remainder first (ties: lower k)."""
+    # sorted() stays stable under reverse=True: ties keep symbol order.
+    return sorted((k for k, r in enumerate(rem) if keep(r)),
+                  key=rem.__getitem__, reverse=True)
 
 
 def sparse_interval(table, symbol: int) -> tuple[int, int]:

@@ -7,18 +7,24 @@ scipy's array-API shims, ``numpy.f2py``, ``numpy.testing`` and
 ``scipy.special``, about 0.25 s and 20 MB per fresh process.  So each
 kernel is loaded straight from its extension file in scipy's install
 directory, and its callers make the same call that scipy's Python wrapper
-makes: the bytes are scipy's.
+makes: the bytes are scipy's.  That call is private to scipy, so a kernel is
+run once on a known answer as it loads, and a scipy whose kernel answers
+otherwise fails at import rather than in a result.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 
+import numpy as np
 
-def load_kernel(name: str):
-    """The extension module ``scipy.<name>``, loaded from its file.
+
+def load_kernel(name: str, probe):
+    """The extension module ``scipy.<name>``, loaded from its file and
+    checked by check_kernel(name, module, probe).
 
     Neither ``scipy`` nor the packages above the module are imported, and a
     later ``import scipy.<package>`` still loads the same file.  Raises
@@ -37,8 +43,35 @@ def load_kernel(name: str):
                 importlib.util.spec_from_file_location(fullname, path,
                                                        loader=loader))
             loader.exec_module(module)
-            return module
-    from importlib.metadata import version
+            return check_kernel(name, module, probe)
     raise ImportError(
-        f"scipy {version('scipy')} has no extension file {stem}"
+        f"scipy {_scipy_version()} has no extension file {stem}"
         f"{{{','.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+
+
+def check_kernel(name: str, module, probe):
+    """`module`, if it passes probe(module).
+
+    The probe makes gjcodec's call of the kernel on a fixed input and
+    returns the answer and the known answer (a flat list), which must agree
+    to rounding.  A wrong answer, or a TypeError from a call that no longer
+    fits the kernel, raises ImportError naming the kernel and scipy's
+    version."""
+    try:
+        got, want = probe(module)
+    except TypeError as exc:
+        why = f"raises TypeError ({exc})"
+    else:
+        got = np.ravel(got).tolist()
+        if len(got) == len(want) and all(
+                math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                for x, y in zip(got, want)):
+            return module
+        why = "gives a wrong known answer"
+    raise ImportError(f"scipy {_scipy_version()}: gjcodec's call of the "
+                      f"kernel scipy.{name} {why}")
+
+
+def _scipy_version() -> str:
+    from importlib.metadata import version
+    return version("scipy")

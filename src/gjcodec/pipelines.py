@@ -63,8 +63,6 @@ from .transform import (BLOCK, block_coefficients, block_pixels, merge_blocks,
 from .vq import (Codebook, assemble_patches, extract_patches, tokenize,
                  vq_decode, vq_train)
 
-_nd_image = load_kernel("ndimage._nd_image")
-
 CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "psnr", "decode_failed", "mcs_index", "fec_r",
                "realized_loss_rate")
@@ -85,6 +83,30 @@ def derive_seed(*parts) -> int:
 # Shared per-scenario state
 
 
+# The call scipy.ndimage.zoom(base, upsample, order=1, mode="nearest",
+# grid_mode=True) makes: zoom_shift(input, zoom, shift, output, order, mode
+# ("nearest" is 0), cval, prefilter pad, grid_mode), with zoom the input
+# over the output shape.
+def _zoom(kernel, base: np.ndarray, out: np.ndarray) -> None:
+    zoom = np.array(base.shape) / np.array(out.shape)
+    kernel.zoom_shift(base, zoom, None, out, 1, 0, 0.0, 0, True)
+
+
+def _zoom_probe(kernel) -> tuple[np.ndarray, list[float]]:
+    """A fixed 2x2 block zoomed to 4x4, and its linear interpolation in
+    closed form, in row order: output cell i samples the input at
+    i / 2 - 1/4, clamped to the edge cells."""
+    base = [[1.0, 2.0], [4.0, 8.0]]
+    out = np.zeros((4, 4))
+    _zoom(kernel, np.array(base), out)
+    m = ((1.0, 0.0), (0.75, 0.25), (0.25, 0.75), (0.0, 1.0))
+    return out, [sum(a[i] * base[i][j] * b[j] for i in (0, 1) for j in (0, 1))
+                 for a in m for b in m]
+
+
+_nd_image = load_kernel("ndimage._nd_image", _zoom_probe)
+
+
 def _ar1_layer(height: int, width: int, rho: float, upsample: int,
                seed: int) -> np.ndarray:
     """Unit-variance AR(1) field; upsample > 1 generates the field at a
@@ -92,13 +114,8 @@ def _ar1_layer(height: int, width: int, rho: float, upsample: int,
     if upsample == 1:
         return ar1_field(height, width, rho, seed)
     base = ar1_field(height // upsample, width // upsample, rho, seed)
-    # The call scipy.ndimage.zoom(base, upsample, order=1, mode="nearest",
-    # grid_mode=True) makes: zoom_shift(input, zoom, shift, output, order,
-    # mode ("nearest" is 0), cval, prefilter pad, grid_mode), with zoom the
-    # input over the output shape.
     out = np.zeros((height, width))
-    zoom = np.array(base.shape) / np.array(out.shape)
-    _nd_image.zoom_shift(base, zoom, None, out, 1, 0, 0.0, 0, True)
+    _zoom(_nd_image, base, out)
     return out
 
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
 from .kernels import load_kernel
-
-_pocketfft = load_kernel("fft._pocketfft.pypocketfft")
 
 BLOCK = 8
 # The quantizer step range: a DCT coefficient of an 8-bit block (at most
@@ -48,16 +48,38 @@ def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
 # dct(a, type, axes, inorm 1, out, nthreads), the inverse of type 2 being
 # type 3.  A seventh argument (ortho, scipy >= 1.11) keeps its default,
 # which orthogonalizes at inorm 1, as scipy 1.10 always did.
+def _dct(kernel, a, kind: int) -> np.ndarray:
+    return kernel.dct(np.asarray(a, dtype=np.float64), kind, (-2, -1), 1,
+                      None, 1)
+
+
+def _dct_probe(kernel) -> tuple[np.ndarray, list[float]]:
+    """The DCT-II of a fixed 8x8 block, and C @ block @ C.T in row order,
+    with C the orthonormal DCT-II matrix (in Python floats: numpy
+    functions the program does not call would add their pages to its
+    memory)."""
+    n = BLOCK
+    c = [[math.sqrt((2 - (k == 0)) / n)
+          * math.cos(math.pi * (2 * j + 1) * k / (2 * n)) for j in range(n)]
+         for k in range(n)]
+    block = [[(i * n + j) * 37 % 64 for j in range(n)] for i in range(n)]
+    cb = [[sum(c[k][i] * block[i][j] for i in range(n)) for j in range(n)]
+          for k in range(n)]
+    return _dct(kernel, block, 2), [sum(x * y for x, y in zip(row, c[l]))
+                                    for row in cb for l in range(n)]
+
+
+_pocketfft = load_kernel("fft._pocketfft.pypocketfft", _dct_probe)
+
+
 def dct2(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the trailing two axes."""
-    return _pocketfft.dct(np.asarray(blocks, dtype=np.float64), 2, (-2, -1),
-                          1, None, 1)
+    return _dct(_pocketfft, blocks, 2)
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct2` (orthonormal DCT-III)."""
-    return _pocketfft.dct(np.asarray(coeffs, dtype=np.float64), 3, (-2, -1),
-                          1, None, 1)
+    return _dct(_pocketfft, coeffs, 3)
 
 
 def zigzag_scan(block_coeffs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,6 +324,7 @@ def test_sparse_pmf_matches_quantize_pmf(alpha_fp):
     ([0, 45, 21, 31, 0, 39, 36, 18, 38, 0, 2], 1 << 16),
     ([2, 32, 0, 13, 21, 5, 27], 1 << 12),             # deficit past the zeros
     ([0, 7 * 10 ** 8, 3, 0, 5 * 10 ** 8, 0], 1),      # excess branch
+    ([13, 9, 898143646, 770031842, 14139018], 3),     # no deficit
 ])
 def test_sparse_locate_by_starts_matches_the_walk(counts, alpha_fp):
     """Bisecting sparse_starts finds every interval the walk over the
@@ -348,9 +351,10 @@ def test_sparse_locate_by_starts_matches_the_walk(counts, alpha_fp):
                         == sparse_locate(table, target) == (symbol, lo, width))
 
 
-def _deficit_groups(counts, alpha_fp):
-    """Units of deficit left after the non-zeros with remainder above r0,
-    the size of the group tied at r0, and how many non-zeros lie below."""
+def _remainder_groups(counts, alpha_fp):
+    """quantize_pmf's deficit, and how many non-zero counts have a remainder
+    above, at and below r0, that of the zero counts; `tied` adds the zero
+    counts to those at r0, and `left` is the deficit less those above."""
     c = np.asarray(counts, dtype=np.int64)
     num = c * PMF_TOTAL + alpha_fp
     total = int(num.sum())
@@ -358,9 +362,10 @@ def _deficit_groups(counts, alpha_fp):
     r0 = alpha_fp * PMF_TOTAL % total
     deficit = PMF_TOTAL - int(np.maximum(num * PMF_TOTAL // total, 1).sum())
     nz = c > 0
-    tied = int((~nz).sum() + (nz & (rem == r0)).sum())
-    return (deficit - int((nz & (rem > r0)).sum()), tied,
-            int((nz & (rem < r0)).sum()), int((nz & (rem == r0)).sum()))
+    above, ties = int((nz & (rem > r0)).sum()), int((nz & (rem == r0)).sum())
+    return SimpleNamespace(deficit=deficit, above=above, ties=ties,
+                           below=int((nz & (rem < r0)).sum()),
+                           tied=int((~nz).sum()) + ties, left=deficit - above)
 
 
 @pytest.mark.parametrize("counts, alpha_fp", [
@@ -372,8 +377,8 @@ def _deficit_groups(counts, alpha_fp):
 def test_sparse_pmf_tie_branch(counts, alpha_fp):
     """A non-zero count whose remainder equals that of the zero counts joins
     their index-ordered group."""
-    left, tied, _, nonzero_ties = _deficit_groups(counts, alpha_fp)
-    assert nonzero_ties and 0 < left < tied
+    g = _remainder_groups(counts, alpha_fp)
+    assert g.ties and 0 < g.left < g.tied
     _assert_sparse_matches(counts, alpha_fp)
 
 
@@ -385,8 +390,8 @@ def test_sparse_pmf_tie_branch(counts, alpha_fp):
 def test_sparse_pmf_deficit_past_the_zero_counts(counts, alpha_fp):
     """The deficit outlasts every zero count and reaches, by remainder,
     some of the non-zeros whose remainders are below r0."""
-    left, tied, below, _ = _deficit_groups(counts, alpha_fp)
-    assert 0 < left - tied < below
+    g = _remainder_groups(counts, alpha_fp)
+    assert 0 < g.left - g.tied < g.below
     _assert_sparse_matches(counts, alpha_fp)
 
 
@@ -403,6 +408,64 @@ def test_sparse_pmf_excess_branch(counts, alpha_fp):
     floors = np.maximum(num * PMF_TOTAL // int(num.sum()), 1)
     assert int(floors.sum()) > PMF_TOTAL
     _assert_sparse_matches(counts, alpha_fp)
+
+
+@pytest.mark.parametrize("counts, alpha_fp", [
+    ([13, 9, 898143646, 770031842, 14139018], 3),
+])
+def test_sparse_pmf_no_deficit(counts, alpha_fp):
+    """The floors sum to exactly 2**16 while non-zeros have remainders above
+    r0: the units given to those early are taken back."""
+    g = _remainder_groups(counts, alpha_fp)
+    assert g.deficit == 0 and g.above == len(counts)
+    _assert_sparse_matches(counts, alpha_fp)
+
+
+def test_sparse_pmf_reaches_every_branch():
+    """sparse_pmf gives the quantize_pmf weights on 3,000 seeded random
+    count vectors.  They reach g = gcd(2**16, alphabet * alpha_fp) at 1,
+    2**8 and 2**16, totals just under load_model's 2**47 bound, and every
+    branch: the table of one pass, fewer units owed than given early, no
+    deficit, an excess, a non-zero tied at r0 and a deficit past the zero
+    counts."""
+    from gjcodec.context import sparse_pmf
+    rng = np.random.default_rng(32)
+    reached = set()
+    for _ in range(3000):
+        a = int(rng.choice([2, 3, 5, 7, 16, 255, 256, 300]))
+        alpha_fp = int(rng.choice([1, 3, 12345, 1 << 8, 3 << 8, 1 << 16]))
+        nnz = int(rng.integers(0, (a if rng.random() < 0.3 else min(a, 12))
+                               + 1))
+        c = np.zeros(a, dtype=np.int64)
+        where = rng.choice(a, nnz, replace=False)
+        if nnz and rng.random() < 0.1:
+            # A total t with t * 2**16 + a * alpha_fp just under 2**47.
+            t = ((1 << 47) - a * alpha_fp >> 16) - int(rng.integers(1, 1024))
+            c[where] = np.diff(np.sort(rng.integers(1, t, nnz - 1)),
+                               prepend=0, append=t)
+        else:
+            high = int(rng.choice([2, 4, 50, 1000, 10 ** 6, 10 ** 9]))
+            c[where] = rng.integers(1, high, nnz)
+        nz = np.flatnonzero(c)
+        idx, w, w0, cut = sparse_pmf(nz.tolist(), c[nz].tolist(), a, alpha_fp)
+        dense = w0 + (np.arange(a) < cut)
+        dense[idx] = w
+        np.testing.assert_array_equal(dense, quantize_pmf(c, alpha_fp))
+        g = _remainder_groups(c, alpha_fp)
+        gcd = math.gcd(PMF_TOTAL, a * alpha_fp)
+        reached.update(name for name, hit in (
+            ("g = 1", gcd == 1), ("g = 2**8", gcd == 1 << 8),
+            ("g = 2**16", gcd == PMF_TOTAL),
+            ("total near 2**47", int(c.sum()) * PMF_TOTAL >= 1 << 46),
+            ("one pass", not g.left or 0 < g.left <= g.tied and not g.ties),
+            ("fewer owed than given", 0 < g.deficit < g.above),
+            ("no deficit", g.deficit == 0 and g.above),
+            ("excess", g.deficit < 0),
+            ("tie at r0", g.left > 0 and g.ties),
+            ("past the zero counts", g.left > g.tied)) if hit)
+    assert reached == {"g = 1", "g = 2**8", "g = 2**16", "total near 2**47",
+                       "one pass", "fewer owed than given", "no deficit",
+                       "excess", "tie at r0", "past the zero counts"}
 
 
 def test_predict_is_the_dense_argmax():

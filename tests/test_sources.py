@@ -168,4 +168,44 @@ def test_missing_kernel_file_names_the_file():
     from gjcodec.kernels import load_kernel
     with pytest.raises(ImportError, match=r"scipy \S+ has no extension file "
                        r"\S*scipy\S*fft\S*no_such_kernel\{"):
-        load_kernel("fft.no_such_kernel")
+        load_kernel("fft.no_such_kernel", None)
+
+
+def test_kernel_that_answers_otherwise_fails_to_load():
+    """check_kernel passes scipy's kernels and refuses, with an ImportError
+    naming the kernel and scipy's version, stand-ins that answer otherwise:
+    a DCT that swaps its type and inorm arguments or computes the DCT-III,
+    a zoom that swaps its order and mode arguments, and kernels that
+    gjcodec's call no longer fits (TypeError)."""
+    import re
+    from importlib.metadata import version
+    from types import SimpleNamespace
+
+    from gjcodec import pipelines, transform
+    from gjcodec.kernels import check_kernel
+    dct, zoom = transform._pocketfft.dct, pipelines._nd_image.zoom_shift
+
+    def swapped_dct(a, kind, axes, inorm, *rest):
+        return dct(a, inorm, axes, kind, *rest)
+
+    def dct3(a, kind, *rest):
+        return dct(a, 3, *rest)
+
+    def swapped_zoom(a, factors, shift, out, order, mode, *rest):
+        zoom(a, factors, shift, out, mode, order, *rest)
+
+    fft = "fft._pocketfft.pypocketfft", transform._dct_probe
+    nd = "ndimage._nd_image", pipelines._zoom_probe
+    for (name, probe), real in ((fft, transform._pocketfft),
+                                (nd, pipelines._nd_image)):
+        assert check_kernel(name, real, probe) is real
+    for (name, probe), stand_in in (
+            (fft, SimpleNamespace(dct=swapped_dct)),
+            (fft, SimpleNamespace(dct=dct3)),
+            (fft, SimpleNamespace(dct=lambda a, kind, axes: a)),
+            (nd, SimpleNamespace(zoom_shift=swapped_zoom)),
+            (nd, SimpleNamespace(zoom_shift=lambda a, factors: None))):
+        with pytest.raises(ImportError, match=re.escape(
+                f"scipy {version('scipy')}: gjcodec's call of the kernel "
+                f"scipy.{name} ")):
+            check_kernel(name, stand_in, probe)
