@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 
 import numpy as np
 
 from .context import (CausalContextModel, NeighborhoodModel, load_model,
                       train as train_context)
-from .entropy import Bitstream, ac_decode, ac_encode
+from .entropy import ac_decode, ac_encode, pack_container, read_container
 from .errors import (ConfigError, FormatError, GjcError, ParameterError,
-                     existing_input, output_file, read_header)
+                     existing_input, output_file)
 from .pipelines import (build_context, digital_image, digital_symbols,
                         records_to_csv, run_record, sweep)
 from .scenario import load_scenario, validate_scenario
-from .sources import MAX_SIDE, load_pgm, save_pgm
-from .transform import BLOCK, MAX_STEP, MIN_STEP
+from .sources import load_pgm, save_pgm
+from .transform import BLOCK
 from .vq import extract_patches, load_codebook, save_codebook, tokenize, vq_train
-
-_CONTAINER_MAGIC = b"GJCF"
-_CONTAINER_VERSION = 1
-_CONTAINER_HEADER = "<BHHdHBB"
 
 
 def _err(msg: str) -> None:
@@ -59,13 +54,10 @@ def _cmd_compress(args) -> int:
             raise ConfigError("compress needs a causal context model")
     else:
         model = CausalContextModel(args.alphabet, order=args.order)
-    adaptive = not args.model
     syms = digital_symbols(image, args.step, model.alphabet)
-    stream = ac_encode(syms, model, adaptive=adaptive)
-    header = _CONTAINER_MAGIC + struct.pack(
-        _CONTAINER_HEADER, _CONTAINER_VERSION, image.height, image.width,
-        args.step, model.alphabet, model.order, 0 if adaptive else 1)
-    blob = header + stream.to_bytes()
+    stream = ac_encode(syms, model, adaptive=not args.model)
+    blob = pack_container(image.height, image.width, args.step, model.order,
+                          bool(args.model), stream)
     with output_file(args.output) as fh:
         fh.write(blob)
     # machine-readable stats line on stdout; chatter stays on stderr
@@ -78,48 +70,20 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     with open(existing_input(args.input), "rb") as fh:
-        blob = fh.read()
-    (height, width, step, alphabet, order, modeled), start = read_header(
-        blob, _CONTAINER_MAGIC, _CONTAINER_HEADER, _CONTAINER_VERSION,
-        "container")
-    if height == 0 or width == 0 or height % BLOCK or width % BLOCK:
-        raise FormatError(
-            f"image size {height}x{width} is not a positive multiple of {BLOCK}")
-    # bounds the decode to 4096**2 symbols, whatever the payload admits
-    if max(height, width) > MAX_SIDE:
-        raise FormatError(f"image size {height}x{width}: a container cannot "
-                          f"hold a side above {MAX_SIDE}")
-    if not MIN_STEP <= step <= MAX_STEP:
-        raise FormatError(f"quantizer step {step} is outside "
-                          f"[{MIN_STEP:g}, {MAX_STEP:g}]")
-    if alphabet < 2:
-        raise FormatError(f"alphabet {alphabet} is below 2")
-    if modeled not in (0, 1):
-        raise FormatError(f"model flag {modeled} is neither 0 nor 1")
-    stream = Bitstream.from_bytes(blob[start:])
-    # Checked before decoding, so the decoder's run time and memory are
-    # bounded by the container's image size, not by a hostile symbol count.
-    if stream.alphabet != alphabet:
-        raise FormatError(
-            f"stream alphabet {stream.alphabet} != container alphabet {alphabet}")
-    if stream.n_symbols != height * width:
-        raise FormatError(
-            f"stream holds {stream.n_symbols} symbols, expected {height * width}")
+        height, width, step, order, modeled, stream = read_container(fh.read())
     if modeled:
         if not args.model:
             raise ConfigError(
                 "this file was compressed with a trained model; pass --model")
         model = load_model(existing_input(args.model))
-        adaptive = False
     else:
         try:
-            model = CausalContextModel(alphabet, order=order)
+            model = CausalContextModel(stream.alphabet, order=order)
         except ParameterError as exc:
             raise FormatError(f"container: {exc}") from None
-        adaptive = True
     try:
-        syms = ac_decode(stream, model, adaptive=adaptive)
-        image = digital_image(syms, height, width, step, alphabet)
+        syms = ac_decode(stream, model, adaptive=not modeled)
+        image = digital_image(syms, height, width, step, stream.alphabet)
     except GjcError:
         raise
     except (MemoryError, ValueError) as exc:

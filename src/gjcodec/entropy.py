@@ -28,7 +28,9 @@ cost prices each symbol once; sequence_cost_bits returns ac_encode's cost.
 
 Stream layout (little-endian header): magic "GJS1", u8 version=1,
 u16 alphabet, u32 symbol count, u64 model state hash, then the payload as
-16-bit big-endian words.
+16-bit big-endian words.  A compressed image (`.gjc`) is magic "GJCF", u8
+version=1, u16 height, u16 width, f64 step, u16 alphabet, u8 context order,
+u8 model flag (1: a trained model coded it statically), then its stream.
 """
 
 from __future__ import annotations
@@ -40,12 +42,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .context import PMF_BITS, PMF_TOTAL, CausalContextModel, Pricer
-from .errors import (CorruptStreamError, ModelMismatchError, ParameterError,
-                     read_header)
+from .errors import (CorruptStreamError, FormatError, ModelMismatchError,
+                     ParameterError, read_header)
+from .sources import MAX_SIDE
+from .transform import BLOCK, MAX_STEP, MIN_STEP
 
 STREAM_MAGIC = b"GJS1"
 STREAM_VERSION = 1
 _HEADER_FMT = "<BHIQ"
+CONTAINER_MAGIC = b"GJCF"
+CONTAINER_VERSION = 1
+_CONTAINER_FMT = "<BHHdHBB"
 
 _TWO64 = 1 << 64
 _TWO48 = 1 << 48
@@ -80,6 +87,45 @@ class Bitstream:
             data, STREAM_MAGIC, _HEADER_FMT, STREAM_VERSION, "stream")
         return cls(alphabet=alphabet, n_symbols=n, model_hash=model_hash,
                    payload=data[start:])
+
+
+def pack_container(height: int, width: int, step: float, order: int,
+                   modeled: bool, stream: Bitstream) -> bytes:
+    """The compressed image (module docstring) that wraps `stream`."""
+    return CONTAINER_MAGIC + struct.pack(
+        _CONTAINER_FMT, CONTAINER_VERSION, height, width, step,
+        stream.alphabet, order, modeled) + stream.to_bytes()
+
+
+def read_container(data: bytes) -> tuple:
+    """(height, width, step, order, model flag, stream) of a compressed
+    image; a field out of range or a stream that disagrees is a FormatError."""
+    (height, width, step, alphabet, order, modeled), start = read_header(
+        data, CONTAINER_MAGIC, _CONTAINER_FMT, CONTAINER_VERSION, "container")
+    if height == 0 or width == 0 or height % BLOCK or width % BLOCK:
+        raise FormatError(
+            f"image size {height}x{width} is not a positive multiple of {BLOCK}")
+    # bounds the decode to 4096**2 symbols, whatever the payload admits
+    if max(height, width) > MAX_SIDE:
+        raise FormatError(f"image size {height}x{width}: a container cannot "
+                          f"hold a side above {MAX_SIDE}")
+    if not MIN_STEP <= step <= MAX_STEP:
+        raise FormatError(f"quantizer step {step} is outside "
+                          f"[{MIN_STEP:g}, {MAX_STEP:g}]")
+    if alphabet < 2:
+        raise FormatError(f"alphabet {alphabet} is below 2")
+    if modeled not in (0, 1):
+        raise FormatError(f"model flag {modeled} is neither 0 nor 1")
+    stream = Bitstream.from_bytes(data[start:])
+    # Checked before decoding, so the decoder's run time and memory are
+    # bounded by the container's image size, not by a hostile symbol count.
+    if stream.alphabet != alphabet:
+        raise FormatError(
+            f"stream alphabet {stream.alphabet} != container alphabet {alphabet}")
+    if stream.n_symbols != height * width:
+        raise FormatError(
+            f"stream holds {stream.n_symbols} symbols, expected {height * width}")
+    return height, width, step, order, modeled, stream
 
 
 def _propagate_carry(buf: bytearray) -> None:

@@ -54,13 +54,13 @@ def check_kernel(name: str, module, probe):
 
     The probe makes gjcodec's call of the kernel on a fixed input and
     returns the answer and the known answer (a flat list), which must agree
-    to rounding.  A wrong answer, or a TypeError from a call that no longer
-    fits the kernel, raises ImportError naming the kernel and scipy's
-    version."""
+    to rounding.  A wrong answer, or any exception from the call (a
+    TypeError when it no longer fits the kernel), raises ImportError naming
+    the kernel and scipy's version."""
     try:
         got, want = probe(module)
-    except TypeError as exc:
-        why = f"raises TypeError ({exc})"
+    except Exception as exc:
+        why = f"raises {type(exc).__name__} ({exc})"
     else:
         got = np.ravel(got).tolist()
         if len(got) == len(want) and all(

@@ -39,7 +39,6 @@ child for each other share, so the children inherit everything.  With
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from typing import NamedTuple
 
@@ -53,13 +52,11 @@ from .context import CausalContextModel, NeighborhoodModel, train
 from .entropy import ac_decode, ac_encode
 from .errors import (ConfigError, CorruptStreamError, FecDecodeError,
                      ParameterError, existing_input)
-from .kernels import load_kernel
 from .metrics import compute_metrics
 from .scenario import check_tile, validate_scenario
-from .sources import ImageGrid, ar1_field, load_pgm
-from .transform import (BLOCK, block_coefficients, block_pixels, merge_blocks,
-                        split_blocks, sq_dequantize, sq_quantize,
-                        symbol_to_signed, signed_to_symbol)
+from .sources import ImageGrid, ar1_image, derive_seed, load_pgm
+from .transform import (BLOCK, block_coefficients, block_pixels, sq_dequantize,
+                        sq_quantize, symbol_to_signed, signed_to_symbol)
 from .vq import (Codebook, assemble_patches, extract_patches, tokenize,
                  vq_decode, vq_train)
 
@@ -68,75 +65,8 @@ CSV_COLUMNS = ("scheme", "condition", "seed", "bpp", "bandwidth_ratio", "mse",
                "realized_loss_rate")
 
 
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from hashed identifiers.
-
-    Per-record seeds hash (scenario seed, condition index, trial index) but
-    not the scheme label, so schemes facing the same condition and trial see
-    the same channel realization — a paired comparison.
-    """
-    tag = "|".join(str(p) for p in parts).encode("ascii")
-    return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "little")
-
-
 # ---------------------------------------------------------------------------
 # Shared per-scenario state
-
-
-# The call scipy.ndimage.zoom(base, upsample, order=1, mode="nearest",
-# grid_mode=True) makes: zoom_shift(input, zoom, shift, output, order, mode
-# ("nearest" is 0), cval, prefilter pad, grid_mode), with zoom the input
-# over the output shape.
-def _zoom(kernel, base: np.ndarray, out: np.ndarray) -> None:
-    zoom = np.array(base.shape) / np.array(out.shape)
-    kernel.zoom_shift(base, zoom, None, out, 1, 0, 0.0, 0, True)
-
-
-def _zoom_probe(kernel) -> tuple[np.ndarray, list[float]]:
-    """A fixed 2x2 block zoomed to 4x4, and its linear interpolation in
-    closed form, in row order: output cell i samples the input at
-    i / 2 - 1/4, clamped to the edge cells."""
-    base = [[1.0, 2.0], [4.0, 8.0]]
-    out = np.zeros((4, 4))
-    _zoom(kernel, np.array(base), out)
-    m = ((1.0, 0.0), (0.75, 0.25), (0.25, 0.75), (0.0, 1.0))
-    return out, [sum(a[i] * base[i][j] * b[j] for i in (0, 1) for j in (0, 1))
-                 for a in m for b in m]
-
-
-_nd_image = load_kernel("ndimage._nd_image", _zoom_probe)
-
-
-def _ar1_layer(height: int, width: int, rho: float, upsample: int,
-               seed: int) -> np.ndarray:
-    """Unit-variance AR(1) field; upsample > 1 generates the field at a
-    coarser grid and interpolates, concentrating energy below that scale."""
-    if upsample == 1:
-        return ar1_field(height, width, rho, seed)
-    base = ar1_field(height // upsample, width // upsample, rho, seed)
-    out = np.zeros((height, width))
-    _zoom(_nd_image, base, out)
-    return out
-
-
-def _ar1_textured(height: int, width: int, params: dict, seed: int) -> ImageGrid:
-    """AR(1) field in pixel units, optionally plus an independent
-    finer-scale texture layer (params["texture"]).  With texture.bandpass
-    the texture keeps only its within-block detail (per-8x8-block means
-    removed), leaving the large-scale structure to the base layer."""
-    field_ = params["sigma"] * _ar1_layer(height, width, params["rho"],
-                                          params.get("upsample", 1), seed)
-    tex = params.get("texture")
-    if tex is not None:
-        tex_field = tex["sigma"] * _ar1_layer(
-            height, width, tex["rho"], tex.get("upsample", 1),
-            derive_seed(seed, "texture"))
-        if tex.get("bandpass"):
-            tb = split_blocks(tex_field)
-            tb -= tb.mean(axis=(-2, -1), keepdims=True)
-            tex_field = merge_blocks(tb, height, width)
-        field_ = field_ + tex_field
-    return ImageGrid.from_float(field_ + params["mean"])
 
 
 @dataclasses.dataclass
@@ -262,8 +192,8 @@ def _build_digital(ctx: SweepContext, sp: dict):
 def _build_weak(ctx: SweepContext, sp: dict) -> WeakCode:
     scn = ctx.scenario
     tr, patch, ksize = scn["train"], sp["patch"], sp["codebook_size"]
-    corpus_imgs = [_ar1_textured(tr["height"], tr["width"], tr,
-                                 derive_seed(tr["seed"], "train-image", i))
+    corpus_imgs = [ar1_image(tr["height"], tr["width"], tr,
+                             derive_seed(tr["seed"], "train-image", i))
                    for i in range(tr["images"])]
     corpus_patches = np.concatenate(
         [extract_patches(img.samples, patch) for img in corpus_imgs], axis=0)
@@ -473,7 +403,7 @@ def build_context(scn: dict) -> SweepContext:
     src = scn["source"]
     image = (load_pgm(existing_input(src["path"], "source.path"))
              if src["type"] == "pgm"
-             else _ar1_textured(src["height"], src["width"], src, src["seed"]))
+             else ar1_image(src["height"], src["width"], src, src["seed"]))
     budget = int(math.floor(scn["bandwidth_ratio"] * image.pixels))
     blocks = (image.height // BLOCK) * (image.width // BLOCK)
     for sp in scn["schemes"]:

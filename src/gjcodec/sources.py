@@ -1,21 +1,35 @@
 """Test sources and image containers.
 
-Provides a separable AR(1) image texture generator used by the bundled
-scenarios, and binary PGM (P5) image I/O.
+Provides the bundled scenarios' AR(1) source (a field, upsampled by scipy's
+zoom kernel and textured), its hashed seeds, and binary PGM (P5) image I/O.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ParameterError, output_file
+from .kernels import load_kernel
+from .transform import merge_blocks, split_blocks
 
 # The largest image side the program reads, builds or decodes.  A
 # 4096x4096 image is 128 MiB of float64, and a decoder bounded by it walks
 # at most 4096**2 symbols.
 MAX_SIDE = 4096
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from hashed identifiers.
+
+    Per-record seeds hash (scenario seed, condition index, trial index) but
+    not the scheme label, so schemes facing the same condition and trial see
+    the same channel realization — a paired comparison.
+    """
+    tag = "|".join(str(p) for p in parts).encode("ascii")
+    return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "little")
 
 
 def ar1_field(rows: int, cols: int, rho: float, seed: int) -> np.ndarray:
@@ -83,6 +97,62 @@ class ImageGrid:
         """Round to nearest and clamp into the 8-bit range."""
         v = np.rint(np.asarray(values, dtype=np.float64))
         return cls(np.clip(v, 0, 255).astype(np.uint8))
+
+
+# The call scipy.ndimage.zoom(base, upsample, order=1, mode="nearest",
+# grid_mode=True) makes: zoom_shift(input, zoom, shift, output, order, mode
+# ("nearest" is 0), cval, prefilter pad, grid_mode), with zoom the input
+# over the output shape.
+def _zoom(kernel, base: np.ndarray, out: np.ndarray) -> None:
+    zoom = np.array(base.shape) / np.array(out.shape)
+    kernel.zoom_shift(base, zoom, None, out, 1, 0, 0.0, 0, True)
+
+
+def _zoom_probe(kernel) -> tuple[np.ndarray, list[float]]:
+    """A fixed 2x2 block zoomed to 4x4, and its linear interpolation in
+    closed form, in row order: output cell i samples the input at
+    i / 2 - 1/4, clamped to the edge cells."""
+    base = [[1.0, 2.0], [4.0, 8.0]]
+    out = np.zeros((4, 4))
+    _zoom(kernel, np.array(base), out)
+    m = ((1.0, 0.0), (0.75, 0.25), (0.25, 0.75), (0.0, 1.0))
+    return out, [sum(a[i] * base[i][j] * b[j] for i in (0, 1) for j in (0, 1))
+                 for a in m for b in m]
+
+
+_nd_image = load_kernel("ndimage._nd_image", _zoom_probe)
+
+
+def _ar1_layer(height: int, width: int, rho: float, upsample: int,
+               seed: int) -> np.ndarray:
+    """Unit-variance AR(1) field; upsample > 1 generates the field at a
+    coarser grid and interpolates, concentrating energy below that scale."""
+    if upsample == 1:
+        return ar1_field(height, width, rho, seed)
+    base = ar1_field(height // upsample, width // upsample, rho, seed)
+    out = np.zeros((height, width))
+    _zoom(_nd_image, base, out)
+    return out
+
+
+def ar1_image(height: int, width: int, params: dict, seed: int) -> ImageGrid:
+    """AR(1) field in pixel units, optionally plus an independent
+    finer-scale texture layer (params["texture"]).  With texture.bandpass
+    the texture keeps only its within-block detail (per-8x8-block means
+    removed), leaving the large-scale structure to the base layer."""
+    field_ = params["sigma"] * _ar1_layer(height, width, params["rho"],
+                                          params.get("upsample", 1), seed)
+    tex = params.get("texture")
+    if tex is not None:
+        tex_field = tex["sigma"] * _ar1_layer(
+            height, width, tex["rho"], tex.get("upsample", 1),
+            derive_seed(seed, "texture"))
+        if tex.get("bandpass"):
+            tb = split_blocks(tex_field)
+            tb -= tb.mean(axis=(-2, -1), keepdims=True)
+            tex_field = merge_blocks(tb, height, width)
+        field_ = field_ + tex_field
+    return ImageGrid.from_float(field_ + params["mean"])
 
 
 def _read_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -3,14 +3,14 @@ import pytest
 
 from gjcodec.analog import AnalogCode, jscc_decode, jscc_encode, jscc_fit
 from gjcodec.errors import ParameterError
-from gjcodec.pipelines import _ar1_textured
+from gjcodec.sources import ar1_image
 from gjcodec.sources import ImageGrid
 from gjcodec.transform import dct2, split_blocks, zigzag_scan
 
 
 def _ar1_images(count, seed0=400, size=64, rho=0.9, sigma=30.0):
-    return [_ar1_textured(size, size, {"rho": rho, "sigma": sigma,
-                                       "mean": 128.0}, seed0 + i)
+    return [ar1_image(size, size, {"rho": rho, "sigma": sigma,
+                                   "mean": 128.0}, seed0 + i)
             for i in range(count)]
 
 

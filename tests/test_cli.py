@@ -23,8 +23,8 @@ def run_cli(*argv):
 
 @pytest.fixture
 def sample_pgm(tmp_path, rng):
-    from gjcodec.pipelines import _ar1_textured
-    img = _ar1_textured(32, 32, {"rho": 0.9, "sigma": 30.0, "mean": 128.0}, 21)
+    from gjcodec.sources import ar1_image
+    img = ar1_image(32, 32, {"rho": 0.9, "sigma": 30.0, "mean": 128.0}, 21)
     path = tmp_path / "img.pgm"
     save_pgm(img, path)
     return path
@@ -560,8 +560,8 @@ def test_decompress_with_noncanonical_model_is_format_error(
 
 @pytest.fixture
 def golden_inputs(tmp_path):
-    from gjcodec.pipelines import _ar1_textured
-    img = _ar1_textured(64, 64, {"rho": 0.9, "sigma": 30.0, "mean": 128.0}, 5)
+    from gjcodec.sources import ar1_image
+    img = ar1_image(64, 64, {"rho": 0.9, "sigma": 30.0, "mean": 128.0}, 5)
     image, model = tmp_path / "img.pgm", tmp_path / "m.model"
     save_pgm(img, image)
     assert run_cli("train-model", str(image), "--output", str(model),
@@ -1137,11 +1137,11 @@ def test_set_reaches_list_entries(tmp_path):
 def test_train_model_on_codebook_tokens(tmp_path, sample_pgm):
     """train-model --codebook counts each image's VQ token grid."""
     from gjcodec.context import CausalContextModel, load_model, train
-    from gjcodec.pipelines import _ar1_textured
+    from gjcodec.sources import ar1_image
     from gjcodec.vq import extract_patches, load_codebook, vq_encode
     other = tmp_path / "other.pgm"
-    save_pgm(_ar1_textured(32, 32, {"rho": 0.5, "sigma": 20.0,
-                                    "mean": 100.0}, 5), other)
+    save_pgm(ar1_image(32, 32, {"rho": 0.5, "sigma": 20.0,
+                                "mean": 100.0}, 5), other)
     images = [str(sample_pgm), str(other)]
     cb_path, model_path = tmp_path / "cb.bin", tmp_path / "tok.model"
     assert run_cli("train-codebook", *images, "--output", str(cb_path),

@@ -8,11 +8,11 @@ import pytest
 
 from gjcodec.channel import mcs_pick
 from gjcodec.errors import ConfigError
-from gjcodec.pipelines import (CSV_COLUMNS, build_context, derive_seed,
-                               digital_image, digital_symbols, records_to_csv,
-                               run_record, sweep)
+from gjcodec.pipelines import (CSV_COLUMNS, build_context, digital_image,
+                               digital_symbols, records_to_csv, run_record,
+                               sweep)
 from gjcodec.scenario import validate_scenario
-from gjcodec.sources import ImageGrid
+from gjcodec.sources import ImageGrid, derive_seed
 
 
 def _base_scenario(**over):
@@ -915,7 +915,7 @@ def test_dc_plane_decodes_like_the_per_block_loop(rows, cols, monkeypatch):
 
 
 def test_upsampled_ar_layer_gives_scipy_ndimage_zoom_bytes():
-    """_ar1_layer calls ndimage's zoom kernel without scipy.ndimage's
+    """sources._ar1_layer calls ndimage's zoom kernel without scipy.ndimage's
     wrapper; it must give the bytes of the public zoom, for every factor
     on sides the scenario accepts (multiples of the factor and the 8x8
     block), the bundled fig5 source included."""
@@ -923,8 +923,7 @@ def test_upsampled_ar_layer_gives_scipy_ndimage_zoom_bytes():
 
     from scipy.ndimage import zoom
 
-    from gjcodec.pipelines import _ar1_layer
-    from gjcodec.sources import ar1_field
+    from gjcodec.sources import _ar1_layer, ar1_field
 
     cases = [(160, 160, 16, 0.9, 13)]
     for factor in range(2, 17):

@@ -137,8 +137,7 @@ print(heavy())
 csv = sweep()
 print(heavy())
 import scipy.fft, scipy.ndimage
-from gjcodec.pipelines import _ar1_layer
-from gjcodec.sources import ar1_field
+from gjcodec.sources import _ar1_layer, ar1_field
 from gjcodec.transform import dct2, idct2
 x = np.random.default_rng(5).normal(0, 100, (30, 8, 8))
 assert dct2(x).tobytes() == scipy.fft.dctn(x, norm="ortho", axes=(-2, -1)).tobytes()
@@ -175,15 +174,16 @@ def test_kernel_that_answers_otherwise_fails_to_load():
     """check_kernel passes scipy's kernels and refuses, with an ImportError
     naming the kernel and scipy's version, stand-ins that answer otherwise:
     a DCT that swaps its type and inorm arguments or computes the DCT-III,
-    a zoom that swaps its order and mode arguments, and kernels that
-    gjcodec's call no longer fits (TypeError)."""
+    a zoom that swaps its order and mode arguments, kernels that gjcodec's
+    call no longer fits (TypeError), and kernels whose call raises another
+    exception (ValueError, RuntimeError), naming its type."""
     import re
     from importlib.metadata import version
     from types import SimpleNamespace
 
-    from gjcodec import pipelines, transform
+    from gjcodec import sources, transform
     from gjcodec.kernels import check_kernel
-    dct, zoom = transform._pocketfft.dct, pipelines._nd_image.zoom_shift
+    dct, zoom = transform._pocketfft.dct, sources._nd_image.zoom_shift
 
     def swapped_dct(a, kind, axes, inorm, *rest):
         return dct(a, inorm, axes, kind, *rest)
@@ -195,9 +195,9 @@ def test_kernel_that_answers_otherwise_fails_to_load():
         zoom(a, factors, shift, out, mode, order, *rest)
 
     fft = "fft._pocketfft.pypocketfft", transform._dct_probe
-    nd = "ndimage._nd_image", pipelines._zoom_probe
+    nd = "ndimage._nd_image", sources._zoom_probe
     for (name, probe), real in ((fft, transform._pocketfft),
-                                (nd, pipelines._nd_image)):
+                                (nd, sources._nd_image)):
         assert check_kernel(name, real, probe) is real
     for (name, probe), stand_in in (
             (fft, SimpleNamespace(dct=swapped_dct)),
@@ -209,3 +209,17 @@ def test_kernel_that_answers_otherwise_fails_to_load():
                 f"scipy {version('scipy')}: gjcodec's call of the kernel "
                 f"scipy.{name} ")):
             check_kernel(name, stand_in, probe)
+
+    def raises(exc):
+        def kernel(*args):
+            raise exc
+        return kernel
+
+    for exc in (ValueError("bad axes"), RuntimeError("internal error")):
+        for (name, probe), stand_in in (
+                (fft, SimpleNamespace(dct=raises(exc))),
+                (nd, SimpleNamespace(zoom_shift=raises(exc)))):
+            with pytest.raises(ImportError, match=re.escape(
+                    f"scipy {version('scipy')}: gjcodec's call of the kernel "
+                    f"scipy.{name} raises {type(exc).__name__} ({exc})")):
+                check_kernel(name, stand_in, probe)

@@ -118,9 +118,9 @@ def _fixed_point_corpus(name):
         centres = rng.normal(0, 50, (8, 4))
         return centres[rng.integers(0, 8, 400)] + rng.normal(0, 1, (400, 4)), 8, 1
     if name == "ar1_patches":
-        from gjcodec.pipelines import _ar1_textured
-        img = _ar1_textured(64, 64, {"rho": 0.9, "sigma": 26.0, "mean": 120.0},
-                            7)
+        from gjcodec.sources import ar1_image
+        img = ar1_image(64, 64, {"rho": 0.9, "sigma": 26.0, "mean": 120.0},
+                        7)
         return extract_patches(img.samples, 4), 32, 2
     if name == "heavy_tails":
         return np.random.default_rng(3).standard_t(1, (400, 16)), 128, 3
